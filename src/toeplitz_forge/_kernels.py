@@ -14,7 +14,9 @@ Kernels:
   parametric series: axes 0/1 grade the oscillatory pair variables, axes
   2/3 the base-point offsets.
 * ``jacobi_sweep`` -- one cyclic-Jacobi sweep over a complex Hermitian
-  matrix (the eigensolver used by the spectral module).
+  matrix, driven by ``jacobi_eigh``.  The spectral module takes its
+  spectra from LAPACK; this solver is the independent route the tests
+  compare them against.
 
 Object-dtype (exact rational) series never reach this module; the series
 layer routes those through plain Python loops.

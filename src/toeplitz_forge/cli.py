@@ -459,8 +459,10 @@ def _cmd_bergman(args) -> int:
     defect = qs.operator_norm(np.asarray(matrix) - np.eye(matrix.dim))
     smallest = qs.invertibility_check(matrix)
     worst_spread = max(spreads.values())
-    # the cutoff edge keeps the defect at e^{-cN}, so judge by the band
-    passed = worst_spread < 1e-8 and 0.9 <= smallest <= 1.1
+    # the cutoff edge keeps the defect at e^{-cN}, so judge by the band; on
+    # the sphere the exact matrix at the default cutoff is (1 - rho^{N+1}) I
+    exact = 1.0 - qs.cutoff_rho(geometry) ** (args.Nmax + 1)
+    passed = worst_spread < 1e-8 and 0.9 <= smallest / exact <= 1.1
     _write_csv(args.out, "bergman", ("k", "basepoint", "coeff_re", "coeff_im", "residual"), rows)
     _write_summary(
         args.out, "bergman", "bergman",

@@ -12,11 +12,12 @@ two quantization routes:
   into radial Gauss-Legendre nodes and an angular rule on the exact
   cutoff interval.
 
-On top of the matrices: a Schur-test norm bound, smallest-singular-value
-checks, a cyclic-Jacobi spectral decomposition, forbidden-region masses
-of eigenvector sections (exact for x3 half-spaces, node-indicator
-quadrature for general regions), and least-squares exponential decay
-fits.
+On top of the matrices: a Schur-test norm bound, singular values and
+Hermitian eigenpairs from LAPACK (SVD of the matrix itself, ``eigh``; the
+cyclic-Jacobi solver in ``_kernels`` is kept as the independent route the
+tests compare against), forbidden-region masses of eigenvector sections
+(exact for x3 half-spaces, node-indicator quadrature for general
+regions), and least-squares exponential decay fits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
 from .covariant_calculus import CovariantSymbol, bergman_symbol
 from .function_spaces import summation_cutoff
 from .geometry import ModelGeometry
@@ -40,6 +40,7 @@ __all__ = [
     "DecayReport",
     "basis_norms",
     "contravariant_matrix",
+    "cutoff_rho",
     "covariant_matrix",
     "bergman_gram_defect",
     "bergman_kernel_error",
@@ -386,7 +387,7 @@ def _summed_amplitude(symbol: CovariantSymbol, N: int, K: int) -> Callable:
             c = combined[int(i)]
             pow_a = fa[sel, None] ** np.arange(c.shape[0])
             pow_b = fb[sel, None] ** np.arange(c.shape[1])
-            out[sel] = np.einsum("xp,pq,xq->x", pow_a, c, pow_b)
+            out[sel] = np.sum((pow_a @ c) * pow_b, axis=1)
         return out.reshape(np.broadcast(x, zbar).shape)
 
     return amp
@@ -407,6 +408,10 @@ def _sphere_diagonal_quadrature(
     rho <= 0 disables the cutoff.  The angular rule is Gauss-Legendre on
     the exact cutoff interval, or a uniform (trigonometrically exact)
     grid when the full circle survives.
+
+    Mode j of the angular integral is projected out for all j at once:
+    by one matmul against e^{-i j beta} on the shared uniform grid, or by
+    the phase recurrence vals *= e^{-i beta} on the per-pair cutoff grids.
     """
     t, tw = _radial_nodes(n_radial)
     logt = np.log(t)
@@ -422,22 +427,41 @@ def _sphere_diagonal_quadrature(
     else:
         grid = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular - np.pi
         betas = np.broadcast_to(grid, (t.size, t.size, n_angular))
-        bweight = np.full_like(betas, 2.0 * np.pi / n_angular)
+        bweight = 2.0 * np.pi / n_angular
     phase = np.exp(1j * betas)
+    del betas
+    # the (n_radial, n_radial, n_angular) tensors set the peak memory of
+    # the quadrature, so the amplitude is evaluated before the kernel and
+    # everything after it runs in place
     x = r[:, None, None] * phase
-    zbar = np.broadcast_to(r[None, :, None], betas.shape)
-    kern = np.exp(
-        N * np.log(1.0 + rr[:, :, None] * phase)
-        - 0.5 * N * (l1p[:, None, None] + l1p[None, :, None])
+    amp = amplitude(x, np.broadcast_to(r[None, :, None], phase.shape))
+    del x
+    # kernel e^{N log(1 + rr e^{i beta}) - N/2 (log(1+t1) + log(1+t2))}
+    vals = rr[:, :, None] * phase
+    vals += 1.0
+    np.log(vals, out=vals)
+    vals *= N
+    vals -= 0.5 * N * (l1p[:, None, None] + l1p[None, :, None])
+    np.exp(vals, out=vals)
+    vals *= bweight
+    vals *= amp
+    del amp
+    if rho > 0.0:
+        np.conjugate(phase, out=phase)
+        inner = np.empty((t.size, t.size, dim), dtype=complex)
+        for j in range(dim):
+            np.sum(vals, axis=-1, out=inner[:, :, j])
+            vals *= phase
+    else:
+        inner = vals @ np.exp(-1j * np.outer(grid, np.arange(dim)))
+    j = np.arange(dim)
+    lognj = np.array(
+        [math.lgamma(N + 2) - math.lgamma(k + 1) - math.lgamma(N - k + 1) for k in range(dim)]
     )
-    vals = bweight * kern * amplitude(x, zbar)
-    diag = np.zeros(dim, dtype=complex)
-    for j in range(dim):
-        inner = np.sum(vals * np.exp(-1j * j * betas), axis=-1)
-        lognj = math.lgamma(N + 2) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
-        w = tw * np.exp(0.5 * j * logt - (0.5 * N + 2.0) * l1p + 0.5 * lognj)
-        diag[j] = (w @ inner @ w) / (2.0 * np.pi)
-    return diag
+    w = tw[:, None] * np.exp(
+        0.5 * j[None, :] * logt[:, None] - (0.5 * N + 2.0) * l1p[:, None] + 0.5 * lognj[None, :]
+    )
+    return np.einsum("aj,abj,bj->j", w, inner, w) / (2.0 * np.pi)
 
 
 def _plane_gaussian_entries(blocks: Sequence[np.ndarray], N: int, K: int, dim: int) -> np.ndarray:
@@ -468,6 +492,23 @@ def _plane_gaussian_entries(blocks: Sequence[np.ndarray], N: int, K: int, dim: i
                 )
                 out[j, k] += c * math.exp(loge)
     return out
+
+
+def cutoff_rho(geometry: ModelGeometry, eps: Optional[float] = None) -> float:
+    """Threshold of the sphere pair cutoff at geodesic radius ``eps``.
+
+    Pairs are kept when |1 + x zbar|^2 >= rho (1+|x|^2)(1+|z|^2), with
+    rho = cos^2(eps / sqrt 2); eps defaults to CUTOFF_FACTOR times the
+    injectivity radius, where rho = (3 + sqrt 5)/8.  Returns 0.0 when
+    nothing is cut: the plane, or eps at or beyond the injectivity radius.
+    """
+    if not geometry.compact:
+        return 0.0
+    if eps is None:
+        eps = CUTOFF_FACTOR * geometry.injectivity_radius
+    if math.isfinite(eps) and eps < geometry.injectivity_radius:
+        return math.cos(eps / math.sqrt(2.0)) ** 2
+    return 0.0
 
 
 def covariant_matrix(
@@ -514,16 +555,9 @@ def covariant_matrix(
             "sphere kernel matrices need a rotation-invariant symbol; "
             "general symbols are only stored along a meridian"
         )
-    if eps is None:
-        eps = CUTOFF_FACTOR * geometry.injectivity_radius
-    if math.isfinite(eps) and eps < geometry.injectivity_radius:
-        rho = math.cos(eps / math.sqrt(2.0)) ** 2
-        if n_angular is None:
-            n_angular = max(64, N + 40)
-    else:
-        rho = 0.0
-        if n_angular is None:
-            n_angular = max(64, 2 * N + 8)
+    rho = cutoff_rho(geometry, eps)
+    if n_angular is None:
+        n_angular = max(64, N + 40) if rho > 0.0 else max(64, 2 * N + 8)
     amp = _summed_amplitude(symbol, N, K_used)
 
     def amplitude(x, zbar):
@@ -640,32 +674,44 @@ def schur_norm_bound(geometry: ModelGeometry, amplitude, N: int) -> float:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value (2-norm)."""
+    """Largest singular value (2-norm), by LAPACK SVD of the matrix itself."""
     a = _as_matrix(m)
     if a.size == 0:
         return 0.0
-    evals, _, _ = _kernels.jacobi_eigh(a.conj().T @ a)
-    return float(math.sqrt(max(float(evals[-1]), 0.0)))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def invertibility_check(m) -> float:
-    """Smallest singular value; > 0 certifies invertibility."""
+    """Smallest singular value; > 0 certifies invertibility.
+
+    The SVD works on the matrix itself, not on A^H A, so the condition
+    number is not squared: the error stays near machine precision times
+    the largest singular value, where sqrt(eig(A^H A)) loses everything
+    below about 1e-8 of it.
+    """
     a = _as_matrix(m)
     if a.size == 0:
         return 0.0
-    evals, _, _ = _kernels.jacobi_eigh(a.conj().T @ a)
-    return float(math.sqrt(max(float(evals[0]), 0.0)))
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def eigenpairs(m, residual_tol: float = 1e-10):
     """Sorted (eigenvalue, unit eigenvector) pairs of a Hermitian matrix.
 
-    Cyclic Jacobi diagonalization; rejects non-Hermitian input and
-    verifies the residual ||A u - lambda u|| against the tolerance.
+    LAPACK ``eigh`` diagonalization (``_kernels.jacobi_eigh`` is the
+    independent route the tests compare against); rejects non-Hermitian
+    input and verifies the residual ||A u - lambda u|| against the
+    tolerance.
     """
     a = _as_matrix(m)
-    evals, vecs, _ = _kernels.jacobi_eigh(a)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    herm_defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    if herm_defect > 1e-10 * scale:
+        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
+    evals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
     residual = float(np.max(np.abs(a @ vecs - vecs * evals[None, :]), initial=0.0))
     if residual > residual_tol * scale:
         raise ArithmeticError(f"eigen residual {residual:.3e} exceeds {residual_tol:.1e}")

@@ -1,10 +1,12 @@
 """End-to-end tests of the experiment runner."""
 
 import json
+import math
 
 import pytest
 
 from toeplitz_forge import cli
+from toeplitz_forge import geometry
 from toeplitz_forge import quantization_spectral as qs
 
 
@@ -100,6 +102,18 @@ def test_bergman_coefficients(tmp_path):
     # leading coefficient of the projector symbol is 1 at every basepoint
     k0 = [r for r in rows if r[0] == "0"]
     assert all(abs(float(r[2]) - 1.0) < 1e-10 for r in k0)
+
+
+def test_bergman_sphere_low_level_verdict(tmp_path):
+    # at the default cutoff the exact matrix is (1 - rho^{N+1}) I, 0.8799 at
+    # N = 4: below 0.9, yet the operator is the correct one
+    code = run(["bergman", "--geometry", "sphere", "--Nmax", "4", "--out", str(tmp_path)])
+    assert code == 0
+    doc = read_json(tmp_path / "bergman.json")
+    rho = (3.0 + math.sqrt(5.0)) / 8.0
+    assert qs.cutoff_rho(geometry.sphere()) == pytest.approx(rho, abs=1e-15)
+    assert doc["passed"] is True
+    assert abs(doc["min_singular_at_Nmax"] - (1.0 - rho**5)) < 5e-4
 
 
 def test_bergman_check_sphere_slope(tmp_path):

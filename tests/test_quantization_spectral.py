@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toeplitz_forge import _kernels
 from toeplitz_forge import covariant_calculus as cc
 from toeplitz_forge import geometry
 from toeplitz_forge import quantization_spectral as qs
@@ -191,8 +192,62 @@ def test_covariant_rejections():
         qs.covariant_matrix(PLANE, plane_sym, 8, eps=1.0)
 
 
+def _per_mode_diagonal(N, dim, amplitude, rho, n_radial, n_angular):
+    """The per-mode loop that _sphere_diagonal_quadrature vectorizes.
+
+    Each mode j is projected out separately with e^{-i j beta} over the
+    whole angular tensor, and contracted with its own radial weights.
+    """
+    t, tw = qs._radial_nodes(n_radial)
+    logt = np.log(t)
+    l1p = np.log1p(t)
+    r = np.sqrt(t)
+    rr = r[:, None] * r[None, :]
+    if rho > 0.0:
+        c0 = (rho * np.exp(l1p[:, None] + l1p[None, :]) - 1.0 - rr**2) / (2.0 * rr)
+        beta0 = np.arccos(np.clip(c0, -1.0, 1.0))
+        gx, gw = np.polynomial.legendre.leggauss(n_angular)
+        betas = beta0[:, :, None] * gx[None, None, :]
+        bweight = beta0[:, :, None] * gw[None, None, :]
+    else:
+        grid = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular - np.pi
+        betas = np.broadcast_to(grid, (t.size, t.size, n_angular))
+        bweight = np.full_like(betas, 2.0 * np.pi / n_angular)
+    phase = np.exp(1j * betas)
+    x = r[:, None, None] * phase
+    zbar = np.broadcast_to(r[None, :, None], betas.shape)
+    kern = np.exp(
+        N * np.log(1.0 + rr[:, :, None] * phase)
+        - 0.5 * N * (l1p[:, None, None] + l1p[None, :, None])
+    )
+    vals = bweight * kern * amplitude(x, zbar)
+    diag = np.zeros(dim, dtype=complex)
+    for j in range(dim):
+        inner = np.sum(vals * np.exp(-1j * j * betas), axis=-1)
+        lognj = math.lgamma(N + 2) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
+        w = tw * np.exp(0.5 * j * logt - (0.5 * N + 2.0) * l1p + 0.5 * lognj)
+        diag[j] = (w @ inner @ w) / (2.0 * np.pi)
+    return diag
+
+
+@pytest.mark.parametrize("N", [1, 4, 8, 33, 64])
+def test_sphere_quadrature_matches_per_mode_loop(N):
+    amplitudes = {
+        "constant": lambda x, zbar: (N + 1.0) * np.ones(np.broadcast(x, zbar).shape),
+        # a function of x zbar alone is rotation invariant; |w| < 1 keeps it bounded
+        "radial": lambda x, zbar: 1.0 + 0.5 * np.cos(x * zbar / (1.0 + np.abs(x * zbar))),
+    }
+    rho = qs.cutoff_rho(SPH)
+    for name, amp in amplitudes.items():
+        for cut, n_angular in ((rho, max(64, N + 40)), (0.0, max(64, 2 * N + 8))):
+            args = (N, N + 1, amp, cut, qs.DEFAULT_RADIAL, n_angular)
+            want = _per_mode_diagonal(*args)
+            got = qs._sphere_diagonal_quadrature(*args)
+            assert np.max(np.abs(got - want)) < 1e-13, (name, cut)
+
+
 def test_bergman_gram_defect():
-    for N in (4, 8, 16, 32):
+    for N in (4, 8, 16, 32, 64):
         assert qs.bergman_gram_defect(SPH, N) < 1e-10
     assert qs.bergman_gram_defect(PLANE, 8) < 1e-14
 
@@ -244,19 +299,44 @@ def test_eigenpairs_flip_matrix():
 
 
 def test_eigenpairs_random_hermitian_residual():
+    # eigenpairs runs on LAPACK; cyclic Jacobi is the independent route
     rng = np.random.default_rng(11)
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    a = a + a.conj().T
-    pairs = qs.eigenpairs(a)
-    evals = np.array([ev for ev, _ in pairs])
-    assert np.allclose(evals, np.linalg.eigvalsh(a), atol=1e-10)
-    for ev, vec in pairs:
-        assert np.max(np.abs(a @ vec - ev * vec)) < 1e-10 * np.max(np.abs(a))
+    for n in (8, 17, 33, 49):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = a + a.conj().T
+        pairs = qs.eigenpairs(a)
+        evals = np.array([ev for ev, _ in pairs])
+        reference, _, off = _kernels.jacobi_eigh(a)
+        assert off < 1e-10
+        assert np.allclose(evals, reference, atol=1e-10)
+        for ev, vec in pairs:
+            assert np.max(np.abs(a @ vec - ev * vec)) < 1e-10 * np.max(np.abs(a))
+
+
+def test_singular_values_ill_conditioned():
+    # sqrt(eig(A^H A)) squares the condition number 1e9 and loses sigma_min
+    # to roundoff; the SVD of A keeps it to machine precision times sigma_max
+    n = 17
+    rng = np.random.default_rng(5)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q
+
+    u, v = unitary(), unitary()
+    a = u @ np.diag(np.logspace(0, -9, n)) @ v.conj().T
+    assert qs.invertibility_check(a) == pytest.approx(1e-9, rel=1e-6)
+    assert qs.operator_norm(a) == pytest.approx(1.0, rel=1e-12)
+    # the largest singular value survives the squaring: Jacobi agrees there
+    gram_evals, _, _ = _kernels.jacobi_eigh(a.conj().T @ a)
+    assert qs.operator_norm(a) == pytest.approx(math.sqrt(gram_evals[-1]), rel=1e-12)
 
 
 def test_eigenpairs_rejects_non_hermitian():
     with pytest.raises(ValueError):
         qs.eigenpairs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        qs.eigenpairs(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
