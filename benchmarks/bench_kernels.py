@@ -1,7 +1,9 @@
-"""Compare the numba kernels against the pure-numpy fallback.
+"""Time the kernels on each available backend (numba and the numpy fallback).
 
 The backend is fixed at import time by TOEPLITZ_FORGE_NO_NUMBA, so this
-script relaunches itself once per backend and merges the timings.
+script relaunches itself once per backend and merges the timings.  Each
+time is the best of five calls after one warm-up call.  When numba is not
+installed only the numpy column is printed.
 
     python3 benchmarks/bench_kernels.py
 """
@@ -22,6 +24,10 @@ def _workloads():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((17, 17, 9, 9)) + 1j * rng.standard_normal((17, 17, 9, 9))
     b = rng.standard_normal((17, 17, 9, 9)) + 1j * rng.standard_normal((17, 17, 9, 9))
+    # operands of the K=4 engines (pair cap 10, param cap 8): on the sphere
+    # the transported density has 115 live pair blocks, on the plane 1
+    sph_eng = cc._engine(geometry.sphere(), 10, 8)
+    pl_eng = cc._engine(geometry.bargmann(), 10, 8)
     box = rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))
     herm = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
     herm = herm + herm.conj().T
@@ -31,6 +37,12 @@ def _workloads():
     berg = cc.bergman_symbol(sph, K=4)
     return {
         "conv_pair 17^2x9^2": lambda: _kernels.conv_pair(a, b, 16, 8),
+        "conv_pair sphere 11^2x9^2": lambda: _kernels.conv_pair(
+            sph_eng.z_powers[4].coeffs, sph_eng.rho_jac.coeffs, 10, 8),
+        "conv_pair sphere diag": lambda: _kernels.conv_pair(
+            sph_eng.z_powers[4].coeffs, sph_eng.rho_jac.coeffs, 10, 8, diag_only=True),
+        "conv_pair plane 11^2x9^2": lambda: _kernels.conv_pair(
+            pl_eng.z_powers[4].coeffs, pl_eng.x_powers[4].coeffs, 10, 8),
         "conv_trunc_2d 17^2": lambda: _kernels.conv_trunc_2d(box, box, 16),
         "jacobi_eigh 33x33": lambda: _kernels.jacobi_eigh(herm),
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),
@@ -55,6 +67,8 @@ def main():
         return
     rows = {}
     for flag in ("", "1"):
+        if "numpy" in rows:  # without numba the default run was already numpy
+            break
         env = dict(os.environ, TOEPLITZ_FORGE_NO_NUMBA=flag)
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--inner"],
@@ -63,11 +77,14 @@ def main():
         doc = json.loads(out.stdout.strip().splitlines()[-1])
         rows[doc["backend"]] = doc["timings"]
     numba_t = rows.get("numba")
-    numpy_t = rows.get("numpy")
-    if numba_t is None or numpy_t is None:
-        print("only one backend available:", json.dumps(rows, indent=2))
-        return
+    numpy_t = rows["numpy"]
     width = max(len(k) for k in numpy_t)
+    if numba_t is None:
+        print("numba is not installed; numpy backend only")
+        print(f"{'kernel':<{width}}  {'numpy':>10}")
+        for name, tp in numpy_t.items():
+            print(f"{name:<{width}}  {tp * 1e3:>8.2f}ms")
+        return
     print(f"{'kernel':<{width}}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
     for name in numpy_t:
         tn, tp = numba_t[name], numpy_t[name]

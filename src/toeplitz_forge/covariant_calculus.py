@@ -32,6 +32,7 @@ jet ring, where it is exact.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -113,7 +114,9 @@ class CovariantSymbol:
     dependence rides the first axis, anti-holomorphic the second.
     ``global_eval(k, x, zbar)``, when present, evaluates coefficient k
     exactly at arbitrary polarized points (used by quadratures; jets are
-    authoritative for the calculus).
+    authoritative for the calculus).  ``constant_coeffs``, when present,
+    holds the values of coefficients 0..K of a symbol whose every
+    coefficient is constant, so quadratures can sum them as scalars.
     """
 
     geometry: ModelGeometry
@@ -121,6 +124,7 @@ class CovariantSymbol:
     jets: tuple
     rotation_invariant: bool = False
     global_eval: Optional[Callable] = None
+    constant_coeffs: Optional[tuple] = None
 
     @property
     def K(self) -> int:
@@ -420,7 +424,10 @@ class _Engine:
         return self.rho_jac.block(0, 0)
 
 
+# one engine per (geometry name, pair cap, param cap) for the life of the
+# process; the lock makes concurrent callers wait for a single build
 _ENGINE_CACHE: dict = {}
+_ENGINE_LOCK = threading.Lock()
 
 
 def _build_engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _Engine:
@@ -453,9 +460,11 @@ def _build_engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _En
 
 def _engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _Engine:
     key = (geometry.name, pair_cap, param_cap)
-    if key not in _ENGINE_CACHE:
-        _ENGINE_CACHE[key] = _build_engine(geometry, pair_cap, param_cap)
-    return _ENGINE_CACHE[key]
+    with _ENGINE_LOCK:
+        eng = _ENGINE_CACHE.get(key)
+        if eng is None:
+            eng = _ENGINE_CACHE[key] = _build_engine(geometry, pair_cap, param_cap)
+    return eng
 
 
 def _block_from_jet(jet: PowerSeries, cap: int) -> np.ndarray:
@@ -705,6 +714,12 @@ def _solve_node(eng: _Engine, fjets: list, hjets: list, K: int, M: int) -> list:
     return g_blocks
 
 
+# bergman_symbol results, keyed by geometry name rather than by the
+# geometry object (model_by_name returns a new object on every call)
+_BERGMAN_CACHE: dict = {}
+_BERGMAN_LOCK = threading.Lock()
+
+
 def bergman_symbol(
     geometry: ModelGeometry,
     K: int,
@@ -717,16 +732,30 @@ def bergman_symbol(
 
     Defined by T(1) T(a) = T(1): a = solve_sharp(unit, unit).  The plane
     gives (1, 0, ...), the sphere (1, 1, 0, ...), both exactly.
+
+    Built once per process for each (geometry name, K, order, r, R, m) and
+    shared by every caller, so its nodes and coefficient arrays are
+    read-only.
     """
+    key = (geometry.name, K, order, r, R, m)
+    with _BERGMAN_LOCK:
+        out = _BERGMAN_CACHE.get(key)
+        if out is None:
+            out = _BERGMAN_CACHE[key] = _build_bergman_symbol(geometry, K, order, r, R, m)
+    return out
+
+
+def _build_bergman_symbol(geometry, K, order, r, R, m) -> CovariantSymbol:
     one = unit_covariant(geometry, K=0, order=order, r=r, R=R, m=m)
     out = solve_sharp(one, one, K)
     out.rotation_invariant = True
-    consts = [complex(out.jets[0].coeffs[k].constant_term()) for k in range(K + 1)]
+    consts = tuple(complex(out.jets[0].coeffs[k].constant_term()) for k in range(K + 1))
 
     def evaluator(k, x, zbar):
         return np.full(np.broadcast(x, zbar).shape, consts[k], dtype=complex)
 
-    # the solved jets are constants; expose the matching exact evaluator
+    # the solved jets are constants; expose them and the matching exact
+    # evaluator
     flat = 0.0
     for jet in out.jets:
         for k in range(K + 1):
@@ -735,6 +764,11 @@ def bergman_symbol(
             flat = max(flat, float(np.max(np.abs(block))))
     if flat < 1e-8:
         out.global_eval = evaluator
+        out.constant_coeffs = consts
+    out.nodes.setflags(write=False)
+    for jet in out.jets:
+        for series in jet.coeffs:
+            series.coeffs.setflags(write=False)
     return out
 
 

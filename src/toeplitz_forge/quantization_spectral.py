@@ -352,6 +352,17 @@ def _resolve_truncation(symbol: CovariantSymbol, N: int, K: Optional[int]) -> in
 
 def _summed_amplitude(symbol: CovariantSymbol, N: int, K: int) -> Callable:
     top = min(K, symbol.K)
+    if symbol.constant_coeffs is not None:
+        # a constant amplitude is one scalar, whatever the shape of the grid
+        total = np.zeros((), dtype=complex)
+        for k in range(top + 1):
+            total = total + float(N) ** (-k) * symbol.constant_coeffs[k]
+
+        def amp(x, zbar):
+            return np.broadcast_to(total, np.broadcast(x, zbar).shape)
+
+        return amp
+
     if symbol.global_eval is not None:
 
         def amp(x, zbar):

@@ -128,11 +128,14 @@ def test_bergman_check_sphere_slope(tmp_path):
 
 
 def test_bergman_check_plane_exact(tmp_path):
-    code = run(["bergman-check", "--geometry", "plane", "--Nmax", "16",
-                "--out", str(tmp_path)])
-    assert code == 0
-    doc = read_json(tmp_path / "bergman-check.json")
-    assert doc["max_sup_error"] < 1e-10
+    # the plane expansion is exact: at the default --Nmax 64 some levels
+    # carry roundoff of order 1e-13, whose fitted slope must not decide
+    for extra in (["--Nmax", "16"], []):
+        code = run(["bergman-check", "--geometry", "plane", *extra, "--out", str(tmp_path)])
+        assert code == 0
+        doc = read_json(tmp_path / "bergman-check.json")
+        assert doc["passed"] is True
+        assert doc["max_sup_error"] < 1e-10
 
 
 def test_decay_sweep(tmp_path):

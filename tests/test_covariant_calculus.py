@@ -1,6 +1,9 @@
 """Sharp-product calculus: node frames, composition, inversion, brackets."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -382,6 +385,48 @@ def test_bergman_sphere_summation_at_N3():
         complex(a.jets[0].coeffs[k].constant_term()) * N ** (-k) for k in range(5)
     )
     assert abs(total - 4.0) < 1e-12
+
+
+def test_bergman_symbol_shared_and_read_only():
+    a = cc.bergman_symbol(geometry.SphereModel(), K=2, order=6)
+    assert cc.bergman_symbol(geometry.model_by_name("sphere"), K=2, order=6) is a
+    assert cc.bergman_symbol(SPHERE, K=3, order=6) is not a
+    assert a.constant_coeffs is not None and len(a.constant_coeffs) == 3
+    for array in (a.jets[0].coeffs[0].coeffs, a.jets[-1].coeffs[2].coeffs, a.nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2.0
+
+
+def test_engine_built_once_under_threads(monkeypatch):
+    builds = []
+
+    def slow_build(geometry, pair_cap, param_cap):
+        builds.append((geometry.name, pair_cap, param_cap))
+        time.sleep(0.05)  # hold the build open while the other threads arrive
+        return object()
+
+    monkeypatch.setattr(cc, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(cc, "_build_engine", slow_build)
+    start = threading.Barrier(4)
+    got = []
+
+    def worker():
+        start.wait(timeout=10)
+        got.append(cc._engine(SPHERE, 10, 8))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [("sphere", 10, 8)]
+    assert len(got) == 4 and all(e is got[0] for e in got)
 
 
 def test_bergman_uniqueness_via_second_symbol():
