@@ -1,111 +1,36 @@
-"""Dispatch layer for the numerically hot inner loops.
-
-Every kernel here exists twice: a numba ``@njit`` build and a pure-numpy
-fallback.  The fallback is selected when the environment variable
-``TOEPLITZ_FORGE_NO_NUMBA`` is set to a non-empty value, or when numba is
-not importable.  ``backend_name()`` reports which path is active so tests
-and the benchmark can assert against it.
+"""The numerically hot inner loops, in numpy.
 
 Kernels:
 
-* ``conv_trunc_1d/2d/3d`` -- dense truncated polynomial convolution (the
-  multiply behind ``series.PowerSeries``), total degree capped.
 * ``conv_pair`` -- bi-graded convolution for the composition engine's
   parametric series: axes 0/1 grade the oscillatory pair variables, axes
-  2/3 the base-point offsets.  The numpy build packs each parameter block
-  into its monomials of total degree <= M and multiplies the live blocks
-  of both operands with one matmul per chunk of rows, against the
-  multiplication matrices of the b blocks (one gather through a cached,
-  read-only index map); blocks that are zero in either operand take no
-  part.  The numba build is the direct loop.
-* ``jacobi_sweep`` -- one cyclic-Jacobi sweep over a complex Hermitian
-  matrix, driven by ``jacobi_eigh``.  The spectral module takes its
-  spectra from LAPACK; this solver is the independent route the tests
-  compare them against.
+  2/3 the base-point offsets.  It packs each parameter block into its
+  monomials of total degree <= M and multiplies the live blocks of both
+  operands with one matmul per chunk of rows, against the multiplication
+  matrices of the b blocks (one gather through a cached, read-only index
+  map); blocks that are zero in either operand take no part.
+* ``jacobi_eigh`` -- cyclic-Jacobi diagonalization of a complex Hermitian
+  matrix.  The spectral module takes its spectra from LAPACK; this solver
+  is the independent route the tests compare them against.
 
-Object-dtype (exact rational) series never reach this module; the series
-layer routes those through plain Python loops.
+The total-degree truncated product of ``series.PowerSeries`` lives in the
+series module, not here.  ``backend_name()`` names the kernel backend for
+the benchmark's environment record; numpy is the only one.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
 
-_DISABLED = bool(os.environ.get("TOEPLITZ_FORGE_NO_NUMBA"))
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - environment dependent
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
 
 def backend_name() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# truncated dense convolutions
-
-
-@lru_cache(maxsize=None)
-def _over_cap_mask(ndim, cap):
-    """Entries of total degree above ``cap`` that still fit in the dense box.
-
-    The numpy fallbacks add whole slices, so they can write there; the jit
-    builds bound their loops instead and never do.  Callers pin these to zero.
-    """
-    mask = np.indices((cap + 1,) * ndim).sum(axis=0) > cap
-    mask.setflags(write=False)
-    return mask
-
-
-def _conv_trunc_1d_np(a, b, order):
-    out = np.zeros(order + 1, dtype=np.complex128)
-    for i in range(min(a.shape[0], order + 1)):
-        if a[i] == 0:
-            continue
-        top = min(b.shape[0], order + 1 - i)
-        out[i : i + top] += a[i] * b[:top]
-    return out
-
-
-def _conv_trunc_2d_np(a, b, order):
-    out = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    nz = np.argwhere(a != 0)
-    for i, j in nz:
-        if i + j > order:
-            continue
-        ti = min(b.shape[0], order + 1 - i)
-        tj = min(b.shape[1], order + 1 - j)
-        out[i : i + ti, j : j + tj] += a[i, j] * b[:ti, :tj]
-    out[_over_cap_mask(2, order)] = 0.0
-    return out
-
-
-def _conv_trunc_3d_np(a, b, order):
-    out = np.zeros((order + 1,) * 3, dtype=np.complex128)
-    nz = np.argwhere(a != 0)
-    for i, j, k in nz:
-        if i + j + k > order:
-            continue
-        ti = min(b.shape[0], order + 1 - i)
-        tj = min(b.shape[1], order + 1 - j)
-        tk = min(b.shape[2], order + 1 - k)
-        out[i : i + ti, j : j + tj, k : k + tk] += a[i, j, k] * b[:ti, :tj, :tk]
-    out[_over_cap_mask(3, order)] = 0.0
-    return out
-
-
-# a-block rows per matmul in _conv_pair_np; keeps each product chunk to a
-# few MB however many blocks are live
+# a-block rows per matmul in conv_pair; keeps each product chunk to a few
+# MB however many blocks are live
 _PAIR_ROWS = 16
 
 
@@ -150,7 +75,7 @@ def _live_blocks(x, pair_cap, param_cap):
     return i, j, packed[i, j]
 
 
-def _conv_pair_np(a, b, pair_cap, param_cap, diag_only):
+def conv_pair(a, b, pair_cap, param_cap, diag_only=False):
     """Bi-graded truncated convolution.
 
     ``a``/``b`` have shape (P+1, P+1, M+1, M+1); axis 0/1 grade the pair
@@ -163,6 +88,8 @@ def _conv_pair_np(a, b, pair_cap, param_cap, diag_only):
     multiplies them against all of those matrices at once; each product
     whose pair offsets stay within P is added into its output block.
     """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
     P, M = pair_cap, param_cap
     ps, qs, quot = _param_monomials(M)
     n = ps.size
@@ -193,7 +120,7 @@ def _conv_pair_np(a, b, pair_cap, param_cap, diag_only):
     return full
 
 
-def _jacobi_sweep_np(a, v, tol):
+def _jacobi_sweep(a, v, tol):
     """One cyclic sweep of complex Hermitian Jacobi rotations, in place.
 
     Returns the number of rotations applied.  ``a`` is overwritten with the
@@ -238,149 +165,6 @@ def _jacobi_sweep_np(a, v, tol):
     return rotations
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _conv_trunc_1d_nb(a, b, order):  # pragma: no cover - jit
-        out = np.zeros(order + 1, dtype=np.complex128)
-        na = min(a.shape[0], order + 1)
-        for i in range(na):
-            ai = a[i]
-            if ai == 0:
-                continue
-            top = min(b.shape[0], order + 1 - i)
-            for j in range(top):
-                out[i + j] += ai * b[j]
-        return out
-
-    @njit(cache=True)
-    def _conv_trunc_2d_nb(a, b, order):  # pragma: no cover - jit
-        out = np.zeros((order + 1, order + 1), dtype=np.complex128)
-        for i1 in range(min(a.shape[0], order + 1)):
-            for j1 in range(min(a.shape[1], order + 1 - i1)):
-                c = a[i1, j1]
-                if c == 0:
-                    continue
-                for i2 in range(min(b.shape[0], order + 1 - i1 - j1)):
-                    rem = order - i1 - j1 - i2
-                    for j2 in range(min(b.shape[1], rem + 1)):
-                        out[i1 + i2, j1 + j2] += c * b[i2, j2]
-        return out
-
-    @njit(cache=True)
-    def _conv_trunc_3d_nb(a, b, order):  # pragma: no cover - jit
-        out = np.zeros((order + 1, order + 1, order + 1), dtype=np.complex128)
-        for i1 in range(min(a.shape[0], order + 1)):
-            for j1 in range(min(a.shape[1], order + 1 - i1)):
-                for k1 in range(min(a.shape[2], order + 1 - i1 - j1)):
-                    c = a[i1, j1, k1]
-                    if c == 0:
-                        continue
-                    for i2 in range(min(b.shape[0], order + 1 - i1 - j1 - k1)):
-                        for j2 in range(
-                            min(b.shape[1], order + 1 - i1 - j1 - k1 - i2)
-                        ):
-                            rem = order - i1 - j1 - k1 - i2 - j2
-                            for k2 in range(min(b.shape[2], rem + 1)):
-                                out[i1 + i2, j1 + j2, k1 + k2] += c * b[i2, j2, k2]
-        return out
-
-    @njit(cache=True)
-    def _conv_pair_nb(a, b, pair_cap, param_cap, diag_only):  # pragma: no cover
-        P = pair_cap
-        M = param_cap
-        out = np.zeros((P + 1, P + 1, M + 1, M + 1), dtype=np.complex128)
-        for i1 in range(min(a.shape[0], P + 1)):
-            for j1 in range(min(a.shape[1], P + 1)):
-                block_live = False
-                for p in range(a.shape[2]):
-                    if block_live:
-                        break
-                    for q in range(a.shape[3]):
-                        if a[i1, j1, p, q] != 0:
-                            block_live = True
-                            break
-                if not block_live:
-                    continue
-                for i2 in range(min(b.shape[0], P + 1 - i1)):
-                    for j2 in range(min(b.shape[1], P + 1 - j1)):
-                        if diag_only and (i1 + i2) != (j1 + j2):
-                            continue
-                        for p1 in range(min(a.shape[2], M + 1)):
-                            for q1 in range(min(a.shape[3], M + 1 - p1)):
-                                c = a[i1, j1, p1, q1]
-                                if c == 0:
-                                    continue
-                                for p2 in range(min(b.shape[2], M + 1 - p1 - q1)):
-                                    rem = M - p1 - q1 - p2
-                                    for q2 in range(min(b.shape[3], rem + 1)):
-                                        bb = b[i2, j2, p2, q2]
-                                        if bb != 0:
-                                            out[
-                                                i1 + i2, j1 + j2, p1 + p2, q1 + q2
-                                            ] += c * bb
-        return out
-
-    @njit(cache=True)
-    def _jacobi_sweep_nb(a, v, tol):  # pragma: no cover - jit
-        n = a.shape[0]
-        rotations = 0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol:
-                    continue
-                rotations += 1
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * phase
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - np.conj(s) * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = np.conj(s) * apk + c * aqk
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = complex(a[p, p].real, 0.0)
-                a[q, q] = complex(a[q, q].real, 0.0)
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - np.conj(s) * vkq
-                    v[k, q] = s * vkp + c * vkq
-        return rotations
-
-    conv_trunc_1d = _conv_trunc_1d_nb
-    conv_trunc_2d = _conv_trunc_2d_nb
-    conv_trunc_3d = _conv_trunc_3d_nb
-    _conv_pair_impl = _conv_pair_nb
-    _jacobi_sweep_impl = _jacobi_sweep_nb
-else:
-    conv_trunc_1d = _conv_trunc_1d_np
-    conv_trunc_2d = _conv_trunc_2d_np
-    conv_trunc_3d = _conv_trunc_3d_np
-    _conv_pair_impl = _conv_pair_np
-    _jacobi_sweep_impl = _jacobi_sweep_np
-
-
-def conv_pair(a, b, pair_cap, param_cap, diag_only=False):
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
-    return _conv_pair_impl(a, b, pair_cap, param_cap, diag_only)
-
-
 def jacobi_eigh(matrix, tol=1e-13, max_sweeps=60):
     """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
 
@@ -396,7 +180,7 @@ def jacobi_eigh(matrix, tol=1e-13, max_sweeps=60):
     a = 0.5 * (a + a.conj().T)
     v = np.eye(n, dtype=np.complex128)
     for _ in range(max_sweeps):
-        rotations = _jacobi_sweep_impl(a, v, tol)
+        rotations = _jacobi_sweep(a, v, tol)
         if rotations == 0:
             break
     off = off_diagonal_norm(a)

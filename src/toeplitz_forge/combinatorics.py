@@ -5,6 +5,9 @@ Results are exact (`fractions.Fraction`) up to the documented size cutoffs;
 past those, sums switch to extended-precision floats (``numpy.longdouble``)
 with relative accuracy far below the tolerances any caller uses.
 
+Hull membership is decided in closed form; the convex weights it returns
+as a witness are built directly and checked exactly, not searched for.
+
 The two "sum lemmas" bound weighted lattice sums by ``const + C * (3/4)^m``;
 the constants ``C`` are calibrated offline over a fixed domain and frozen in
 :mod:`toeplitz_forge.constants`.
@@ -116,79 +119,19 @@ def binom_multi_bound(a: Sequence[int], b: Sequence[int]) -> BoundCheckResult:
 
 
 # ---------------------------------------------------------------------------
-# hull membership, by an exact rational feasibility solve
+# hull membership, in closed form with an exact check of the weights
 
 
-def _simplex_feasible(vertices: Sequence[Sequence[int]], target: Sequence[int]):
-    """Decide target in conv(vertices) by a phase-1 simplex over Fractions.
-
-    Returns a dict of convex weights on success, None otherwise.
-    """
-    nverts = len(vertices)
-    dim = len(target)
-    rows = dim + 1
-    rhs = [Fraction(t) for t in target] + [Fraction(1)]
-    # tableau columns: vertex weights, artificial identity, rhs
-    tableau = []
-    for r in range(rows):
-        if r < dim:
-            row = [Fraction(v[r]) for v in vertices]
-        else:
-            row = [Fraction(1)] * nverts
-        row += [Fraction(int(i == r)) for i in range(rows)]
-        row.append(rhs[r])
-        tableau.append(row)
-    basis = [nverts + r for r in range(rows)]
-
-    def reduced_cost(col: int) -> Fraction:
-        z = sum(tableau[r][col] for r in range(rows) if basis[r] >= nverts)
-        cost = Fraction(0) if col < nverts else Fraction(1)
-        return z - cost
-
-    total_cols = nverts + rows
-    while True:
-        enter = None
-        for col in range(total_cols):  # Bland's rule: first improving column
-            if col in basis:
-                continue
-            if reduced_cost(col) > 0:
-                enter = col
-                break
-        if enter is None:
-            break
-        leave, best = None, None
-        for r in range(rows):
-            coef = tableau[r][enter]
-            if coef > 0:
-                ratio = tableau[r][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
-        if leave is None:
-            raise ArithmeticError("phase-1 simplex became unbounded")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
-        for r in range(rows):
-            if r != leave and tableau[r][enter] != 0:
-                factor = tableau[r][enter]
-                tableau[r] = [x - factor * y for x, y in zip(tableau[r], tableau[leave])]
-        basis[leave] = enter
-
-    residual = sum(tableau[r][-1] for r in range(rows) if basis[r] >= nverts)
-    if residual != 0:
-        return None
-    weights = {}
-    for r in range(rows):
-        if basis[r] < nverts and tableau[r][-1] != 0:
-            weights[tuple(vertices[basis[r]])] = tableau[r][-1]
-    return weights
-
-
-def hull_vertices(n: int, ell: int) -> list:
-    """Distinct permutations of (ell-1, 1, 0, ..., 0) in dimension n."""
+def _check_hull_args(n: int, ell: int) -> None:
     if n < 2:
         raise ValueError("need dimension >= 2")
     if ell < 2:
         raise ValueError("need ell >= 2 (below that the target set is empty)")
+
+
+def hull_vertices(n: int, ell: int) -> list:
+    """Distinct permutations of (ell-1, 1, 0, ..., 0) in dimension n."""
+    _check_hull_args(n, ell)
     verts = set()
     for big in range(n):
         for one in range(n):
@@ -201,16 +144,54 @@ def hull_vertices(n: int, ell: int) -> list:
     return sorted(verts)
 
 
+def _hull_weights(t: Sequence[int], ell: int) -> dict:
+    """Convex weights on hull vertices for t >= 0 with sum ell, max <= ell-1.
+
+    A star around the largest entry a = t_m: each other slot j puts
+    t_j (1 - (ell-1) lam) on (ell-1) e_m + e_j and t_j lam on
+    (ell-1) e_j + e_m, with lam = (ell-1-a) / ((ell-2)(ell-a)), which makes
+    the weights sum to one and slot m come out as a.  For ell = 2 the
+    vertices are e_m + e_j, with weight t_j.
+    """
+    n = len(t)
+    m = max(range(n), key=lambda i: t[i])
+    a = t[m]
+    lam = Fraction(0) if ell == 2 else Fraction(ell - 1 - a, (ell - 2) * (ell - a))
+    weights = {}
+    for j in range(n):
+        if j == m or t[j] == 0:
+            continue
+        for big, one, w in ((m, j, t[j] * (1 - (ell - 1) * lam)), (j, m, t[j] * lam)):
+            if w == 0:
+                continue
+            v = [0] * n
+            v[big] = ell - 1
+            v[one] += 1
+            weights[tuple(v)] = w
+    return weights
+
+
+def _check_hull_weights(weights: dict, t: Sequence[int]) -> None:
+    """Exact check that the weights are a convex combination giving t."""
+    combo = [sum(w * v[k] for v, w in weights.items()) for k in range(len(t))]
+    if any(w <= 0 for w in weights.values()) or sum(weights.values()) != 1 or combo != list(t):
+        raise ArithmeticError(f"hull weights {weights} do not reproduce {tuple(t)}")
+
+
 def hull_membership(t: Sequence[int], ell: int) -> BoundCheckResult:
     """Is t in the convex hull of the permutations of (ell-1, 1, 0, ..., 0)?
 
-    Decided by an exact rational feasibility solve; the witness carries the
-    convex weights when membership holds.
+    The hull is {t >= 0 : sum t = ell, max t <= ell-1}.  On membership the
+    witness carries convex weights built in closed form and checked exactly
+    in rational arithmetic.
     """
     t = MultiIndex(t)
     weights = None
     if t.norm == ell:  # hull lives on the sum-= ell plane
-        weights = _simplex_feasible(hull_vertices(len(t), ell), list(t))
+        _check_hull_args(len(t), ell)
+        if max(t) <= ell - 1:
+            weights = _hull_weights(t, ell)
+            _check_hull_weights(weights, t)
     holds = weights is not None
     return BoundCheckResult(
         value=Fraction(int(holds)),

@@ -41,14 +41,8 @@ import numpy as np
 from . import constants, _kernels
 from .function_spaces import Domain, estimate_symbol_norm, make_symbol
 from .geometry import ModelGeometry
-from .series import PowerSeries
-from .stationary_phase import (
-    MorseFamily,
-    PairFamily,
-    morse_normalize_family,
-    param_poly_mul,
-    param_poly_reciprocal,
-)
+from .series import PowerSeries, _degree_grid
+from .stationary_phase import MorseFamily, PairFamily, morse_normalize_family
 
 SPHERE_NODE_COUNT = 12
 JET_DOMAIN_RADIUS = 0.35
@@ -384,27 +378,6 @@ def unit_covariant(geometry: ModelGeometry, K: int = 0, **kw) -> CovariantSymbol
     return sym
 
 
-def symbol_from_jet_arrays(
-    geometry: ModelGeometry,
-    per_node_blocks: Sequence[Sequence[np.ndarray]],
-    order: int,
-    r: float = DEFAULT_CLASS[0],
-    R: float = DEFAULT_CLASS[1],
-    m: int = DEFAULT_CLASS[2],
-    rotation_invariant: bool = False,
-) -> CovariantSymbol:
-    """Low-level assembly from raw (order+1, order+1) coefficient blocks."""
-    nodes = node_grid(geometry)
-    if len(per_node_blocks) != len(nodes):
-        raise ValueError("one block list per node is required")
-    domain = _jet_domain()
-    jets = []
-    for blocks in per_node_blocks:
-        coeffs = [PowerSeries(np.array(b, dtype=complex), order) for b in blocks]
-        jets.append(make_symbol(coeffs, domain, r, R, m))
-    return CovariantSymbol(geometry, nodes, tuple(jets), rotation_invariant, None)
-
-
 # ---------------------------------------------------------------------------
 # the composition engine (one per geometry and cap pair)
 
@@ -472,8 +445,7 @@ def _block_from_jet(jet: PowerSeries, cap: int) -> np.ndarray:
     out = np.zeros((cap + 1, cap + 1), dtype=np.complex128)
     take = min(cap + 1, jet.coeffs.shape[0])
     out[:take, :take] = np.asarray(jet.coeffs, dtype=np.complex128)[:take, :take]
-    grid = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
-    out[grid > cap] = 0.0
+    out[_degree_grid(2, cap) > cap] = 0.0
     return out
 
 
@@ -667,11 +639,10 @@ def solve_sharp(
 
 
 def _solve_node(eng: _Engine, fjets: list, hjets: list, K: int, M: int) -> list:
-    f0 = _block_from_jet(fjets[0], M)
-    if abs(f0[0, 0]) < 1e-12:
+    f0 = PowerSeries(_block_from_jet(fjets[0], M), M)
+    if abs(f0.constant_term()) < 1e-12:
         raise ArithmeticError("leading coefficient f_0 vanishes at a node")
-    D = param_poly_mul(f0, eng.w0, M)
-    Dinv = param_poly_reciprocal(D, M)
+    Dinv = (f0 * PowerSeries(eng.w0, M)).reciprocal()
     F = [_substitute_left(fjets[l], eng) for l in range(K + 1)]
     g_blocks: list = []
     G_fams: list = []
@@ -685,9 +656,9 @@ def _solve_node(eng: _Engine, fjets: list, hjets: list, K: int, M: int) -> list:
                 if n < 0:
                     continue
                 acc -= towers[(l, j)][n]
-        gk = param_poly_mul(acc, Dinv, M)
-        g_blocks.append(gk)
-        Gk = _substitute_right(PowerSeries(gk.copy(), M), eng)
+        gk = PowerSeries(acc, M) * Dinv
+        g_blocks.append(gk.coeffs)
+        Gk = _substitute_right(gk, eng)
         G_fams.append(Gk)
         for l in range(K + 1 - k):
             if np.any(F[l].coeffs):

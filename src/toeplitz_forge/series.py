@@ -4,12 +4,16 @@ Coefficients live in a dense ndarray of shape ``(order + 1,) ** nvars``
 indexed by exponent tuples, with every entry of total degree above
 ``order`` pinned to zero. Two coefficient domains are supported:
 
-* ``complex128`` arrays, multiplied through the compiled kernels, and
-* ``object`` arrays of `fractions.Fraction`, multiplied in pure numpy,
-  for exact arithmetic in oracles and property tests.
+* ``complex128`` arrays, for the numerical routes, and
+* ``object`` arrays of `fractions.Fraction`, for exact arithmetic in
+  oracles and property tests.
 
-Truncation at a fixed total degree is a ring quotient, so ring identities
-hold exactly, not just approximately, for equal-order operands.
+Both domains and every number of variables share one product,
+``_truncated_product``: each nonzero coefficient of the left operand adds
+one shifted slice of the right operand, and the entries above the cap are
+zeroed through one cached, read-only degree grid.  Truncation at a fixed
+total degree is a ring quotient, so ring identities hold exactly, not just
+approximately, for equal-order operands.
 """
 
 from __future__ import annotations
@@ -20,31 +24,35 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
-
 Scalar = Union[int, float, complex, Fraction]
 
 
 @lru_cache(maxsize=None)
 def _degree_grid(nvars: int, order: int) -> np.ndarray:
-    shape = (order + 1,) * nvars
-    return np.sum(np.indices(shape), axis=0)
+    """Total degree of every entry of the dense box; shared, so read-only."""
+    grid = np.sum(np.indices((order + 1,) * nvars), axis=0)
+    grid.setflags(write=False)
+    return grid
 
 
-def _conv_generic(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Truncated convolution by shifted slice-adds, any dtype, any rank."""
+def _truncated_product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Total-degree truncated product of two dense coefficient boxes.
+
+    Walks the nonzeros of ``a`` in row-major order and adds, for each, one
+    shifted slice of ``b``; the slices reach past the cap only into entries
+    of the dense box above it, which are zeroed at the end.
+    """
     if a.dtype == object:
         out = np.full(a.shape, Fraction(0), dtype=object)
     else:
-        out = np.zeros(a.shape, dtype=a.dtype)
-    # iterate the sparser operand
-    if np.count_nonzero(b != 0) > np.count_nonzero(a != 0):
-        a, b = b, a
-    for expo in np.argwhere(b != 0):
-        coeff = b[tuple(expo)]
-        dst = tuple(slice(int(e), None) for e in expo)
-        src = tuple(slice(0, n - int(e)) for e, n in zip(expo, a.shape))
-        out[dst] += coeff * a[src]
+        out = np.zeros(a.shape, dtype=np.complex128)
+    n = order + 1
+    for expo in np.argwhere(a != 0).tolist():
+        if sum(expo) > order:
+            continue
+        dst = tuple(slice(e, None) for e in expo)
+        src = tuple(slice(0, n - e) for e in expo)
+        out[dst] += a[tuple(expo)] * b[src]
     out[_degree_grid(a.ndim, order) > order] = 0
     return out
 
@@ -194,13 +202,9 @@ class PowerSeries:
                 return self._new(self.coeffs * Fraction(other))
             return self._new(self.coeffs * complex(other))
         self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
-        if not self.is_exact and not other.is_exact and 1 <= self.nvars <= 3:
-            conv = {1: _kernels.conv_trunc_1d, 2: _kernels.conv_trunc_2d, 3: _kernels.conv_trunc_3d}
-            return self._new(conv[self.nvars](np.ascontiguousarray(a), np.ascontiguousarray(b), self.order))
         if self.is_exact != other.is_exact:
             raise ValueError("cannot mix exact and complex series; convert first")
-        return self._new(_conv_generic(a, b, self.order))
+        return self._new(_truncated_product(self.coeffs, other.coeffs, self.order))
 
     __rmul__ = __mul__
 

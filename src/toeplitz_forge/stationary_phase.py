@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .series import PowerSeries
+from .series import PowerSeries, _degree_grid
 
 NORMALIZATION = (
     "N^d det(-H) integral(a e^{N Phi} prod dA/pi) ~ sum_k N^-k T_k; T_0 = a(0)"
@@ -402,49 +401,6 @@ def numeric_phase_integral(integrand: Callable[[np.ndarray], np.ndarray],
 # -- parametric families ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _param_mask(cap: int) -> np.ndarray:
-    grid = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
-    return grid <= cap
-
-
-@lru_cache(maxsize=None)
-def _pair_grid(cap: int) -> np.ndarray:
-    return np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
-
-
-def param_poly_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
-    """Product of two (cap+1, cap+1) parameter polynomials, total degree <= cap."""
-    out = np.zeros((cap + 1, cap + 1), dtype=np.complex128)
-    if np.count_nonzero(a) < np.count_nonzero(b):
-        a, b = b, a
-    for p, q in np.argwhere(b != 0):
-        out[p:, q:] += b[p, q] * a[: cap + 1 - p, : cap + 1 - q]
-    out[~_param_mask(cap)] = 0.0
-    return out
-
-
-def param_poly_reciprocal(a: np.ndarray, cap: int) -> np.ndarray:
-    """Inverse of a parameter polynomial with nonzero constant term."""
-    c = complex(a[0, 0])
-    if c == 0:
-        raise ValueError("reciprocal needs a nonzero constant term")
-    w = np.asarray(a, dtype=np.complex128) / c
-    w[0, 0] = 0.0
-    nz = np.argwhere(w != 0)
-    out = np.zeros((cap + 1, cap + 1), dtype=np.complex128)
-    if nz.size == 0:
-        out[0, 0] = 1.0 / c
-        return out
-    val = int(min(p + q for p, q in nz))
-    kmax = cap // val
-    out[0, 0] = (-1.0) ** kmax / c
-    for k in range(kmax - 1, -1, -1):
-        out = param_poly_mul(out, w, cap)
-        out[0, 0] += (-1.0) ** k / c
-    return out
-
-
 class PairFamily:
     """Series in one (u, ubar) pair with parameter-polynomial coefficients.
 
@@ -502,14 +458,6 @@ class PairFamily:
                 fam.coeffs[tuple(idx)] = 1.0
             out.append(fam)
         return tuple(out)
-
-    @classmethod
-    def from_param_block(cls, block: np.ndarray, pair_cap: int, param_cap: int) -> "PairFamily":
-        out = cls.zeros(pair_cap, param_cap)
-        blk = np.asarray(block, dtype=np.complex128).copy()
-        blk[~_param_mask(param_cap)] = 0.0
-        out.coeffs[0, 0] = blk
-        return out
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -597,13 +545,13 @@ class PairFamily:
         if not nz.any():
             return -1
         P, M = self.pair_cap, self.param_cap
-        grid = (_pair_grid(P)[:, :, None, None] + _pair_grid(M)[None, None, :, :])
+        grid = _degree_grid(2, P)[:, :, None, None] + _degree_grid(2, M)[None, None, :, :]
         return int(grid[nz].min())
 
     def pair_homogeneous(self, degree: int) -> "PairFamily":
         """Keep only blocks with u degree + ubar degree == degree."""
         out = np.zeros_like(self.coeffs)
-        sel = _pair_grid(self.pair_cap) == degree
+        sel = _degree_grid(2, self.pair_cap) == degree
         out[sel] = self.coeffs[sel]
         return self._new(out)
 
@@ -621,7 +569,7 @@ class PairFamily:
         Mn = self.param_cap + 1
         for p, q in np.argwhere(np.asarray(block) != 0):
             out[:, :, p:, q:] += block[p, q] * self.coeffs[:, :, : Mn - p, : Mn - q]
-        out[:, :, ~_param_mask(self.param_cap)] = 0.0
+        out[:, :, _degree_grid(2, self.param_cap) > self.param_cap] = 0.0
         return self._new(out)
 
     def diff_u(self) -> "PairFamily":
@@ -714,7 +662,7 @@ class MorseFamily:
     jacobian: PairFamily
     a_block: np.ndarray
     ainv_block: np.ndarray
-    ainv_powers: list
+    ainv_powers: list  # PowerSeries ainv^i in the two offsets, i = 0..pair_cap
     vbar_powers: list
 
     @property
@@ -745,7 +693,7 @@ def _compose_grouped(fam: PairFamily, ainv_powers: list, vbar_powers: list) -> P
             blk = fam.coeffs[i, j]
             if not blk.any():
                 continue
-            g[i, 0] = blk if i == 0 else param_poly_mul(blk, ainv_powers[i], M)
+            g[i, 0] = blk if i == 0 else (PowerSeries(blk, M) * ainv_powers[i]).coeffs
             live = True
         if not live:
             continue
@@ -777,11 +725,11 @@ def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
     a_block = -ser.block(1, 1)
     if abs(a_block[0, 0]) <= 1e-12 * max(1.0, float(np.max(np.abs(a_block)))):
         raise ValueError("degenerate pairing form")
-    ainv_block = param_poly_reciprocal(a_block, M)
-    ainv_powers = [np.zeros((M + 1, M + 1), dtype=np.complex128)]
-    ainv_powers[0][0, 0] = 1.0
-    for i in range(1, P + 1):
-        ainv_powers.append(param_poly_mul(ainv_powers[-1], ainv_block, M))
+    ainv = PowerSeries(a_block, M).reciprocal()
+    ainv_block = ainv.coeffs
+    ainv_powers = [PowerSeries.constant(1, 2, M)]
+    for _ in range(P):
+        ainv_powers.append(ainv_powers[-1] * ainv)
 
     u, ubar, _, _ = PairFamily.variables(P, M)
     iota_v = u.param_scale(ainv_block)

@@ -105,15 +105,26 @@ def test_hull_membership_known_points():
 
 
 def test_hull_membership_exhaustive():
-    # every lattice point with >= 2 positive slots on the sum plane is inside
+    # every lattice point with >= 2 positive slots on the sum plane is inside,
+    # and its witness is a convex combination of hull vertices giving t
     for n in (2, 3, 4):
         for ell in (2, 3, 5, 7):
+            verts = set(cb.hull_vertices(n, ell))
             for t in itertools.product(range(ell + 1), repeat=n):
                 if sum(t) != ell:
                     continue
-                inside = cb.hull_membership(t, ell).holds
+                res = cb.hull_membership(t, ell)
                 expected = sum(1 for x in t if x >= 1) >= 2
-                assert inside == expected, (n, ell, t)
+                assert res.holds == expected, (n, ell, t)
+                weights = res.witness["weights"]
+                if not expected:
+                    assert weights is None, (n, ell, t)
+                    continue
+                assert set(weights) <= verts, (n, ell, t)
+                assert all(w > 0 for w in weights.values()), (n, ell, t)
+                assert sum(weights.values()) == 1, (n, ell, t)
+                combo = tuple(sum(w * v[k] for v, w in weights.items()) for k in range(n))
+                assert combo == t, (n, ell, t)
 
 
 @given(

@@ -7,7 +7,7 @@ from toeplitz_forge import _kernels, covariant_calculus as cc, geometry
 
 
 def _loop_conv_pair(a, b, pair_cap, param_cap, diag_only):
-    """The per-nonzero slice-add loop that _conv_pair_np packs into matmuls.
+    """The per-nonzero slice-add loop that conv_pair packs into matmuls.
 
     For every pair of live blocks, each nonzero parameter coefficient of
     the a block adds one shifted slice of the b block.
@@ -38,17 +38,17 @@ def _loop_conv_pair(a, b, pair_cap, param_cap, diag_only):
 def _engine_operands(model, pair_cap, param_cap):
     """Every conv_pair operand pair of one engine build, in call order."""
     seen = []
+    saved = _kernels.conv_pair
 
-    def record(a, b, P, M, diag_only):
-        seen.append((a.copy(), b.copy(), P, M, diag_only))
-        return _kernels._conv_pair_np(a, b, P, M, diag_only)
+    def record(a, b, P, M, diag_only=False):
+        seen.append((np.array(a, dtype=complex), np.array(b, dtype=complex), P, M, diag_only))
+        return saved(a, b, P, M, diag_only)
 
-    saved = _kernels._conv_pair_impl
-    _kernels._conv_pair_impl = record
+    _kernels.conv_pair = record
     try:
         cc._build_engine(model, pair_cap, param_cap)
     finally:
-        _kernels._conv_pair_impl = saved
+        _kernels.conv_pair = saved
     return seen
 
 
@@ -90,16 +90,7 @@ def cases():
     return _cases()
 
 
-def _backends():
-    out = [pytest.param("numpy", id="numpy")]
-    skip = pytest.mark.skipif(not hasattr(_kernels, "_conv_pair_nb"), reason="numba is not installed")
-    out.append(pytest.param("numba", id="numba", marks=skip))
-    return out
-
-
-@pytest.mark.parametrize("backend", _backends())
-def test_conv_pair_matches_loop(cases, backend):
-    kernel = _kernels._conv_pair_np if backend == "numpy" else _kernels._conv_pair_nb
+def test_conv_pair_matches_loop(cases):
     # the sphere operands exercise the many-live-block path, the plane
     # operands the one-block path
     a, b, *_ = cases["sphere-0"]
@@ -107,7 +98,7 @@ def test_conv_pair_matches_loop(cases, backend):
     assert "plane-0" in cases
     for name, (a, b, P, M, diag) in cases.items():
         want = _loop_conv_pair(a, b, P, M, diag)
-        got = kernel(np.ascontiguousarray(a), np.ascontiguousarray(b), P, M, diag)
+        got = _kernels.conv_pair(a, b, P, M, diag)
         assert got.shape == (P + 1, P + 1, M + 1, M + 1), name
         scale = max(float(np.max(np.abs(want))), 1e-300)
         assert float(np.max(np.abs(got - want))) <= 1e-13 * scale, name
