@@ -1,4 +1,4 @@
-"""Time the kernels, the truncated series product and two callers.
+"""Time the conv_pair kernel, the truncated series product and two callers.
 
 Each time is the best of five calls after one warm-up call.
 
@@ -28,8 +28,6 @@ def _workloads():
         c = rng.standard_normal((order + 1,) * 2) + 1j * rng.standard_normal((order + 1,) * 2)
         c[_degree_grid(2, order) > order] = 0.0
         series[order] = PowerSeries(c, order)
-    herm = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
-    herm = herm + herm.conj().T
     sph = geometry.sphere()
     f = cc.symbol_from_euclid_poly(sph, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=12)
     g = cc.symbol_from_euclid_poly(sph, [{(0, 0, 1): 1.0}], order=12)
@@ -46,7 +44,6 @@ def _workloads():
     for order, s in series.items():
         jobs[f"PowerSeries 2-var order {order}"] = lambda s=s: s * s
     jobs.update({
-        "jacobi_eigh 33x33": lambda: _kernels.jacobi_eigh(herm),
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),
         "covariant_matrix N=32": lambda: qs.covariant_matrix(sph, berg, 32),
     })

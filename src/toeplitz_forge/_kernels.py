@@ -1,21 +1,17 @@
-"""The numerically hot inner loops, in numpy.
+"""The composition engine's hot inner loop, in numpy.
 
-Kernels:
-
-* ``conv_pair`` -- bi-graded convolution for the composition engine's
-  parametric series: axes 0/1 grade the oscillatory pair variables, axes
-  2/3 the base-point offsets.  It packs each parameter block into its
-  monomials of total degree <= M and multiplies the live blocks of both
-  operands with one matmul per chunk of rows, against the multiplication
-  matrices of the b blocks (one gather through a cached, read-only index
-  map); blocks that are zero in either operand take no part.
-* ``jacobi_eigh`` -- cyclic-Jacobi diagonalization of a complex Hermitian
-  matrix.  The spectral module takes its spectra from LAPACK; this solver
-  is the independent route the tests compare them against.
+``conv_pair`` is the bi-graded convolution of the engine's parametric
+series (``stationary_phase.PairFamily``): axes 0/1 grade the oscillatory
+pair variables, axes 2/3 the base-point offsets.  It packs each parameter
+block into its monomials of total degree <= M and multiplies the live
+blocks of both operands with one matmul per chunk of rows, against the
+multiplication matrices of the b blocks (one gather through a cached,
+read-only index map); blocks that are zero in either operand take no part.
 
 The total-degree truncated product of ``series.PowerSeries`` lives in the
-series module, not here.  ``backend_name()`` names the kernel backend for
-the benchmark's environment record; numpy is the only one.
+series module, and spectra come from LAPACK in ``quantization_spectral``.
+``backend_name()`` names the kernel backend for the benchmark's
+environment record; numpy is the only one.
 """
 
 from __future__ import annotations
@@ -118,80 +114,3 @@ def conv_pair(a, b, pair_cap, param_cap, diag_only=False):
     full = np.zeros((P + 1, P + 1, M + 1, M + 1), dtype=np.complex128)
     full.reshape(-1, M + 1, M + 1)[:, ps, qs] = out
     return full
-
-
-def _jacobi_sweep(a, v, tol):
-    """One cyclic sweep of complex Hermitian Jacobi rotations, in place.
-
-    Returns the number of rotations applied.  ``a`` is overwritten with the
-    partially diagonalized matrix, ``v`` accumulates the eigenvectors.
-    """
-    n = a.shape[0]
-    rotations = 0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if abs(apq) <= tol:
-                continue
-            rotations += 1
-            app = a[p, p].real
-            aqq = a[q, q].real
-            phase = apq / abs(apq)
-            tau = (aqq - app) / (2.0 * abs(apq))
-            if tau >= 0:
-                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c * phase
-            # columns
-            col_p = a[:, p].copy()
-            col_q = a[:, q].copy()
-            a[:, p] = c * col_p - np.conj(s) * col_q
-            a[:, q] = s * col_p + c * col_q
-            # rows
-            row_p = a[p, :].copy()
-            row_q = a[q, :].copy()
-            a[p, :] = c * row_p - s * row_q
-            a[q, :] = np.conj(s) * row_p + c * row_q
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
-            col_p = v[:, p].copy()
-            col_q = v[:, q].copy()
-            v[:, p] = c * col_p - np.conj(s) * col_q
-            v[:, q] = s * col_p + c * col_q
-    return rotations
-
-
-def jacobi_eigh(matrix, tol=1e-13, max_sweeps=60):
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns, final off norm).
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    herm_defect = np.max(np.abs(a - a.conj().T)) if n else 0.0
-    if herm_defect > 1e-10 * max(1.0, np.max(np.abs(a))):
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=np.complex128)
-    for _ in range(max_sweeps):
-        rotations = _jacobi_sweep(a, v, tol)
-        if rotations == 0:
-            break
-    off = off_diagonal_norm(a)
-    evals = np.real(np.diag(a)).copy()
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order], off
-
-
-def off_diagonal_norm(a) -> float:
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    mask = ~np.eye(n, dtype=bool)
-    return float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))

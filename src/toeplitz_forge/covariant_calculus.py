@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from . import constants, _kernels
 from .function_spaces import Domain, estimate_symbol_norm, make_symbol
 from .geometry import ModelGeometry
 from .series import PowerSeries, _degree_grid
-from .stationary_phase import MorseFamily, PairFamily, morse_normalize_family
+from .stationary_phase import MorseFamily, PairFamily, _pair_powers, morse_normalize_family
 
 SPHERE_NODE_COUNT = 12
 JET_DOMAIN_RADIUS = 0.35
@@ -389,8 +389,8 @@ class _Engine:
     param_cap: int
     morse: MorseFamily
     rho_jac: PairFamily  # (rho o kappa) J; block (0,0) is the W_0 weight
-    x_powers: list = field(default_factory=list)  # (dx + iota_v)^s
-    z_powers: list = field(default_factory=list)  # (dzbar + iota_vbar)^t
+    x_powers: list  # (dx + iota_v)^s, s = 0..param_cap
+    z_powers: list  # (dzbar + iota_vbar)^t, t = 0..param_cap
 
     @property
     def w0(self) -> np.ndarray:
@@ -414,21 +414,9 @@ def _build_engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _En
     morse = morse_normalize_family(phase)
     rho = geometry.density_rho_ring(y, wbar)
     rho_jac = morse.transport(rho) * morse.jacobian
-    eng = _Engine(geometry, P, M, morse, rho_jac)
-    iota_v = morse.iota_v
-    xv = dx + iota_v
-    zv = dzb + morse.iota_vbar
-    acc = PairFamily.constant(1.0, P, M)
-    eng.x_powers.append(acc)
-    for _ in range(M):
-        acc = acc * xv
-        eng.x_powers.append(acc)
-    acc = PairFamily.constant(1.0, P, M)
-    eng.z_powers.append(acc)
-    for _ in range(M):
-        acc = acc * zv
-        eng.z_powers.append(acc)
-    return eng
+    return _Engine(geometry, P, M, morse, rho_jac,
+                   _pair_powers(dx + morse.iota_v, M),
+                   _pair_powers(dzb + morse.iota_vbar, M))
 
 
 def _engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _Engine:

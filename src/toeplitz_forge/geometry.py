@@ -258,15 +258,6 @@ class SphereModel(ModelGeometry):
         return (y + wbar) / d, -1j * (y - wbar) / d, (1.0 - y * wbar) / d
 
     @staticmethod
-    def sphere_angle(x, y):
-        """Central angle between the images on the unit sphere."""
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        num = np.abs(1.0 + x * np.conj(y)) ** 2
-        den = (1.0 + np.abs(x) ** 2) * (1.0 + np.abs(y) ** 2)
-        return 2.0 * np.arccos(np.sqrt(np.clip(num / den, 0.0, 1.0)))
-
-    @staticmethod
     def chart_flip(z):
         """Transition to the opposite affine chart."""
         return 1.0 / z

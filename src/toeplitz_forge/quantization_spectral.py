@@ -14,8 +14,8 @@ two quantization routes:
 
 On top of the matrices: a Schur-test norm bound, singular values and
 Hermitian eigenpairs from LAPACK (SVD of the matrix itself, ``eigh``; the
-cyclic-Jacobi solver in ``_kernels`` is kept as the independent route the
-tests compare against), forbidden-region masses of eigenvector sections
+tests compare them against a cyclic-Jacobi solver of their own),
+forbidden-region masses of eigenvector sections
 (exact for x3 half-spaces, node-indicator quadrature for general
 regions), and least-squares exponential decay fits.
 """
@@ -709,8 +709,8 @@ def invertibility_check(m) -> float:
 def eigenpairs(m, residual_tol: float = 1e-10):
     """Sorted (eigenvalue, unit eigenvector) pairs of a Hermitian matrix.
 
-    LAPACK ``eigh`` diagonalization (``_kernels.jacobi_eigh`` is the
-    independent route the tests compare against); rejects non-Hermitian
+    LAPACK ``eigh`` diagonalization (the tests check it against cyclic
+    Jacobi rotations, an independent route); rejects non-Hermitian
     input and verifies the residual ||A u - lambda u|| against the
     tolerance.
     """

@@ -10,14 +10,22 @@ indexed by exponent tuples, with every entry of total degree above
 
 Both domains and every number of variables share one product,
 ``_truncated_product``: each nonzero coefficient of the left operand adds
-one shifted slice of the right operand, and the entries above the cap are
-zeroed through one cached, read-only degree grid.  Truncation at a fixed
-total degree is a ring quotient, so ring identities hold exactly, not just
-approximately, for equal-order operands.
+one shifted slice of the right operand, cut to the entries that can land
+inside the cap, and the few above it are zeroed through one cached,
+read-only degree grid.  When the right operand has more axes than the
+left, the left one multiplies its trailing axes; that is how a parameter
+polynomial scales a ``stationary_phase.PairFamily``.  Truncation at a
+fixed total degree is a ring quotient, so ring identities hold exactly,
+not just approximately, for equal-order operands.
+
+``TruncatedRing`` holds the ring algebra both truncated rings share:
+subtraction, division, integer powers and the exp/log/reciprocal Horner
+sums, derived from each ring's own sum, product and grading.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, Union
@@ -38,26 +46,109 @@ def _degree_grid(nvars: int, order: int) -> np.ndarray:
 def _truncated_product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Total-degree truncated product of two dense coefficient boxes.
 
-    Walks the nonzeros of ``a`` in row-major order and adds, for each, one
-    shifted slice of ``b``; the slices reach past the cap only into entries
-    of the dense box above it, which are zeroed at the end.
+    Walks the nonzeros of ``a`` in row-major order and adds, for each
+    exponent of degree s, the first ``order + 1 - s`` entries of ``b`` along
+    every axis, shifted by that exponent: every entry that can land inside
+    the cap, and a few above it, which are zeroed at the end.  When ``b``
+    has more axes than ``a``, ``a`` multiplies the trailing ones and the
+    leading axes of ``b`` pass through.
     """
     if a.dtype == object:
-        out = np.full(a.shape, Fraction(0), dtype=object)
+        out = np.full(b.shape, Fraction(0), dtype=object)
     else:
-        out = np.zeros(a.shape, dtype=np.complex128)
-    n = order + 1
+        out = np.zeros(b.shape, dtype=np.complex128)
+    lead = (slice(None),) * (b.ndim - a.ndim)
     for expo in np.argwhere(a != 0).tolist():
-        if sum(expo) > order:
+        room = order + 1 - sum(expo)
+        if room <= 0:
             continue
-        dst = tuple(slice(e, None) for e in expo)
-        src = tuple(slice(0, n - e) for e in expo)
+        dst = lead + tuple(slice(e, e + room) for e in expo)
+        src = lead + (slice(0, room),) * len(expo)
         out[dst] += a[tuple(expo)] * b[src]
-    out[_degree_grid(a.ndim, order) > order] = 0
+    out[lead + (_degree_grid(a.ndim, order) > order,)] = 0
     return out
 
 
-class PowerSeries:
+class TruncatedRing:
+    """Ring algebra shared by the truncated rings.
+
+    A subclass keeps the primitives: ``__add__``, ``__mul__`` and
+    ``__neg__`` (each also with a scalar), ``is_exact``, ``constant_term()``,
+    ``valuation()`` (lowest degree of a nonzero term, -1 for zero),
+    ``_constant(value)`` (an element of the same shape) and
+    ``_top_degree()`` (the highest degree a term can have).  Subtraction,
+    division, integer powers, exp, log and reciprocal are derived here.
+    """
+
+    __slots__ = ()
+
+    def _one(self):
+        return Fraction(1) if self.is_exact else 1.0
+
+    def _scalar(self, value):
+        return Fraction(value) if self.is_exact else complex(value)
+
+    def __sub__(self, other):
+        if not isinstance(other, TruncatedRing):
+            other = self._scalar(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        if isinstance(other, TruncatedRing):
+            return self * other.reciprocal()
+        return self * (self._one() / self._scalar(other))
+
+    def __pow__(self, n: int):
+        if n < 0 or n != int(n):
+            raise ValueError("only non-negative integer powers")
+        out, base, n = self._constant(1), self, int(n)
+        while n:
+            if n & 1:
+                out = out * base
+            if n > 1:
+                base = base * base
+            n >>= 1
+        return out
+
+    def _geometric(self, coeff_of_k: Callable[[int], Scalar]):
+        """Horner sum sum_k coeff_of_k(k) * self^k; self has no constant term.
+
+        Powers past ``_top_degree() // valuation`` truncate to zero; the
+        zero element (valuation -1) keeps only k = 0.
+        """
+        top = max(self._top_degree() // self.valuation(), 0)
+        acc = self._constant(coeff_of_k(top))
+        for k in range(top - 1, -1, -1):
+            acc = acc * self + coeff_of_k(k)
+        return acc
+
+    def exp(self):
+        """exp of an element with zero constant term."""
+        if self.constant_term() != 0:
+            raise ValueError("exp needs zero constant term")
+        one = self._one()
+        return self._geometric(lambda k: one / math.factorial(k))
+
+    def log(self):
+        """log of an element with constant term one."""
+        if self.constant_term() != 1:
+            raise ValueError("log needs constant term one")
+        one = self._one()
+        return (self - 1)._geometric(lambda k: (-one) ** (k + 1) / k if k else 0 * one)
+
+    def reciprocal(self):
+        """Multiplicative inverse; needs a nonzero constant term."""
+        c = self.constant_term()
+        if c == 0:
+            raise ValueError("reciprocal needs nonzero constant term")
+        c, one = self._scalar(c), self._one()
+        return ((self - c) * (one / c))._geometric(lambda k: (-one) ** k / c)
+
+
+class PowerSeries(TruncatedRing):
     """A polynomial jet: power series truncated at a fixed total degree."""
 
     __slots__ = ("coeffs", "order", "nvars")
@@ -130,6 +221,19 @@ class PowerSeries:
     def constant_term(self) -> Scalar:
         return self.coeffs[(0,) * self.nvars]
 
+    def valuation(self) -> int:
+        """Lowest total degree of a nonzero coefficient; -1 for zero."""
+        nz = self.coeffs != 0
+        if not nz.any():
+            return -1
+        return int(_degree_grid(self.nvars, self.order)[nz].min())
+
+    def _constant(self, value: Scalar) -> "PowerSeries":
+        return PowerSeries.constant(value, self.nvars, self.order, self.is_exact)
+
+    def _top_degree(self) -> int:
+        return self.order
+
     def truncate(self, order: int) -> "PowerSeries":
         """Drop to a lower total degree (reshapes the backing array)."""
         if order > self.order:
@@ -181,45 +285,22 @@ class PowerSeries:
         if isinstance(other, PowerSeries):
             self._check_compatible(other)
             return self._new(self.coeffs + other.coeffs)
-        return self + PowerSeries.constant(other, self.nvars, self.order, self.is_exact)
+        return self + self._constant(other)
 
     __radd__ = __add__
 
     def __neg__(self):
         return self._new(-self.coeffs)
 
-    def __sub__(self, other):
-        if isinstance(other, PowerSeries):
-            return self + (-other)
-        return self + (-Fraction(other) if self.is_exact else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            if self.is_exact:
-                return self._new(self.coeffs * Fraction(other))
-            return self._new(self.coeffs * complex(other))
+            return self._new(self.coeffs * self._scalar(other))
         self._check_compatible(other)
         if self.is_exact != other.is_exact:
             raise ValueError("cannot mix exact and complex series; convert first")
         return self._new(_truncated_product(self.coeffs, other.coeffs, self.order))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0 or n != int(n):
-            raise ValueError("only non-negative integer powers")
-        out = PowerSeries.constant(1, self.nvars, self.order, self.is_exact)
-        base = self
-        n = int(n)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     # -- calculus ----------------------------------------------------------
 
@@ -254,7 +335,7 @@ class PowerSeries:
             vals = acc
         return vals
 
-    # -- composition and inverses ------------------------------------------
+    # -- composition -------------------------------------------------------
 
     def substitute(self, args: Sequence["PowerSeries"]) -> "PowerSeries":
         """Compose: plug a series (zero constant term) into each variable.
@@ -281,55 +362,3 @@ class PowerSeries:
             return acc
 
         return horner(self.coeffs, 0)
-
-    def _geometric_apply(self, coeff_of_k: Callable[[int], Scalar]) -> "PowerSeries":
-        """Horner sum over powers of self, sum_k coeff_of_k(k) * self^k."""
-        top = self.order
-        acc = PowerSeries.constant(coeff_of_k(top), self.nvars, self.order, self.is_exact)
-        for k in range(top - 1, -1, -1):
-            acc = acc * self + coeff_of_k(k)
-        return acc
-
-    def exp(self) -> "PowerSeries":
-        """exp of a series with zero constant term."""
-        if self.constant_term() != 0:
-            raise ValueError("exp needs zero constant term")
-        if self.is_exact:
-            return self._geometric_apply(lambda k: Fraction(1, _fact(k)))
-        return self._geometric_apply(lambda k: 1.0 / _fact(k))
-
-    def log(self) -> "PowerSeries":
-        """log of a series with constant term one."""
-        if self.constant_term() != 1:
-            raise ValueError("log needs constant term one")
-        w = self - 1
-        if self.is_exact:
-            return w._geometric_apply(lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0))
-        return w._geometric_apply(lambda k: ((-1) ** (k + 1)) / k if k else 0.0)
-
-    def reciprocal(self) -> "PowerSeries":
-        """Multiplicative inverse; needs a nonzero constant term."""
-        c = self.constant_term()
-        if c == 0:
-            raise ValueError("reciprocal needs nonzero constant term")
-        if self.is_exact:
-            c = Fraction(c)
-            w = (self - c) * (Fraction(1) / c)
-            return w._geometric_apply(lambda k: (Fraction(-1) ** k) / c)
-        c = complex(c)
-        w = (self - c) * (1.0 / c)
-        return w._geometric_apply(lambda k: ((-1.0) ** k) / c)
-
-    def __truediv__(self, other):
-        if isinstance(other, PowerSeries):
-            return self * other.reciprocal()
-        if self.is_exact:
-            return self * (Fraction(1) / Fraction(other))
-        return self * (1.0 / complex(other))
-
-
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

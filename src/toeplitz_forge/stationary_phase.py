@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .series import PowerSeries, _degree_grid
+from .series import PowerSeries, TruncatedRing, _degree_grid, _truncated_product
 
 NORMALIZATION = (
     "N^d det(-H) integral(a e^{N Phi} prod dA/pi) ~ sum_k N^-k T_k; T_0 = a(0)"
@@ -401,7 +401,7 @@ def numeric_phase_integral(integrand: Callable[[np.ndarray], np.ndarray],
 # -- parametric families ------------------------------------------------------
 
 
-class PairFamily:
+class PairFamily(TruncatedRing):
     """Series in one (u, ubar) pair with parameter-polynomial coefficients.
 
     Coefficients form a dense complex array of shape
@@ -411,9 +411,10 @@ class PairFamily:
     by total degree.  Both caps are monomial ideals, so the truncated
     arithmetic is an exact quotient ring.
 
-    Duck-compatible with the 4-variable PowerSeries surface the model
-    builders use (constant_term, log, reciprocal, scalar ops), which is
-    how geometric phases flow through unchanged.
+    Its own sum and product (``_kernels.conv_pair``) feed the ring algebra
+    of ``series.TruncatedRing`` (log, reciprocal, powers, scalar ops), so
+    the model geometries' ring formulas take families as they take
+    ``PowerSeries``.
     """
 
     __slots__ = ("coeffs", "pair_cap", "param_cap")
@@ -470,6 +471,12 @@ class PairFamily:
     def constant_term(self) -> complex:
         return complex(self.coeffs[0, 0, 0, 0])
 
+    def _constant(self, value: complex) -> "PairFamily":
+        return PairFamily.constant(value, self.pair_cap, self.param_cap)
+
+    def _top_degree(self) -> int:
+        return 2 * self.pair_cap + self.param_cap
+
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
@@ -501,15 +508,6 @@ class PairFamily:
     def __neg__(self):
         return self._new(-self.coeffs)
 
-    def __sub__(self, other):
-        if isinstance(other, PairFamily):
-            self._check(other)
-            return self._new(self.coeffs - other.coeffs)
-        return self + (-complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, PairFamily):
             return self._new(self.coeffs * complex(other))
@@ -519,28 +517,10 @@ class PairFamily:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, PairFamily):
-            return self * other.reciprocal()
-        return self._new(self.coeffs / complex(other))
-
-    def __pow__(self, n: int):
-        if n < 0 or n != int(n):
-            raise ValueError("only non-negative integer powers")
-        out = PairFamily.constant(1.0, self.pair_cap, self.param_cap)
-        base, n = self, int(n)
-        while n:
-            if n & 1:
-                out = out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
-
     # -- grading helpers ----------------------------------------------------
 
     def valuation(self) -> int:
-        """Minimum total degree (pair plus parameter) of a nonzero term."""
+        """Minimum total degree (pair plus parameter) of a nonzero term; -1 for zero."""
         nz = self.coeffs != 0
         if not nz.any():
             return -1
@@ -565,12 +545,7 @@ class PairFamily:
 
     def param_scale(self, block: np.ndarray) -> "PairFamily":
         """Multiply by a parameter-only polynomial (a (M+1, M+1) array)."""
-        out = np.zeros_like(self.coeffs)
-        Mn = self.param_cap + 1
-        for p, q in np.argwhere(np.asarray(block) != 0):
-            out[:, :, p:, q:] += block[p, q] * self.coeffs[:, :, : Mn - p, : Mn - q]
-        out[:, :, _degree_grid(2, self.param_cap) > self.param_cap] = 0.0
-        return self._new(out)
+        return self._new(_truncated_product(np.asarray(block), self.coeffs, self.param_cap))
 
     def diff_u(self) -> "PairFamily":
         out = np.zeros_like(self.coeffs)
@@ -592,42 +567,6 @@ class PairFamily:
         pw1 = dx ** np.arange(M + 1)
         pw2 = dz ** np.arange(M + 1)
         return np.einsum("ijpq,p,q->ij", self.coeffs, pw1, pw2)
-
-    # -- analytic helpers ---------------------------------------------------
-
-    def _geometric(self, coeff_of_k) -> "PairFamily":
-        val = self.valuation()
-        if val < 1:
-            raise ValueError("geometric sum needs valuation >= 1")
-        kmax = (2 * self.pair_cap + self.param_cap) // val
-        acc = PairFamily.constant(coeff_of_k(kmax), self.pair_cap, self.param_cap)
-        for k in range(kmax - 1, -1, -1):
-            acc = acc * self + coeff_of_k(k)
-        return acc
-
-    def exp(self) -> "PairFamily":
-        if self.constant_term() != 0:
-            raise ValueError("exp needs zero constant term")
-        if not self.coeffs.any():
-            return PairFamily.constant(1.0, self.pair_cap, self.param_cap)
-        return self._geometric(lambda k: 1.0 / math.factorial(k))
-
-    def log(self) -> "PairFamily":
-        if self.constant_term() != 1:
-            raise ValueError("log needs constant term one")
-        w = self - 1.0
-        if not w.coeffs.any():
-            return PairFamily.zeros(self.pair_cap, self.param_cap)
-        return w._geometric(lambda k: ((-1.0) ** (k + 1)) / k if k else 0.0)
-
-    def reciprocal(self) -> "PairFamily":
-        c = self.constant_term()
-        if c == 0:
-            raise ValueError("reciprocal needs nonzero constant term")
-        w = (self - c) * (1.0 / c)
-        if not w.coeffs.any():
-            return PairFamily.constant(1.0 / c, self.pair_cap, self.param_cap)
-        return w._geometric(lambda k: ((-1.0) ** k) / c)
 
 
 def _scrub_boundary(fam: PairFamily, tol: float) -> PairFamily:

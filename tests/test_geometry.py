@@ -115,7 +115,8 @@ def test_psi_pointwise_norm_bargmann_gaussian():
 def test_psi_pointwise_norm_sphere_cosine_power():
     m = sphere()
     x, y = 0.5 - 0.2j, -0.1 + 0.9j
-    theta = m.sphere_angle(x, y)
+    # central angle between the images on the unit sphere
+    theta = math.acos(float(np.dot(m.euclid_coords(x), m.euclid_coords(y))))
     for N in (1, 6):
         expect = math.cos(theta / 2.0) ** N
         assert abs(m.psi_pointwise_norm(x, y, N) - expect) < 1e-13

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplitz_forge.series import PowerSeries, _degree_grid
+from toeplitz_forge.series import PowerSeries, _degree_grid, _truncated_product
+from toeplitz_forge.stationary_phase import PairFamily
 
 ORDER = 5
 
@@ -69,6 +70,79 @@ def test_degree_grid_read_only():
     assert grid.shape == (5, 5, 5) and grid[1, 2, 3] == 6
     with pytest.raises(ValueError):
         grid[0, 0, 0] = 1
+
+
+def _full_box_product(a, b, order):
+    """The product before it cut its slices to the cap: whole shifted slices."""
+    if a.dtype == object:
+        out = np.full(a.shape, Fraction(0), dtype=object)
+    else:
+        out = np.zeros(a.shape, dtype=np.complex128)
+    n = order + 1
+    for expo in np.argwhere(a != 0).tolist():
+        if sum(expo) > order:
+            continue
+        dst = tuple(slice(e, None) for e in expo)
+        src = tuple(slice(0, n - e) for e in expo)
+        out[dst] += a[tuple(expo)] * b[src]
+    out[_degree_grid(a.ndim, order) > order] = 0
+    return out
+
+
+@pytest.mark.parametrize("nvars, order", [(1, 9), (2, 6), (3, 5), (4, 4)])
+def test_truncated_product_in_cap_slices(nvars, order):
+    rng = np.random.default_rng(nvars)
+    above = _degree_grid(nvars, order) > order
+    shape = above.shape
+    for _ in range(3):
+        a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        a[rng.random(shape) < 0.3] = 0.0  # sparse left operands skip slices
+        a[above] = b[above] = 0.0
+        got = _truncated_product(a, b, order)
+        assert got.tobytes() == _full_box_product(a, b, order).tobytes()
+        # a right operand with leading axes: each leading slice multiplies alone
+        stack = np.stack([b, a, 2.0 * b])
+        lead = _truncated_product(a, stack, order)
+        for k in range(3):
+            assert lead[k].tobytes() == _truncated_product(a, stack[k], order).tobytes()
+        fa, fb = (np.vectorize(Fraction, otypes=[object])(rng.integers(-3, 4, shape))
+                  for _ in range(2))
+        fa[above] = fb[above] = Fraction(0)
+        assert np.all(_truncated_product(fa, fb, order) == _full_box_product(fa, fb, order))
+
+
+def _ring(kind):
+    """(constant of a value, an element of degree one) in one truncated ring."""
+    if kind == "family":
+        return (lambda v: PairFamily.constant(v, 3, 2)), PairFamily.variables(3, 2)[0]
+    exact = kind == "exact"
+    return (lambda v: PowerSeries.constant(v, 2, 4, exact)), PowerSeries.variable(1, 2, 4, exact)
+
+
+@pytest.mark.parametrize("kind", ["complex", "exact", "family"])
+def test_ring_protocol_edge_cases(kind):
+    const, x = _ring(kind)
+    zero, one = const(0), const(1)
+
+    def same(p, q):
+        return np.array_equal(p.coeffs, q.coeffs)
+
+    assert same(zero.exp(), one)
+    assert same(one.log(), zero)
+    c = Fraction(2, 5) if kind == "exact" else 0.4 - 0.2j
+    assert same(const(c).reciprocal(), const(1 / c))
+    assert same(x**0, one)
+    assert zero.valuation() == -1 and (x - x).valuation() == -1
+    assert one.valuation() == 0 and (one + x).valuation() == 0
+    assert x.valuation() == 1 and (x * x + x**3).valuation() == 2
+    with pytest.raises(ValueError):
+        one.exp()
+    with pytest.raises(ValueError):
+        x.log()
+    with pytest.raises(ValueError):
+        x.reciprocal()
+    with pytest.raises(ValueError):
+        x**-1
 
 
 def test_mixed_exactness_rejected():

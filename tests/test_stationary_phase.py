@@ -419,6 +419,23 @@ def test_family_shift_scale_diff():
     assert vals[1, 1] == pytest.approx(1.0)
 
 
+def test_param_scale_matches_pair_product():
+    # param_scale takes the series product; a family whose only live pair
+    # block is (0, 0) takes conv_pair to the same result.  Both operands
+    # carry entries above the parameter cap, which both products drop.
+    rng = np.random.default_rng(8)
+    P, M = 4, 3
+    shape = (P + 1, P + 1, M + 1, M + 1)
+    fam = PairFamily(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), P, M)
+    block = rng.standard_normal((M + 1, M + 1)) + 1j * rng.standard_normal((M + 1, M + 1))
+    block[1, 2] = 0.0  # a zero coefficient adds no slice
+    G = PairFamily.zeros(P, M)
+    G.coeffs[0, 0] = block
+    want = (fam * G).coeffs
+    got = fam.param_scale(block).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_param_poly_reciprocal_inverts():
     # parameter polynomials are two-variable series at the parameter cap
     rng = np.random.default_rng(3)
