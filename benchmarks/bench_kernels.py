@@ -1,4 +1,5 @@
-"""Time the conv_pair kernel, the truncated series product and two callers.
+"""Time the conv_pair kernel, the truncated series product, series
+composition and two callers of the composition engine.
 
 Each time is the best of five calls after one warm-up call.
 
@@ -13,6 +14,7 @@ import numpy as np
 def _workloads():
     from toeplitz_forge import _kernels, covariant_calculus as cc
     from toeplitz_forge import geometry, quantization_spectral as qs
+    from toeplitz_forge import stationary_phase as sp
     from toeplitz_forge.series import PowerSeries, _degree_grid
 
     rng = np.random.default_rng(1)
@@ -43,6 +45,21 @@ def _workloads():
     }
     for order, s in series.items():
         jobs[f"PowerSeries 2-var order {order}"] = lambda s=s: s * s
+    # a dense source and two arguments of valuation one, at the order
+    # morse_expand composes with at K = 6
+    src = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
+    src[_degree_grid(2, 14) > 14] = 0.0
+    arg_mask = (_degree_grid(2, 14) < 1) | (_degree_grid(2, 14) > 14)
+    args = []
+    for _ in range(2):
+        c = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
+        c[arg_mask] = 0.0
+        args.append(PowerSeries(c, 14))
+    jobs["substitute 2-var order 14"] = lambda: PowerSeries(src, 14).substitute(args)
+    # the sphere phase -log(1 + u ubar) at order K + 2
+    u, ubar = PowerSeries.variable(0, 2, 14), PowerSeries.variable(1, 2, 14)
+    sphere_phase = sp.PhaseData.from_series(-(1 + u * ubar).log())
+    jobs["morse_normalize K=12"] = lambda: sp.morse_normalize(sphere_phase, 12)
     jobs.update({
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),
         "covariant_matrix N=32": lambda: qs.covariant_matrix(sph, berg, 32),

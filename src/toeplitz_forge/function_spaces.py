@@ -348,9 +348,11 @@ def estimate_symbol_norm(
     # weights in log space: (j+k)! overflows float64 near j+k = 171 and exact
     # Fraction coefficients can be larger still
     best_log = -math.inf
+    # partials above the total degree vanish identically
+    j_top = min(j_max, a.order)
     for k in range(k_max + 1):
-        partials = _all_partials(a.coeffs[k], j_max)
-        for j in range(j_max + 1):
+        partials = _all_partials(a.coeffs[k], j_top)
+        for j in range(j_top + 1):
             group = [s for alpha, s in partials.items() if sum(alpha) == j]
             log_scale, l1 = _scaled_l1_sup(group, grids)
             if l1 == 0.0:

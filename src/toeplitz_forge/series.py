@@ -21,6 +21,11 @@ not just approximately, for equal-order operands.
 ``TruncatedRing`` holds the ring algebra both truncated rings share:
 subtraction, division, integer powers and the exp/log/reciprocal Horner
 sums, derived from each ring's own sum, product and grading.
+
+``PowerSeries.substitute`` composes by powers: it builds the powers of
+the innermost argument once, then contracts the coefficient block
+against them in one matmul; only the outer variables take Horner steps,
+one series product each.
 """
 
 from __future__ import annotations
@@ -342,7 +347,11 @@ class PowerSeries(TruncatedRing):
 
         All ``args`` must share one target variable set and order; the
         result is exact to that order because each argument has valuation
-        at least one.
+        at least one.  The powers of the innermost argument are built once,
+        and the innermost Horner level is one contraction of the
+        coefficient block against them; the outer levels run Horner over
+        stacks of target series.  With two variables that is about
+        ``2 * order`` series products.
         """
         if len(args) != self.nvars:
             raise ValueError(f"need {self.nvars} substitution series")
@@ -352,13 +361,24 @@ class PowerSeries(TruncatedRing):
                 raise ValueError("substitution series must share a target space")
             if g.constant_term() != 0:
                 raise ValueError("substitution series must have zero constant term")
-
-        def horner(block, depth: int) -> PowerSeries:
-            if depth == self.nvars:  # block is a bare coefficient now
-                return PowerSeries.constant(block, tgt.nvars, tgt.order, tgt.is_exact)
-            acc = horner(block[-1], depth + 1)
-            for k in range(block.shape[0] - 2, -1, -1):
-                acc = acc * args[depth] + horner(block[k], depth + 1)
-            return acc
-
-        return horner(self.coeffs, 0)
+        if tgt.is_exact and not self.is_exact:
+            raise TypeError("cannot substitute exact arguments into complex coefficients")
+        order, n = tgt.order, self.order + 1
+        # powers g^0 .. g^top of the innermost argument; higher ones vanish
+        inner = args[-1]
+        top = min(n - 1, max(order // inner.valuation(), 0))
+        powers = [tgt._constant(1).coeffs]
+        for _ in range(top):
+            powers.append(_truncated_product(inner.coeffs, powers[-1], order))
+        table = np.stack(powers)
+        coeffs = self.coeffs[..., : top + 1].astype(table.dtype, copy=False)
+        acc = (coeffs @ table.reshape(top + 1, -1)).reshape(coeffs.shape[:-1] + table.shape[1:])
+        # outer levels, innermost first: Horner along the last source axis
+        for depth in range(self.nvars - 2, -1, -1):
+            g, lead = args[depth], (slice(None),) * depth
+            top = min(n - 1, max(order // g.valuation(), 0))
+            out = acc[lead + (top,)]
+            for k in range(top - 1, -1, -1):
+                out = _truncated_product(g.coeffs, out, order) + acc[lead + (k,)]
+            acc = out
+        return PowerSeries(acc, order)

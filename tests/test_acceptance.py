@@ -279,14 +279,18 @@ def test_criterion_08_operator_composition():
         SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): -1.0 / 3.0}], order=16, node_count=24
     )
     levels = [8, 16, 24, 32, 48, 64]
+    # T(f) and T(g) do not depend on K
+    factors = [
+        (np.asarray(qs.covariant_matrix(SPHERE, f, N, K=0)),
+         np.asarray(qs.covariant_matrix(SPHERE, g, N, K=0)))
+        for N in levels
+    ]
     ok = True
     details = []
     for K in (2, 3):
         product = cc.sharp_product(f, g, K)
         defects = []
-        for N in levels:
-            mf = np.asarray(qs.covariant_matrix(SPHERE, f, N, K=0))
-            mg = np.asarray(qs.covariant_matrix(SPHERE, g, N, K=0))
+        for N, (mf, mg) in zip(levels, factors):
             mh = np.asarray(qs.covariant_matrix(SPHERE, product, N, K=K))
             defects.append(qs.operator_norm(mf @ mg - mh))
         slope, _ = _fit(np.log(levels), np.log(defects))

@@ -319,3 +319,43 @@ def test_symbol_pullback_quadratic_shift():
     out = fs.symbol_pullback(a, kappa)
     got = np.asarray(out.coeffs[0].coeffs, dtype=complex)
     assert np.allclose(got, [0, 0, 1, 2, 1])
+
+
+def _uncapped_symbol_norm(a):
+    """estimate_symbol_norm before it capped the partials at the series degree."""
+    grids = a.domain.grids(a.grid_resolution)
+    best_log = -math.inf
+    for k in range(a.K + 1):
+        partials = fs._all_partials(a.coeffs[k], a.j_max)
+        for j in range(a.j_max + 1):
+            group = [s for alpha, s in partials.items() if sum(alpha) == j]
+            log_scale, l1 = fs._scaled_l1_sup(group, grids)
+            if l1 == 0.0:
+                continue
+            log_weight = (
+                a.m * math.log(j + k + 1)
+                - j * math.log(a.r)
+                - k * math.log(a.R)
+                - math.lgamma(j + k + 1)
+            )
+            best_log = max(best_log, log_scale + math.log(l1) + log_weight)
+    return 0.0 if best_log == -math.inf else math.exp(best_log)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_symbol_norm_partials_cap_matches_uncapped(exact):
+    # series orders 0 .. j_max + 2 straddle the cap j_top = min(j_max, order)
+    j_max = 3
+    domain = HALF * fs.Domain.disk(0.4)
+    rng = np.random.default_rng(5)
+    for order in range(j_max + 3):
+        coeffs = []
+        for _ in range(3):
+            c = PowerSeries.zero(2, order, exact)
+            for expo in np.ndindex(*c.coeffs.shape):
+                if sum(expo) <= order:
+                    v = int(rng.integers(-5, 6))
+                    c.coeffs[expo] = Fraction(v, 3) if exact else complex(v, rng.standard_normal())
+            coeffs.append(c)
+        a = fs.make_symbol(coeffs, domain, r=1.5, R=2.0, m=1, j_max=j_max, grid_resolution=9)
+        assert a.constant == _uncapped_symbol_norm(a), order

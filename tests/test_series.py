@@ -4,6 +4,7 @@ Exact (Fraction) series make the ring identities strict equalities;
 the complex path is then checked against the exact one at every rank.
 """
 
+import gc
 import math
 from fractions import Fraction
 
@@ -178,11 +179,81 @@ def test_substitute_matches_pointwise():
         assert abs(comp(x) - expected) < 1e-7
 
 
+def _nested_horner_substitute(f, args):
+    """substitute before it built the innermost powers once: nested Horner."""
+    tgt = args[0]
+
+    def horner(block, depth):
+        if depth == f.nvars:
+            return PowerSeries.constant(block, tgt.nvars, tgt.order, tgt.is_exact)
+        acc = horner(block[-1], depth + 1)
+        for k in range(block.shape[0] - 2, -1, -1):
+            acc = acc * args[depth] + horner(block[k], depth + 1)
+        return acc
+
+    return horner(f.coeffs, 0)
+
+
+def _random_series(rng, nvars, order, exact, valuation=0):
+    """Dense series with every coefficient of degree below valuation zero."""
+    grid = _degree_grid(nvars, order)
+    vals = rng.integers(-4, 5, grid.shape)
+    vals[(grid > order) | (grid < valuation)] = 0
+    if exact:
+        return PowerSeries(np.vectorize(lambda v: Fraction(int(v), 3), otypes=[object])(vals),
+                           order)
+    noise = rng.standard_normal(grid.shape)
+    return PowerSeries(vals + 1j * np.where(vals != 0, noise, 0.0), order)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n_src", [1, 2, 3])
+def test_substitute_matches_nested_horner(exact, n_src):
+    rng = np.random.default_rng(10 * n_src + exact)
+    for n_tgt in (1, 2, 3):
+        # source order above, equal to and below the target order
+        for src_order, tgt_order in ((4, 3), (3, 3), (2, 4)):
+            f = _random_series(rng, n_src, src_order, exact)
+            zero = PowerSeries.zero(n_tgt, tgt_order, exact)
+            cases = [
+                [_random_series(rng, n_tgt, tgt_order, exact, 1) for _ in range(n_src)],
+                # outer arguments of valuation two and a zero innermost one
+                [_random_series(rng, n_tgt, tgt_order, exact, 2)] * (n_src - 1) + [zero],
+                [_random_series(rng, n_tgt, tgt_order, exact, 1)] * (n_src - 1)
+                + [_random_series(rng, n_tgt, tgt_order, exact, 2)],
+            ]
+            for args in cases:
+                for src in (f, PowerSeries.zero(n_src, src_order, exact)):
+                    got, ref = src.substitute(args), _nested_horner_substitute(src, args)
+                    assert got.order == tgt_order and got.nvars == n_tgt
+                    if exact:
+                        assert got == ref
+                    else:
+                        err = np.max(np.abs(got.coeffs - ref.coeffs))
+                        assert err <= 1e-13 * np.max(np.abs(ref.coeffs)), (n_tgt, src_order)
+
+
+def test_substitute_leaves_no_cyclic_garbage():
+    rng = np.random.default_rng(3)
+    f = _random_series(rng, 2, 8, False)
+    args = [_random_series(rng, 2, 8, False, 1) for _ in range(2)]
+    gc.collect()
+    gc.disable()
+    try:
+        f.substitute(args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_substitute_requires_zero_constant_term():
     f = PowerSeries.variable(0, 1, 3)
     g = PowerSeries.constant(1, 1, 3)
     with pytest.raises(ValueError):
         f.substitute([g])
+    # complex coefficients have no exact image
+    with pytest.raises(TypeError):
+        f.substitute([PowerSeries.variable(0, 1, 3, exact=True)])
 
 
 def test_chain_rule():
