@@ -6,9 +6,14 @@ Each time is the best of five calls after one warm-up call.
     python3 benchmarks/bench_kernels.py
 """
 
+import sys
 import timeit
+from pathlib import Path
 
 import numpy as np
+
+# time this checkout's package, not an installed one
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def _workloads():

@@ -7,8 +7,10 @@ prints a block ready to paste into constants.py. Takes a few minutes.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+# this checkout's package, from any working directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 

@@ -425,9 +425,8 @@ def _cmd_compose(args) -> int:
     if args.K < 0:
         raise ValueError("K must be >= 0")
     geometry = _geometry(args.geometry)
-    build = cc.symbol_from_euclid_poly if geometry.compact else cc.symbol_from_plane_poly
-    f = build(geometry, [_symbol_terms(args.f, geometry.compact)], order=args.order)
-    g = build(geometry, [_symbol_terms(args.g, geometry.compact)], order=args.order)
+    f = cc.symbol_from_poly(geometry, [_symbol_terms(args.f, geometry.compact)], order=args.order)
+    g = cc.symbol_from_poly(geometry, [_symbol_terms(args.g, geometry.compact)], order=args.order)
     product = cc.sharp_product(f, g, args.K)
     # truncation stability: recompute with a deeper internal bracket cap
     control = cc.sharp_product(f, g, args.K, pair_cap=args.K + 6)
@@ -523,17 +522,9 @@ def _cmd_decay(args) -> int:
     levels = _parse_n_list(args.N_list)
     terms = _symbol_terms(args.f, geometry.compact)
     region = qs.parse_region(args.V)
-    cutoff = args.cutoff
-
-    def job(N):
-        matrix = qs.contravariant_matrix(geometry, terms, N, cutoff)
-        pairs = qs.eigenpairs(matrix)
-        ev, vec = min(pairs, key=lambda p: abs(p[0] - args.E))
-        mass = qs.forbidden_mass(geometry, N, vec, region, cutoff)
-        return float(ev), float(mass)
-
     with ThreadPoolExecutor(max_workers=min(4, len(levels))) as pool:
-        results = list(pool.map(job, levels))
+        results = list(pool.map(
+            lambda N: qs.decay_level(geometry, terms, args.E, region, N, args.cutoff), levels))
     rows = []
     table = []
     for i, (N, (ev, mass)) in enumerate(zip(levels, results)):

@@ -428,6 +428,14 @@ def _engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _Engine:
     return eng
 
 
+def _pair_cap(K: int, pair_cap: Optional[int]) -> int:
+    """The engine's pair cap for brackets to order K: 2K + 2 by default."""
+    P = 2 * K + 2 if pair_cap is None else pair_cap
+    if P < 2 * K + 2:
+        raise ValueError(f"pair cap {P} cannot hold brackets to order {K} (need >= {2 * K + 2})")
+    return P
+
+
 def _block_from_jet(jet: PowerSeries, cap: int) -> np.ndarray:
     """Jet coefficients as a (cap+1, cap+1) total-degree-masked block."""
     out = np.zeros((cap + 1, cap + 1), dtype=np.complex128)
@@ -571,9 +579,7 @@ def sharp_product(
     (K, K) diagonal block.
     """
     _check_pair(f, g)
-    P = 2 * K + 2 if pair_cap is None else pair_cap
-    if P < 2 * K + 2:
-        raise ValueError(f"pair cap {P} cannot hold brackets to order {K} (need >= {2 * K + 2})")
+    P = _pair_cap(K, pair_cap)
     eng = _engine(f.geometry, P, f.order)
     per_node: list = []
     cache: dict = {}
@@ -610,9 +616,7 @@ def solve_sharp(
     against 1e-9 before returning.
     """
     _check_pair(f, h)
-    P = 2 * K + 2 if pair_cap is None else pair_cap
-    if P < 2 * K + 2:
-        raise ValueError(f"pair cap {P} cannot hold brackets to order {K} (need >= {2 * K + 2})")
+    P = _pair_cap(K, pair_cap)
     eng = _engine(f.geometry, P, f.order)
     M = eng.param_cap
     per_node: list = []
@@ -771,9 +775,7 @@ def contravariant_to_covariant(
     substituted.  f is handed over as its K=0 jet family (the polarized
     extension near the diagonal).
     """
-    P = 2 * K + 2 if pair_cap is None else pair_cap
-    if P < 2 * K + 2:
-        raise ValueError(f"pair cap {P} cannot hold brackets to order {K} (need >= {2 * K + 2})")
+    P = _pair_cap(K, pair_cap)
     if f.order < 1:
         raise ValueError("the diagonal function needs a positive jet order")
     a = bergman_symbol(f.geometry, K, order=f.order, r=f.r, R=f.R, m=f.m)

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -160,18 +161,7 @@ def estimate_h_norm(
     if domain.naxes != f.nvars:
         raise ValueError("domain and series dimensions differ")
     _check_reliable(f, domain, reliability_tol)
-    grids = domain.grids(grid_resolution)
-    partials = _all_partials(f, j_max)
-    best = 0.0
-    for j in range(j_max + 1):
-        l1 = None
-        for alpha, series in partials.items():
-            if sum(alpha) != j:
-                continue
-            vals = np.abs(_eval_mesh(series, grids))
-            l1 = vals if l1 is None else l1 + vals
-        weight = (j + 1) ** m / (r**j * math.factorial(j))
-        best = max(best, float(np.max(l1)) * weight)
+    best = _weighted_sup((f,), domain.grids(grid_resolution), r, 1.0, m, j_max)
     return HNormCertificate(m, float(r), domain, best, j_max, grid_resolution)
 
 
@@ -257,9 +247,11 @@ def cauchy_import(
 # analytic symbols
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyticSymbol:
-    """Finite symbol sequence with norm parameters and a certificate."""
+    """Finite symbol sequence with norm parameters; its certificate
+    ``constant`` is ``estimate_symbol_norm(self)``, computed on first read
+    and kept, which the frozen fields keep valid."""
 
     coeffs: tuple
     K: int
@@ -267,9 +259,12 @@ class AnalyticSymbol:
     R: float
     m: int
     domain: Domain
-    constant: float = field(default=0.0)
     j_max: int = 6
     grid_resolution: int = 41
+
+    @cached_property
+    def constant(self) -> float:
+        return estimate_symbol_norm(self)
 
     def coeff(self, k: int) -> PowerSeries:
         return self.coeffs[k]
@@ -312,7 +307,7 @@ def make_symbol(
     j_max: int = 6,
     grid_resolution: int = 41,
 ) -> AnalyticSymbol:
-    """Build a symbol from series or scalars and certify it on the grid."""
+    """Build a symbol from series or scalars, all of one shape and kind."""
     template = next((c for c in coeffs if isinstance(c, PowerSeries)), None)
     if template is None:
         exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
@@ -322,10 +317,8 @@ def make_symbol(
     if domain.naxes != nvars:
         raise ValueError("domain and coefficient dimensions differ")
     series = _normalize_coeffs(coeffs, nvars, order, exact)
-    sym = AnalyticSymbol(series, len(series) - 1, float(r), float(R), int(m), domain,
-                         0.0, j_max, grid_resolution)
-    sym.constant = estimate_symbol_norm(sym)
-    return sym
+    return AnalyticSymbol(series, len(series) - 1, float(r), float(R), int(m), domain,
+                          j_max, grid_resolution)
 
 
 def estimate_symbol_norm(
@@ -344,14 +337,20 @@ def estimate_symbol_norm(
     k_max = a.K if k_max is None else k_max
     if k_max > a.K:
         raise ValueError("k_max exceeds the stored truncation")
-    grids = a.domain.grids(a.grid_resolution)
+    return _weighted_sup(a.coeffs[: k_max + 1], a.domain.grids(a.grid_resolution),
+                         r, R, m, j_max)
+
+
+def _weighted_sup(coeffs: Sequence, grids: list, r: float, R: float, m: int, j_max: int) -> float:
+    """Mesh sup over k and j <= j_max of sum_{|alpha| = j} |partial^alpha
+    a_k| (j+k+1)^m / (r^j R^k (j+k)!); the h-norm is the k = 0 row."""
     # weights in log space: (j+k)! overflows float64 near j+k = 171 and exact
     # Fraction coefficients can be larger still
     best_log = -math.inf
-    # partials above the total degree vanish identically
-    j_top = min(j_max, a.order)
-    for k in range(k_max + 1):
-        partials = _all_partials(a.coeffs[k], j_top)
+    for k, coeff in enumerate(coeffs):
+        # partials above the total degree vanish identically
+        j_top = min(j_max, coeff.order)
+        partials = _all_partials(coeff, j_top)
         for j in range(j_top + 1):
             group = [s for alpha, s in partials.items() if sum(alpha) == j]
             log_scale, l1 = _scaled_l1_sup(group, grids)
@@ -403,9 +402,8 @@ def unit_symbol(template: AnalyticSymbol) -> AnalyticSymbol:
     zero = PowerSeries.zero(template.nvars, template.order,
                             exact=template.coeffs[0].is_exact)
     coeffs = (one,) + (zero,) * template.K
-    sym = AnalyticSymbol(coeffs, template.K, template.r, template.R, template.m,
-                         template.domain, 1.0, template.j_max, template.grid_resolution)
-    return sym
+    return AnalyticSymbol(coeffs, template.K, template.r, template.R, template.m,
+                          template.domain, template.j_max, template.grid_resolution)
 
 
 def cauchy_product(a: AnalyticSymbol, b: AnalyticSymbol) -> AnalyticSymbol:
@@ -422,10 +420,8 @@ def cauchy_product(a: AnalyticSymbol, b: AnalyticSymbol) -> AnalyticSymbol:
             term = a.coeffs[i] * b.coeffs[k - i]
             acc = term if acc is None else acc + term
         coeffs.append(acc)
-    out = AnalyticSymbol(tuple(coeffs), K, a.r, a.R, a.m, a.domain,
-                         0.0, a.j_max, a.grid_resolution)
-    out.constant = estimate_symbol_norm(out)
-    return out
+    return AnalyticSymbol(tuple(coeffs), K, a.r, a.R, a.m, a.domain,
+                          a.j_max, a.grid_resolution)
 
 
 def product_bound_check(a: AnalyticSymbol, b: AnalyticSymbol) -> dict:
@@ -459,11 +455,9 @@ def star_inverse(a: AnalyticSymbol) -> AnalyticSymbol:
         for i in range(1, k + 1):
             term = a.coeffs[i] * bs[k - i]
             acc = term if acc is None else acc + term
-        bs.append(-(b0 * acc) if acc is not None else b0 * 0)
-    out = AnalyticSymbol(tuple(bs), a.K, a.r, a.R, a.m, a.domain,
-                         0.0, a.j_max, a.grid_resolution)
-    out.constant = estimate_symbol_norm(out)
-    return out
+        bs.append(-(b0 * acc))
+    return AnalyticSymbol(tuple(bs), a.K, a.r, a.R, a.m, a.domain,
+                          a.j_max, a.grid_resolution)
 
 
 @dataclass
@@ -556,7 +550,5 @@ def tail_rate(c1: float) -> float:
 def symbol_pullback(a: AnalyticSymbol, kappa: Sequence[PowerSeries]) -> AnalyticSymbol:
     """Compose every coefficient with a change of variables fixing the base."""
     new_coeffs = tuple(c.substitute(list(kappa)) for c in a.coeffs)
-    out = AnalyticSymbol(new_coeffs, a.K, a.r, a.R, a.m, a.domain,
-                         0.0, a.j_max, a.grid_resolution)
-    out.constant = estimate_symbol_norm(out)
-    return out
+    return AnalyticSymbol(new_coeffs, a.K, a.r, a.R, a.m, a.domain,
+                          a.j_max, a.grid_resolution)

@@ -911,6 +911,15 @@ class DecayReport:
     fit_quality: float
 
 
+def decay_level(geometry: ModelGeometry, f, target: float, region: Region, N: int,
+                cutoff: Optional[int] = None) -> tuple:
+    """(eigenvalue, forbidden-region mass) at level N for the eigenvector of
+    the multiplier operator of f whose eigenvalue is nearest the target."""
+    mat = contravariant_matrix(geometry, f, N, cutoff)
+    ev, vec = min(eigenpairs(mat), key=lambda p: abs(p[0] - target))
+    return float(ev), float(forbidden_mass(geometry, N, vec, region, cutoff))
+
+
 def decay_report(
     geometry: ModelGeometry,
     f,
@@ -921,16 +930,12 @@ def decay_report(
 ) -> DecayReport:
     """Eigenvector decay sweep for the multiplier operator of f.
 
-    For each level the eigenvector with eigenvalue nearest the target is
-    located and its forbidden-region mass recorded; the exponential rate
+    Each level is one :func:`decay_level` step; the exponential rate
     comes from :func:`decay_rate_fit`.
     """
     rows = []
     for N in N_list:
-        mat = contravariant_matrix(geometry, f, N, cutoff)
-        pairs = eigenpairs(mat)
-        ev, vec = min(pairs, key=lambda p: abs(p[0] - target))
-        mass = forbidden_mass(geometry, N, vec, region, cutoff)
-        rows.append((int(N), float(ev), float(target), float(mass)))
+        ev, mass = decay_level(geometry, f, target, region, N, cutoff)
+        rows.append((int(N), ev, float(target), mass))
     rate, quality = decay_rate_fit(rows)
     return DecayReport(tuple(rows), rate, quality)

@@ -149,6 +149,10 @@ def test_decay_sweep(tmp_path):
     doc = read_json(tmp_path / "decay.json")
     assert doc["rate"] > 0.1
     assert doc["fit_quality"] > 0.99
+    # the CLI's threaded levels and decay_report take the same per-level step
+    report = qs.decay_report(geometry.sphere(), {(0, 0, 1): 1.0}, 0.0, "x3 >= 1/2",
+                             [8, 12, 16, 20])
+    assert [r[:3] for r in rows] == [[str(N), repr(ev), repr(m)] for N, ev, _, m in report.rows]
 
 
 def test_decay_reruns_byte_identical(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toeplitz_forge import constants, covariant_calculus as cc, geometry
+from toeplitz_forge import function_spaces as fs
 from toeplitz_forge.series import PowerSeries
 from toeplitz_forge.stationary_phase import wick_expand
 
@@ -353,6 +354,30 @@ def test_pair_cap_guard():
     one = cc.unit_covariant(SPHERE, order=6)
     with pytest.raises(ValueError, match="pair cap"):
         cc.sharp_product(one, one, K=3, pair_cap=6)
+    with pytest.raises(ValueError, match="pair cap"):
+        cc.solve_sharp(one, one, K=3, pair_cap=6)
+    with pytest.raises(ValueError, match="pair cap"):
+        cc.contravariant_to_covariant(one, K=3, pair_cap=6)
+
+
+def test_composition_reads_no_certificate(monkeypatch):
+    # jets certify themselves only when .constant is read, and sharp_product
+    # never reads it
+    calls = []
+
+    def counting(a, *args, **kw):
+        calls.append(a)
+        return estimate(a, *args, **kw)
+
+    estimate = fs.estimate_symbol_norm
+    monkeypatch.setattr(fs, "estimate_symbol_norm", counting)
+    monkeypatch.setattr(cc, "estimate_symbol_norm", counting)
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}])
+    g = cc.symbol_from_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): -0.333}])
+    product = cc.sharp_product(f, g, K=2)
+    assert calls == []
+    jet = product.jets[3]
+    assert jet.constant == estimate(jet) and len(calls) == 1
 
 
 # -- bergman symbol -----------------------------------------------------------

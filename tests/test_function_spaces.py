@@ -1,6 +1,8 @@
 """Norm certificates, symbol algebra, and truncated summation."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -359,3 +361,128 @@ def test_symbol_norm_partials_cap_matches_uncapped(exact):
             coeffs.append(c)
         a = fs.make_symbol(coeffs, domain, r=1.5, R=2.0, m=1, j_max=j_max, grid_resolution=9)
         assert a.constant == _uncapped_symbol_norm(a), order
+
+
+# -- certificates on first read ------------------------------------------------
+
+
+def _symbols_by_constructor():
+    """One output of every symbol constructor, float, exact and series."""
+    floats = fs.make_symbol([1.0, 0.5, 0.25], HALF, r=2.0, R=2.0, m=4)
+    exact = fs.make_symbol([Fraction(3, 2), Fraction(1, 3), 2], HALF, r=2.0, R=2.0, m=4)
+    series, other = (
+        fs.make_symbol(
+            [PowerSeries.from_terms({(0,): 1.0 + k, (1,): c, (3,): -0.1 * k}, 1, 6)
+             for k in range(3)],
+            HALF, r=2.0, R=2.0, m=4,
+        )
+        for c in (0.3, -0.7)
+    )
+    kappa = [PowerSeries.from_terms({(1,): 1.0, (2,): 0.2}, 1, 6)]
+    return {
+        "float": floats,
+        "exact": exact,
+        "series": series,
+        "cauchy_product": fs.cauchy_product(series, other),
+        "star_inverse": fs.star_inverse(series),
+        "star_inverse_exact": fs.star_inverse(exact),
+        "symbol_pullback": fs.symbol_pullback(series, kappa),
+    }
+
+
+@pytest.mark.parametrize("name", ["float", "exact", "series", "cauchy_product",
+                                  "star_inverse", "star_inverse_exact", "symbol_pullback"])
+def test_constant_is_the_symbol_norm(name):
+    sym = _symbols_by_constructor()[name]
+    assert "constant" not in vars(sym)  # nothing is certified up front
+    assert sym.constant == fs.estimate_symbol_norm(sym)
+    assert vars(sym)["constant"] == sym.constant  # kept, not recomputed
+
+
+def test_unit_symbol_constant_is_one():
+    unit = fs.unit_symbol(_symbols_by_constructor()["series"])
+    assert unit.constant == 1.0 == fs.estimate_symbol_norm(unit)
+
+
+def test_constant_read_by_threads_is_one_value():
+    sym = fs.make_symbol(
+        [PowerSeries.from_terms({(0,): 2.0, (1,): 0.5 * k, (2,): 0.1}, 1, 8) for k in range(4)],
+        HALF, r=2.0, R=2.0, m=4,
+    )
+    start = threading.Barrier(4)
+    got = []
+
+    def reader():
+        start.wait(timeout=10)
+        got.append(sym.constant)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and len(set(got)) == 1
+    assert got[0] == sym.constant == fs.estimate_symbol_norm(sym)
+
+
+def _direct_h_norm(f, m, r, domain, j_max=8, grid_resolution=41):
+    """estimate_h_norm's constant by its own loop, before it shared the
+    symbol-norm sup: direct float weights, every j up to j_max."""
+    grids = domain.grids(grid_resolution)
+    partials = fs._all_partials(f, j_max)
+    best = 0.0
+    for j in range(j_max + 1):
+        l1 = None
+        for alpha, series in partials.items():
+            if sum(alpha) != j:
+                continue
+            vals = np.abs(fs._eval_mesh(series, grids))
+            l1 = vals if l1 is None else l1 + vals
+        weight = (j + 1) ** m / (r**j * math.factorial(j))
+        best = max(best, float(np.max(l1)) * weight)
+    return best
+
+
+def _exponential(order=24):
+    s = PowerSeries.zero(1, order)
+    for k in range(order + 1):
+        s.coeffs[k] = 1.0 / math.factorial(k)
+    return s
+
+
+# (series, m, r, domain, j_max, grid_resolution): the h-norm cases above
+H_NORM_CASES = [
+    (PowerSeries.constant(1.0, 1, 4), 3, 0.7, HALF, 8, 41),
+    (geometric_series(60), 0, 2.0, HALF, 12, 41),
+    (_exponential(), 0, 1.0, fs.Domain.interval(-1.0, 1.0), 8, 41),
+    (geometric_series(60), 0, 2.0, HALF, 8, 82),
+    (geometric_series(60), 0, 2.0, HALF, 10, 41),
+    (geometric_series(60), 1, 4.0, HALF, 10, 41),
+    (geometric_series(60), 2, 8.0, HALF, 10, 41),
+    (geometric_series(60), 3, 16.0, HALF, 10, 41),
+    (geometric_series(60), 2, 11.0, HALF, 10, 41),
+    (PowerSeries.constant(2.0, 1, 6), 0, 2.0, HALF, 8, 41),
+    (PowerSeries.constant(2.0, 1, 6).reciprocal(), 0, 2.0, HALF, 8, 41),
+    (PowerSeries.from_terms({(0,): 2.0, (1,): 1.0}, 1, 24), 0, 2.0, HALF, 8, 41),
+    (PowerSeries.from_terms({(0,): 2.0, (1,): 1.0}, 1, 24).reciprocal(), 0, 2.0, HALF, 8, 41),
+    (PowerSeries.from_terms({(0,): 1.0, (2,): 0.25}, 1, 16), 0, 2.0, HALF, 8, 41),
+    (PowerSeries.from_terms({(0,): 1.0, (2,): 0.25}, 1, 16).reciprocal(), 0, 2.0, HALF, 8, 41),
+    (geometric_series(40), -1, 4.0, fs.Domain.disk(0.25), 10, 41),
+    (PowerSeries.constant(3.0, 1, 10), -1, 2.0, fs.Domain.disk(0.5), 10, 41),
+    (PowerSeries.from_terms({(5,): 1.0}, 1, 12), -1, 2.0, fs.Domain.disk(0.5), 10, 41),
+]
+
+
+@pytest.mark.parametrize("case", range(len(H_NORM_CASES)))
+def test_h_norm_matches_direct_loop(case):
+    f, m, r, domain, j_max, res = H_NORM_CASES[case]
+    got = fs.estimate_h_norm(f, m, r, domain, j_max=j_max, grid_resolution=res).constant
+    want = _direct_h_norm(f, m, r, domain, j_max, res)
+    assert abs(got - want) <= 1e-14 * want, (got, want)
+
