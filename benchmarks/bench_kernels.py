@@ -1,5 +1,6 @@
 """Time the conv_pair kernel, the truncated series product, series
-composition and two callers of the composition engine.
+composition, both Morse flattenings and two callers of the composition
+engine.
 
 Each time is the best of five calls after one warm-up call.
 
@@ -65,6 +66,17 @@ def _workloads():
     u, ubar = PowerSeries.variable(0, 2, 14), PowerSeries.variable(1, 2, 14)
     sphere_phase = sp.PhaseData.from_series(-(1 + u * ubar).log())
     jobs["morse_normalize K=12"] = lambda: sp.morse_normalize(sphere_phase, 12)
+    # morse_expand at K = 6 flattens to order 14, then transports a dense
+    # amplitude of order 12 through one composition
+    amp = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
+    amp[_degree_grid(2, 14) > 12] = 0.0
+    amplitude = PowerSeries(amp, 14)
+    jobs["morse_expand sphere K=6"] = lambda: sp.morse_expand(sphere_phase, amplitude, 6)
+    # the phase family of the K=4 sphere engine (pair cap 10, param cap 8)
+    pu, pubar, dx, dzb = sp.PairFamily.variables(10, 8)
+    L = sph.two_phi_tilde_ring
+    family = L(dx, dzb + pubar) - L(dx + pu, dzb + pubar) + L(dx + pu, dzb) - L(dx, dzb)
+    jobs["morse_normalize_family sphere (10, 8)"] = lambda: sp.morse_normalize_family(family)
     jobs.update({
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),
         "covariant_matrix N=32": lambda: qs.covariant_matrix(sph, berg, 32),

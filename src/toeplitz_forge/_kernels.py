@@ -71,6 +71,36 @@ def _live_blocks(x, pair_cap, param_cap):
     return i, j, packed[i, j]
 
 
+def _multipliers(vb, quot):
+    """Multiplication matrices of packed blocks, side by side: (n, nb * n).
+
+    Column block k, row s holds monomial s times b block k; one gather
+    through ``quot`` builds them all.
+    """
+    n, nb = quot.shape[0], vb.shape[0]
+    padded = np.concatenate([vb, np.zeros((nb, 1), dtype=np.complex128)], axis=1)
+    mul = padded.ravel()[quot[:, None, :] + (n + 1) * np.arange(nb)[None, :, None]]
+    return mul.reshape(n, nb * n)
+
+
+def _add_products(out, va, mul, ia, ja, ib, jb, pair_cap):
+    """Add the products of packed a blocks with the b blocks of ``mul``.
+
+    One matmul forms every product; those whose pair indices (ia + ib,
+    ja + jb) stay within the cap are added into ``out`` with
+    ``np.bincount``, in a-row order.
+    """
+    P, n = pair_cap, mul.shape[0]
+    prod = (va @ mul).reshape(-1, ib.size, n)
+    ti = ia[:, None] + ib[None, :]
+    tj = ja[:, None] + jb[None, :]
+    keep = (ti <= P) & (tj <= P)
+    slots = ((ti[keep] * (P + 1) + tj[keep])[:, None] * n + np.arange(n)).ravel()
+    kept = prod[keep].ravel()
+    out.real += np.bincount(slots, kept.real, out.size).reshape(out.shape)
+    out.imag += np.bincount(slots, kept.imag, out.size).reshape(out.shape)
+
+
 def conv_pair(a, b, pair_cap, param_cap, diag_only=False):
     """Bi-graded truncated convolution.
 
@@ -80,37 +110,36 @@ def conv_pair(a, b, pair_cap, param_cap, diag_only=False):
 
     Parameter blocks are packed into their monomials of total degree <= M,
     and every live b block becomes its multiplication matrix (one gather
-    through ``_param_monomials``).  One matmul per chunk of live a blocks
-    multiplies them against all of those matrices at once; each product
-    whose pair offsets stay within P is added into its output block.
+    through ``_param_monomials``).  Matmuls multiply the live a blocks,
+    a chunk of rows at a time, against those matrices; each product whose
+    pair offsets stay within P is added into its output block.
+
+    ``diag_only`` computes only what it keeps: an a block at pair offset
+    i - j = o lands on a diagonal block only against the b blocks at
+    offset -o, so the blocks are grouped by offset and each group takes
+    one matmul (about 5% of the block pairs on the sphere engine).  The
+    sums run in another order than the full product's, so they match it,
+    masked to the diagonal, to rounding.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     b = np.ascontiguousarray(b, dtype=np.complex128)
     P, M = pair_cap, param_cap
     ps, qs, quot = _param_monomials(M)
-    n = ps.size
-    out = np.zeros(((P + 1) * (P + 1), n), dtype=np.complex128)
+    out = np.zeros(((P + 1) * (P + 1), ps.size), dtype=np.complex128)
     ia, ja, va = _live_blocks(a, P, M)
     ib, jb, vb = _live_blocks(b, P, M)
-    if ia.size and ib.size:
-        nb = ib.size
-        padded = np.concatenate([vb, np.zeros((nb, 1), dtype=np.complex128)], axis=1)
-        # mul[s, k, u]: monomial u of (monomial s) * (b block k)
-        mul = padded.ravel()[quot[:, None, :] + (n + 1) * np.arange(nb)[None, :, None]]
-        mul = mul.reshape(n, nb * n)
+    if diag_only:
+        for off in np.unique(ia - ja):
+            ra = np.flatnonzero(ia - ja == off)
+            rb = np.flatnonzero(jb - ib == off)
+            if rb.size:
+                _add_products(out, va[ra], _multipliers(vb[rb], quot),
+                              ia[ra], ja[ra], ib[rb], jb[rb], P)
+    elif ib.size:
+        mul = _multipliers(vb, quot)
         for lo in range(0, ia.size, _PAIR_ROWS):
-            hi = lo + _PAIR_ROWS
-            prod = (va[lo:hi] @ mul).reshape(-1, nb, n)
-            ti = ia[lo:hi, None] + ib[None, :]
-            tj = ja[lo:hi, None] + jb[None, :]
-            keep = (ti <= P) & (tj <= P)
-            if diag_only:
-                keep &= ti == tj
-            # products landing in one block add up in a-row order
-            slots = ((ti[keep] * (P + 1) + tj[keep])[:, None] * n + np.arange(n)).ravel()
-            kept = prod[keep].ravel()
-            out.real += np.bincount(slots, kept.real, out.size).reshape(out.shape)
-            out.imag += np.bincount(slots, kept.imag, out.size).reshape(out.shape)
+            rows = slice(lo, lo + _PAIR_ROWS)
+            _add_products(out, va[rows], mul, ia[rows], ja[rows], ib, jb, P)
     full = np.zeros((P + 1, P + 1, M + 1, M + 1), dtype=np.complex128)
     full.reshape(-1, M + 1, M + 1)[:, ps, qs] = out
     return full

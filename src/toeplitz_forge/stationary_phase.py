@@ -26,6 +26,16 @@ The second half of the file redoes the flattening for a one-pair phase
 whose coefficients are polynomials in two base-offset parameters
 (``PairFamily``, ``morse_normalize_family``), so one normalization pass
 serves a whole neighbourhood of base points at once.
+
+Both flattenings solve Phi(u / A, iota_vbar) = -u ubar online, one total
+degree at a time: the correction at degree D - 1 divides the degree-D
+error by u, and that error needs only the parts of iota_vbar already
+found.  Each homogeneous part of each power of iota_vbar is computed
+once and its share of every later error added as soon as it is known,
+so a solve costs about one composition, not one per degree (the online
+or "relaxed" evaluation of composition: Brent and Kung, J. ACM 1978;
+van der Hoeven, J. Symb. Comp. 2002).  The divisibility guard at
+degree D is scaled by the degree-D error.
 """
 
 from __future__ import annotations
@@ -271,15 +281,100 @@ def wick_expand(phase, amplitude: PowerSeries, K: int) -> ExpansionResult:
 # -- route two: flattening change of variables -------------------------------
 
 
-def _shift_down(ps: PowerSeries, axis: int) -> PowerSeries:
-    """Divide by the axis variable, assuming the boundary slab is zero."""
-    out = np.zeros_like(ps.coeffs)
-    src = [slice(None)] * ps.nvars
-    dst = [slice(None)] * ps.nvars
-    src[axis] = slice(1, None)
-    dst[axis] = slice(0, -1)
-    out[tuple(dst)] = ps.coeffs[tuple(src)]
-    return PowerSeries(out, ps.order)
+def _graded(x: np.ndarray) -> np.ndarray:
+    """Regrade a square (u degree, ubar degree)-indexed array by total degree.
+
+    Entry (i, d) of the result is entry (i, d - i) of ``x``, so column d
+    is the homogeneous degree-d part listed by u degree; degrees above
+    the last index are dropped.  Trailing axes, such as a family's
+    parameter block, pass through.
+    """
+    out = np.zeros_like(x, dtype=np.complex128)
+    i, d = np.triu_indices(x.shape[0])
+    out[i, d] = x[i, d - i]
+    return out
+
+
+def _ungraded(g: np.ndarray) -> np.ndarray:
+    """Inverse of ``_graded``: back to (u degree, ubar degree) indexing."""
+    out = np.zeros_like(g)
+    i, d = np.triu_indices(g.shape[0])
+    out[i, d - i] = g[i, d]
+    return out
+
+
+def _reach(rem: np.ndarray) -> list:
+    """reach[b]: the highest degree of iota_vbar^b the solve reads.
+
+    A degree-d part of the b-th power meets column b of the remainder,
+    whose lowest live u degree a lands it in degree d + a; each part of a
+    power also builds the part of the next power one degree up.
+    """
+    top = rem.shape[0] - 1
+    reach = [-1] * (top + 2)
+    for b in range(top, 0, -1):
+        live = np.flatnonzero(np.any(rem[:, b].reshape(top + 1, -1), axis=1))
+        reach[b] = max(top - live[0] if live.size else -1, reach[b + 1] - 1)
+    return reach
+
+
+def _divide_by_u(err: np.ndarray, what: str, tol: float) -> np.ndarray:
+    """err / u for a degree-D error listed by u degree; guards the u^0 entry.
+
+    The guard's scale is the largest entry of this degree's error (at
+    least one).  That is never more than the largest entry of the whole
+    recomposed error, so the guard is no looser than one taken over it.
+    """
+    scale = max(1.0, float(np.max(np.abs(err))))
+    leak = float(np.max(np.abs(err[0])))
+    if leak > tol * scale:
+        raise ArithmeticError(f"{what} correction not divisible by u (residue {leak:.3e})")
+    return err[1:]
+
+
+def _solve_online(rem: np.ndarray, tol: float, what: str,
+                  times: Callable, spread: Callable) -> np.ndarray:
+    """The online flattening both normalizers share; returns iota_vbar graded.
+
+    ``rem`` holds the phase at (iota_v, ubar) less its pairing term -u
+    ubar, indexed (u degree, ubar degree[, parameter block]) up to the
+    solve's top degree: column b is g_b, and
+    Phi(iota_v, w) = -u w + sum_b g_b(u) w^b.  Step D sets
+    w_{D-1} = err_D / u, and err_D involves only parts of w of degree
+    <= D - 2.  So each homogeneous part of each power w^b is computed
+    once, when its last factor w_{D-1} is known, from parts of w and
+    w^{b-1} known before, and its products with g_b go at once into the
+    errors of every degree still to come: no composition is rebuilt.
+
+    Arrays are graded (``_graded``): a homogeneous part is one column,
+    listed by u degree.  ``times(x, y)`` multiplies two such columns;
+    ``spread(g, part)`` multiplies g_b (entry a holds its u^a block,
+    a <= top - d) by a degree-d part and returns the columns d .. top of
+    the product.
+    """
+    top = rem.shape[0] - 1
+    reach = _reach(rem)
+    # err[:, D]: the degree-D error at the current w; powers[b, :, d]: (w^b)_d
+    err = _graded(rem)
+    powers = np.zeros((top + 1,) + err.shape, dtype=np.complex128)
+    deg = np.arange(top + 1)
+    powers[(deg, 0, deg) + (0,) * (err.ndim - 2)] = 1.0  # w^b = ubar^b + ...
+    w = powers[1]
+    for D in range(3, top + 1):
+        w[:D, D - 1] = _divide_by_u(err[: D + 1, D], f"{what}-{D}", tol)
+        for b in range(1, top + 1):
+            d = D - 2 + b
+            if d > reach[b]:
+                break
+            if b > 1:
+                # (w^b)_d = ubar (w^{b-1})_{d-1} + w_{D-1} ubar^{b-1} + the
+                # products in between; a factor ubar keeps every u degree
+                part = powers[b, :, d]
+                part[:] = powers[b - 1, :, d - 1] + w[:, D - 1]
+                for k in range(2, D - 1):
+                    part += times(w[:, k], powers[b - 1, :, d - k])
+            err[:, d:] += spread(rem[: top + 1 - d, b], powers[b, : d + 1, d])
+    return w
 
 
 def _jacobian_det(kv: PowerSeries, kvb: PowerSeries) -> PowerSeries:
@@ -287,31 +382,32 @@ def _jacobian_det(kv: PowerSeries, kvb: PowerSeries) -> PowerSeries:
 
 
 def _normalize_one_pair(ser: PowerSeries, A: complex, order: int):
-    """Solve Phi(iota_v, iota_vbar) = -u ubar degree by degree.
+    """Solve Phi(iota_v, iota_vbar) = -u ubar online, one degree at a time.
 
     Keeps iota_v = u / A frozen and pushes every correction into
     iota_vbar, which works whenever each excess term is divisible by u;
     raises ArithmeticError otherwise (caller may retry transposed).
+    g_b is column b of the phase scaled by A^-a, with no product at all;
+    ``_solve_online`` does the rest, with homogeneous parts as 1-D arrays
+    over their u degree multiplied by ``np.convolve``.  The guard at
+    degree D is scaled by the degree-D error (``_divide_by_u``).
     """
-    u = PowerSeries.variable(0, 2, order)
-    ubar = PowerSeries.variable(1, 2, order)
-    iota_v = u * (1.0 / A)
-    iota_vbar = ubar.copy()
-    uub = u * ubar
-    for D in range(3, order + 1):
-        err = ser.substitute([iota_v, iota_vbar]) + uub
-        err_d = err.homogeneous(D)
-        if err_d.max_abs() == 0.0:
-            continue
-        scale = max(1.0, err.max_abs())
-        leak = float(np.max(np.abs(err_d.coeffs[0, :])))
-        if leak > 1e-9 * scale:
-            raise ArithmeticError(
-                f"degree-{D} correction not divisible by u (residue {leak:.3e})")
-        row = err_d.coeffs.copy()
-        row[0, :] = 0.0
-        iota_vbar = iota_vbar + _shift_down(PowerSeries(row, order), axis=0)
-    return iota_v, iota_vbar
+    rem = ser.coeffs * (1.0 / A) ** np.arange(order + 1)[:, None]
+    rem[1, 1] = 0.0
+
+    def times(x, y):
+        return np.convolve(x, y)[: order + 1]
+
+    def spread(g, part):
+        # entry (a + i, a): u^a g_b[a] times u^i ubar^(d - i)
+        out = np.zeros((order + 1, g.size), dtype=np.complex128)
+        a = np.arange(g.size)[:, None]
+        out[a + np.arange(part.size), a] = g[:, None] * part
+        return out
+
+    w = _solve_online(rem, 1e-9, "degree", times, spread)
+    iota_v = PowerSeries.variable(0, 2, order) * (1.0 / A)
+    return iota_v, PowerSeries(_ungraded(w), order)
 
 
 class MorseData(NamedTuple):
@@ -655,6 +751,16 @@ def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
     recentred geometric phases do; the residue guard raises
     ArithmeticError otherwise), which pins the pair-degree-2 part to
     A(params) u ubar and keeps every correction divisible by u.
+
+    Solves online (``_solve_online``): with iota_v = u ainv frozen,
+    g_b = sum_a c_ab ainv^a u^a is built once, before the degree loop,
+    and each pair-homogeneous part of each power iota_vbar^b once.  A
+    part is one column of a graded family (``_graded``); two parts, or
+    g_b and a part, multiply with one ``conv_pair`` on one-column
+    operands, which convolves their u-degree lists.  The guard at pair
+    degree D is ``_divide_by_u`` with ``tol``, scaled by the degree-D
+    error.  Only ``vbar_powers``, the full box powers that ``transport``
+    composes with, are multiplied out at the end.
     """
     P, M = phase.pair_cap, phase.param_cap
     if P < 2:
@@ -670,27 +776,28 @@ def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
     for _ in range(P):
         ainv_powers.append(ainv_powers[-1] * ainv)
 
-    u, ubar, _, _ = PairFamily.variables(P, M)
+    # rem[a, b] = c_ab ainv^a: the phase at (u ainv, ubar) less its pairing
+    # term -u ubar; column b holds g_b
+    rem = np.zeros_like(ser.coeffs)
+    for a, b in zip(*np.nonzero(np.any(ser.coeffs, axis=(2, 3)))):
+        rem[a, b] = _truncated_product(ser.coeffs[a, b], ainv_powers[a].coeffs, M)
+    rem[1, 1] = 0.0
+
+    def times(x, y):
+        return _kernels.conv_pair(x[:, None], y[:, None], P, M)[:, 0]
+
+    def spread(g, part):
+        # g_b graded: its u^a block sits at u degree a and degree a
+        gg = np.zeros((g.shape[0],) + g.shape, dtype=np.complex128)
+        a = np.arange(g.shape[0])
+        gg[a, a] = g
+        return _kernels.conv_pair(gg, part[:, None], P, M)[:, : g.shape[0]]
+
+    w = _solve_online(rem, tol, "pair-degree", times, spread)
+
+    u = PairFamily.variables(P, M)[0]
     iota_v = u.param_scale(ainv_block)
-    iota_vbar = ubar.copy()
-    uub = PairFamily.zeros(P, M)
-    uub.coeffs[1, 1, 0, 0] = 1.0
-
-    for D in range(3, P + 1):
-        vbar_powers = _pair_powers(iota_vbar, P)
-        err = _compose_grouped(ser, ainv_powers, vbar_powers) + uub
-        err_d = err.pair_homogeneous(D)
-        if not err_d.coeffs.any():
-            continue
-        scale = max(1.0, err.max_abs())
-        leak = float(np.max(np.abs(err_d.coeffs[0, :])))
-        if leak > tol * scale:
-            raise ArithmeticError(
-                f"pair-degree-{D} correction not divisible by u (residue {leak:.3e})")
-        shifted = np.zeros_like(err_d.coeffs)
-        shifted[:P, :] = err_d.coeffs[1:, :]
-        iota_vbar = iota_vbar + PairFamily(shifted, P, M)
-
+    iota_vbar = PairFamily(_ungraded(w), P, M)
     vbar_powers = _pair_powers(iota_vbar, P)
     jacobian = iota_vbar.diff_ubar().param_scale(ainv_block)
     return MorseFamily(

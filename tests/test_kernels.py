@@ -1,9 +1,12 @@
 """Kernel parity: conv_pair against the slice-add loop it replaced."""
 
+import math
+
 import numpy as np
 import pytest
 
 from toeplitz_forge import _kernels, covariant_calculus as cc, geometry
+from toeplitz_forge.series import PowerSeries
 
 
 def _loop_conv_pair(a, b, pair_cap, param_cap, diag_only):
@@ -104,6 +107,34 @@ def test_conv_pair_matches_loop(cases):
         assert float(np.max(np.abs(got - want))) <= 1e-13 * scale, name
         if not np.any(want):
             assert not np.any(got), name
+
+
+def _jet(rng, order):
+    """A two-variable jet whose coefficients fall off like 1/(i+j)!."""
+    c = np.zeros((order + 1, order + 1), dtype=complex)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            c[i, j] = rng.standard_normal() / math.factorial(i + j)
+    return PowerSeries(c, order)
+
+
+def test_conv_pair_diag_only_is_masked_full_product():
+    # the operands the Wick contraction hands to diag_only: products of a
+    # left- and a right-substituted jet, against the sphere engine's rho_jac
+    eng = cc._engine(geometry.SphereModel(), 10, 8)
+    rng = np.random.default_rng(2)
+    lefts = [eng.rho_jac.coeffs]
+    for _ in range(3):
+        F = cc._substitute_left(_jet(rng, 8), eng)
+        G = cc._substitute_right(_jet(rng, 8), eng)
+        lefts.append((F * G).coeffs)
+    diag = np.arange(11)
+    for a in lefts:
+        full = _kernels.conv_pair(a, eng.rho_jac.coeffs, 10, 8)
+        want = np.zeros_like(full)
+        want[diag, diag] = full[diag, diag]
+        got = _kernels.conv_pair(a, eng.rho_jac.coeffs, 10, 8, diag_only=True)
+        assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
 
 
 def test_param_monomials_read_only():

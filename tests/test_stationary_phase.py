@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toeplitz_forge import geometry
+from toeplitz_forge import stationary_phase as sp
 from toeplitz_forge.series import PowerSeries
 from toeplitz_forge.stationary_phase import (
     ExpansionResult,
+    MorseFamily,
     PairFamily,
     PhaseData,
     gaussian_moment,
@@ -209,6 +211,92 @@ def test_morse_rejects_two_sided_pure_powers():
     phase = pair_phase({(1, 1): -1.0, (3, 0): 0.5, (0, 3): 0.5}, 8)
     with pytest.raises(ArithmeticError, match="not divisible"):
         morse_normalize(phase, K=4)
+
+
+def _recompose_one_pair(ser, A, order):
+    """The per-degree loop the online solve replaced: recompose, then correct.
+
+    Every step composes the phase with the current (iota_v, iota_vbar)
+    in full, takes the degree-D error and divides it by u.
+    """
+    u = PowerSeries.variable(0, 2, order)
+    ubar = PowerSeries.variable(1, 2, order)
+    iota_v = u * (1.0 / A)
+    iota_vbar = ubar.copy()
+    uub = u * ubar
+    for D in range(3, order + 1):
+        err = ser.substitute([iota_v, iota_vbar]) + uub
+        err_d = err.homogeneous(D)
+        if err_d.max_abs() == 0.0:
+            continue
+        scale = max(1.0, err.max_abs())
+        leak = float(np.max(np.abs(err_d.coeffs[0, :])))
+        if leak > 1e-9 * scale:
+            raise ArithmeticError(
+                f"degree-{D} correction not divisible by u (residue {leak:.3e})")
+        shifted = np.zeros_like(err_d.coeffs)  # err_d / u; its u^0 row is the leak
+        shifted[:-1, :] = err_d.coeffs[1:, :]
+        iota_vbar = iota_vbar + PowerSeries(shifted, order)
+    return iota_v, iota_vbar
+
+
+def _generic_phase(order):
+    """A complex pairing, pure-v terms and every mixed term up to order."""
+    rng = np.random.default_rng(order)
+    c = np.zeros((order + 1, order + 1), dtype=complex)
+    c[1, 1] = -(1.3 - 0.4j)
+    for i in range(1, order + 1):
+        for j in range(0, order + 1 - i):
+            if i + j >= 3:
+                c[i, j] = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
+    return PowerSeries(c, order)
+
+
+def _rel_gap(got, want):
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+@pytest.mark.parametrize("order", range(3, 15))
+@pytest.mark.parametrize("make", [gauss_phase, sphere_phase, _generic_phase],
+                         ids=["plane", "sphere", "generic"])
+def test_online_one_pair_matches_recomposition(make, order):
+    data = PhaseData.from_series(make(order))
+    A = complex(-data.hessian_pairing[0, 0])
+    got = sp._normalize_one_pair(data.series, A, order)
+    want = _recompose_one_pair(data.series, A, order)
+    for g, w in zip(got, want):
+        assert _rel_gap(g.coeffs, w.coeffs) <= 1e-13
+
+
+def test_online_one_pair_swap_branch_matches_recomposition():
+    phase = PhaseData.from_series(pair_phase({(1, 1): -1.0, (0, 3): 0.4, (2, 2): 0.3}, 10))
+    A = complex(-phase.hessian_pairing[0, 0])
+    for solve in (sp._normalize_one_pair, _recompose_one_pair):
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            solve(phase.series, A, 10)
+    flipped = PowerSeries(np.ascontiguousarray(phase.series.coeffs.T), 10)
+    got = sp._normalize_one_pair(flipped, A, 10)
+    want = _recompose_one_pair(flipped, A, 10)
+    for g, w in zip(got, want):
+        assert _rel_gap(g.coeffs, w.coeffs) <= 1e-13
+
+
+def test_morse_normalize_recomposes_nothing(monkeypatch):
+    calls = []
+    real = PowerSeries.substitute
+
+    def counted(self, args):
+        calls.append(self.order)
+        return real(self, args)
+
+    phase = PhaseData.from_series(sphere_phase(14))
+    monkeypatch.setattr(PowerSeries, "substitute", counted)
+    (kv, kvb), _ = morse_normalize(phase, 12)
+    assert calls == []
+    monkeypatch.undo()
+    u = PowerSeries.variable(0, 2, 14)
+    ubar = PowerSeries.variable(1, 2, 14)
+    assert (phase.series.substitute([kv, kvb]) + u * ubar).max_abs() <= 1e-12
 
 
 def test_morse_sphere_matches_wick():
@@ -451,8 +539,11 @@ def test_param_poly_reciprocal_inverts():
 
 
 def _sphere_family(P, M):
+    return _model_family(geometry.SphereModel(), P, M)
+
+
+def _model_family(model, P, M):
     u, ubar, dx, dzb = PairFamily.variables(P, M)
-    model = geometry.SphereModel()
     L = model.two_phi_tilde_ring
     x, zbar = dx, dzb
     y = x + u
@@ -572,3 +663,73 @@ def test_family_degenerate_pairing():
     fam.coeffs[2, 2, 0, 0] = 1.0
     with pytest.raises(ValueError, match="degenerate"):
         morse_normalize_family(fam)
+
+
+def _recompose_family(phase, tol=1e-9):
+    """The per-degree loop the online family solve replaced.
+
+    Every step rebuilds the powers of iota_vbar and recomposes the whole
+    phase with them (``_compose_grouped``), then corrects degree D - 1.
+    """
+    P, M = phase.pair_cap, phase.param_cap
+    ser = sp._scrub_boundary(phase, tol)
+    a_block = -ser.block(1, 1)
+    ainv = PowerSeries(a_block, M).reciprocal()
+    ainv_block = ainv.coeffs
+    ainv_powers = [PowerSeries.constant(1, 2, M)]
+    for _ in range(P):
+        ainv_powers.append(ainv_powers[-1] * ainv)
+    u, ubar, _, _ = PairFamily.variables(P, M)
+    iota_v = u.param_scale(ainv_block)
+    iota_vbar = ubar.copy()
+    uub = PairFamily.zeros(P, M)
+    uub.coeffs[1, 1, 0, 0] = 1.0
+    for D in range(3, P + 1):
+        vbar_powers = sp._pair_powers(iota_vbar, P)
+        err = sp._compose_grouped(ser, ainv_powers, vbar_powers) + uub
+        err_d = err.pair_homogeneous(D)
+        if not err_d.coeffs.any():
+            continue
+        scale = max(1.0, err.max_abs())
+        leak = float(np.max(np.abs(err_d.coeffs[0, :])))
+        if leak > tol * scale:
+            raise ArithmeticError(
+                f"pair-degree-{D} correction not divisible by u (residue {leak:.3e})")
+        shifted = np.zeros_like(err_d.coeffs)
+        shifted[:P, :] = err_d.coeffs[1:, :]
+        iota_vbar = iota_vbar + PairFamily(shifted, P, M)
+    vbar_powers = sp._pair_powers(iota_vbar, P)
+    jacobian = iota_vbar.diff_ubar().param_scale(ainv_block)
+    return MorseFamily(iota_v, iota_vbar, jacobian, a_block, ainv_block,
+                       ainv_powers, vbar_powers)
+
+
+@pytest.mark.parametrize("P", [6, 8, 10])
+@pytest.mark.parametrize("model", [geometry.BargmannModel(), geometry.SphereModel()],
+                         ids=["plane", "sphere"])
+def test_online_family_matches_recomposition(model, P):
+    phase = _model_family(model, P, 8)
+    got = morse_normalize_family(phase)
+    want = _recompose_family(phase)
+    assert np.array_equal(got.iota_v.coeffs, want.iota_v.coeffs)
+    assert _rel_gap(got.iota_vbar.coeffs, want.iota_vbar.coeffs) <= 1e-13
+    assert _rel_gap(got.jacobian.coeffs, want.jacobian.coeffs) <= 1e-13
+    assert len(got.vbar_powers) == len(want.vbar_powers) == P + 1
+    for g, w in zip(got.vbar_powers, want.vbar_powers):
+        assert _rel_gap(g.coeffs, w.coeffs) <= 1e-13
+
+
+def test_family_flatten_recomposes_nothing(monkeypatch):
+    calls = []
+    real = sp._compose_grouped
+
+    def counted(*args):
+        calls.append(len(args))
+        return real(*args)
+
+    phase = _sphere_family(10, 8)
+    monkeypatch.setattr(sp, "_compose_grouped", counted)
+    data = morse_normalize_family(phase)
+    assert calls == []
+    data.transport(phase)  # transport still composes, through the same helper
+    assert len(calls) == 1
