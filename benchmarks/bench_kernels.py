@@ -1,6 +1,7 @@
 """Time the conv_pair kernel, the truncated series product, series
-composition, both Morse flattenings and two callers of the composition
-engine.
+composition, both Morse flattenings, two callers of the composition
+engine and the sphere kernel quadrature behind covariant_matrix and
+bergman_gram_defect.
 
 Each time is the best of five calls after one warm-up call.
 
@@ -80,6 +81,8 @@ def _workloads():
     jobs.update({
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),
         "covariant_matrix N=32": lambda: qs.covariant_matrix(sph, berg, 32),
+        "covariant_matrix N=64": lambda: qs.covariant_matrix(sph, berg, 64),
+        "bergman_gram_defect N=64": lambda: qs.bergman_gram_defect(sph, 64),
     })
     return jobs
 

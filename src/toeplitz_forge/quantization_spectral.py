@@ -26,6 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -327,9 +328,18 @@ def contravariant_matrix(
 # covariant (kernel) matrices
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; shared, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _radial_nodes(n_radial: int):
     """Gauss-Legendre nodes for ∫_0^∞ dt via t = w/(1-w)."""
-    x, w = np.polynomial.legendre.leggauss(n_radial)
+    x, w = _gauss_legendre(n_radial)
     wn = 0.5 * (x + 1.0)
     qw = 0.5 * w
     t = wn / (1.0 - wn)
@@ -420,6 +430,13 @@ def _sphere_diagonal_quadrature(
     the exact cutoff interval, or a uniform (trigonometrically exact)
     grid when the full circle survives.
 
+    Only live radial pairs are integrated: a pair whose cutoff arc is
+    empty (c0 >= 1) adds exactly zero and is skipped.  The ordered pairs
+    (a, b) and (b, a) share the arc, the angular nodes and weights and the
+    kernel bit for bit, so those are formed once per unordered live pair;
+    the amplitude is evaluated at every ordered pair, since a jets-only
+    symbol is swap-symmetric only up to its truncation.
+
     Mode j of the angular integral is projected out for all j at once:
     by one matmul against e^{-i j beta} on the shared uniform grid, or by
     the phase recurrence vals *= e^{-i beta} on the per-pair cutoff grids.
@@ -431,40 +448,61 @@ def _sphere_diagonal_quadrature(
     rr = r[:, None] * r[None, :]
     if rho > 0.0:
         c0 = (rho * np.exp(l1p[:, None] + l1p[None, :]) - 1.0 - rr**2) / (2.0 * rr)
-        beta0 = np.arccos(np.clip(c0, -1.0, 1.0))
-        gx, gw = np.polynomial.legendre.leggauss(n_angular)
-        betas = beta0[:, :, None] * gx[None, None, :]
-        bweight = beta0[:, :, None] * gw[None, None, :]
+        live = c0 < 1.0
+    else:
+        live = np.ones(rr.shape, dtype=bool)
+    # live pairs in three blocks: the diagonal, the strict upper triangle,
+    # and its mirror image in the same order, so every per-pair array over
+    # the first two blocks (the unordered pairs) reaches the ordered ones
+    # through two slices
+    diag = np.flatnonzero(np.diag(live))
+    up_a, up_b = np.nonzero(np.triu(live, 1))
+    ua, ub = np.concatenate([diag, up_a]), np.concatenate([diag, up_b])
+    oa, ob = np.concatenate([ua, up_b]), np.concatenate([ub, up_a])
+    n_un, n_diag = ua.size, diag.size
+    if rho > 0.0:
+        beta0 = np.arccos(np.clip(c0, -1.0, 1.0))[ua, ub]
+        gx, gw = _gauss_legendre(n_angular)
+        phase = np.exp(1j * (beta0[:, None] * gx))
     else:
         grid = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular - np.pi
-        betas = np.broadcast_to(grid, (t.size, t.size, n_angular))
-        bweight = 2.0 * np.pi / n_angular
-    phase = np.exp(1j * betas)
-    del betas
-    # the (n_radial, n_radial, n_angular) tensors set the peak memory of
-    # the quadrature, so the amplitude is evaluated before the kernel and
-    # everything after it runs in place
-    x = r[:, None, None] * phase
-    amp = amplitude(x, np.broadcast_to(r[None, :, None], phase.shape))
-    del x
+        phase = np.broadcast_to(np.exp(1j * grid), (n_un, n_angular))
+    # the ordered-pair arrays set the peak memory: x is dead once the
+    # amplitude returns, so its buffer takes the amplitude, the kernel
+    # (one per unordered pair) is multiplied into it and freed, and the
+    # phase is conjugated in place for the mode recurrence
+    x = np.empty((oa.size, n_angular), dtype=complex)
+    np.multiply(r[ua, None], phase, out=x[:n_un])
+    np.multiply(r[up_b, None], phase[n_diag:], out=x[n_un:])
+    vals = x
+    vals[...] = amplitude(x, np.broadcast_to(r[ob, None], x.shape))
     # kernel e^{N log(1 + rr e^{i beta}) - N/2 (log(1+t1) + log(1+t2))}
-    vals = rr[:, :, None] * phase
-    vals += 1.0
-    np.log(vals, out=vals)
-    vals *= N
-    vals -= 0.5 * N * (l1p[:, None, None] + l1p[None, :, None])
-    np.exp(vals, out=vals)
-    vals *= bweight
-    vals *= amp
-    del amp
+    kern = rr[ua, ub][:, None] * phase
+    kern += 1.0
+    np.log(kern, out=kern)
+    kern *= N
+    kern -= 0.5 * N * (l1p[ua] + l1p[ub])[:, None]
+    np.exp(kern, out=kern)
+    if rho > 0.0:
+        kern *= beta0[:, None] * gw
+    else:
+        kern *= 2.0 * np.pi / n_angular
+    np.multiply(kern, vals[:n_un], out=vals[:n_un])
+    np.multiply(kern[n_diag:], vals[n_un:], out=vals[n_un:])
+    del kern
     if rho > 0.0:
         np.conjugate(phase, out=phase)
-        inner = np.empty((t.size, t.size, dim), dtype=complex)
+        live_inner = np.empty((oa.size, dim), dtype=complex)
         for j in range(dim):
-            np.sum(vals, axis=-1, out=inner[:, :, j])
-            vals *= phase
+            if j:
+                vals[:n_un] *= phase
+                vals[n_un:] *= phase[n_diag:]
+            np.sum(vals, axis=-1, out=live_inner[:, j])
     else:
-        inner = vals @ np.exp(-1j * np.outer(grid, np.arange(dim)))
+        live_inner = vals @ np.exp(-1j * np.outer(grid, np.arange(dim)))
+    del vals, phase
+    inner = np.zeros(rr.shape + (dim,), dtype=complex)
+    inner[oa, ob] = live_inner
     j = np.arange(dim)
     lognj = np.array(
         [math.lgamma(N + 2) - math.lgamma(k + 1) - math.lgamma(N - k + 1) for k in range(dim)]

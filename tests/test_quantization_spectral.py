@@ -1,7 +1,10 @@
 """Tests for finite-level operator matrices, norms, and decay reports."""
 
 import math
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +238,9 @@ def test_sphere_quadrature_matches_per_mode_loop(N):
         "constant": lambda x, zbar: (N + 1.0) * np.ones(np.broadcast(x, zbar).shape),
         # a function of x zbar alone is rotation invariant; |w| < 1 keeps it bounded
         "radial": lambda x, zbar: 1.0 + 0.5 * np.cos(x * zbar / (1.0 + np.abs(x * zbar))),
+        # not a function of x zbar, so not symmetric under swapping the radial
+        # pair: guards against mirroring the amplitude across (a, b) and (b, a)
+        "asymmetric": lambda x, zbar: 1 + 0.3 * x + 0.1 * zbar**2,
     }
     rho = qs.cutoff_rho(SPH)
     for name, amp in amplitudes.items():
@@ -243,6 +249,70 @@ def test_sphere_quadrature_matches_per_mode_loop(N):
             want = _per_mode_diagonal(*args)
             got = qs._sphere_diagonal_quadrature(*args)
             assert np.max(np.abs(got - want)) < 1e-13, (name, cut)
+
+
+def test_gauss_legendre_cache():
+    x, w = qs._gauss_legendre(72)
+    want_x, want_w = np.polynomial.legendre.leggauss(72)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    assert not x.flags.writeable and not w.flags.writeable
+    again = qs._gauss_legendre(72)
+    assert again[0] is x and again[1] is w
+    # the CLI's thread pools share the cache: concurrent first calls all
+    # get correct, read-only nodes
+    qs._gauss_legendre.cache_clear()
+    want_x, want_w = np.polynomial.legendre.leggauss(96)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda _: qs._gauss_legendre(96), range(32), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 32
+    for x, w in got:
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_sphere_quadrature_skips_empty_arcs():
+    N, n_angular = 64, 104
+    rho = qs.cutoff_rho(SPH)
+    seen = []
+
+    def amp(x, zbar):
+        seen.append(np.broadcast(x, zbar).size)
+        return (N + 1.0) * np.ones(np.broadcast(x, zbar).shape)
+
+    qs._sphere_diagonal_quadrature(N, N + 1, amp, rho, qs.DEFAULT_RADIAL, n_angular)
+    # ordered radial pairs whose cutoff arc is non-empty
+    t, _ = qs._radial_nodes(qs.DEFAULT_RADIAL)
+    l1p = np.log1p(t)
+    rr = np.sqrt(t)[:, None] * np.sqrt(t)[None, :]
+    c0 = (rho * np.exp(l1p[:, None] + l1p[None, :]) - 1.0 - rr**2) / (2.0 * rr)
+    live = np.count_nonzero(c0 < 1.0)
+    assert 0 < live < qs.DEFAULT_RADIAL**2
+    assert sum(seen) == n_angular * live
+
+
+@pytest.mark.parametrize("cut", [True, False])
+def test_sphere_quadrature_peak_memory(cut):
+    N = 64
+    rho = qs.cutoff_rho(SPH) if cut else 0.0
+    n_angular = N + 40 if cut else 2 * N + 8
+    amp = lambda x, zbar: (N + 1.0) * np.ones(np.broadcast(x, zbar).shape)
+    args = (N, N + 1, amp, rho, qs.DEFAULT_RADIAL, n_angular)
+    qs._sphere_diagonal_quadrature(*args)  # fill the node caches
+    tracemalloc.start()
+    try:
+        qs._sphere_diagonal_quadrature(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a full complex (n_radial, n_radial, n_angular) tensor; the all-pairs
+    # quadrature peaked at 3.16 of them with the cutoff and 2.52 without
+    full = qs.DEFAULT_RADIAL**2 * n_angular * 16
+    assert peak < 2.0 * full
 
 
 def test_bergman_gram_defect():
