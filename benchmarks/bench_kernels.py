@@ -80,8 +80,13 @@ def _workloads():
     jobs["morse_normalize_family sphere (10, 8)"] = lambda: sp.morse_normalize_family(family)
     jobs.update({
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),
+        # at N = 8 the quadrature's fixed cost (node set-up, the amplitude
+        # over every live pair, the scatter) dominates; at N = 64 the kernel
+        # power and the mode recurrence
+        "covariant_matrix N=8": lambda: qs.covariant_matrix(sph, berg, 8),
         "covariant_matrix N=32": lambda: qs.covariant_matrix(sph, berg, 32),
         "covariant_matrix N=64": lambda: qs.covariant_matrix(sph, berg, 64),
+        "bergman_gram_defect N=8": lambda: qs.bergman_gram_defect(sph, 8),
         "bergman_gram_defect N=64": lambda: qs.bergman_gram_defect(sph, 64),
     })
     return jobs

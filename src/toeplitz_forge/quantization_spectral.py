@@ -414,6 +414,64 @@ def _summed_amplitude(symbol: CovariantSymbol, N: int, K: int) -> Callable:
     return amp
 
 
+# unordered live radial pairs per block of the kernel and mode pass; a
+# block's rows, their mirrors and its phase (about 1.3 MB at 104 angular
+# nodes) stay in L2 through every mode of the cutoff recurrence
+_PAIR_BLOCK = 256
+
+
+def _pair_blocks(n_un: int, n_diag: int):
+    """Blocks of the unordered live pairs, as ``(own, mirror, off)``.
+
+    ``own`` slices the block's rows of the ordered-pair arrays.  Unordered
+    pair i >= n_diag (off the diagonal) has its mirror (b, a) at ordered
+    row n_un + i - n_diag; ``mirror`` slices those rows, and they pair
+    with the block's rows ``off:``.
+    """
+    for lo in range(0, n_un, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, n_un)
+        first = max(lo, n_diag)
+        yield slice(lo, hi), slice(n_un + first - n_diag, n_un + hi - n_diag), first - lo
+
+
+def _int_power(base: np.ndarray, n: int) -> np.ndarray:
+    """base**n for an integer n >= 0 by square-and-multiply; base is overwritten."""
+    out = None
+    while n:
+        if n & 1:
+            out = base.copy() if out is None else np.multiply(out, base, out=out)
+        n >>= 1
+        if n:
+            base *= base
+    return np.ones_like(base) if out is None else out
+
+
+def _pair_kernel(t_a: np.ndarray, t_b: np.ndarray, phase: np.ndarray, N: int) -> np.ndarray:
+    """The kernel (1 + r_a r_b e^{i beta})^N ((1+t_a)(1+t_b))^{-N/2} of pairs of rows.
+
+    Taken as q^N with q = (1 + r_a r_b e^{i beta}) ((1+t_a)(1+t_b))^{-1/2}:
+    since |1 + x zbar|^2 <= (1+|x|^2)(1+|z|^2), |q| <= 1 and no power
+    overflows.  The square root keeps q within a few ulp; the exp-log form
+    of the scale, e^{-(log1p t_a + log1p t_b)/2}, is off by about
+    log(1+t) ulp, which the power multiplies by N.
+    """
+    q = (np.sqrt(t_a) * np.sqrt(t_b))[:, None] * phase
+    q += 1.0
+    q *= (1.0 / np.sqrt((1.0 + t_a) * (1.0 + t_b)))[:, None]
+    return _int_power(q, N)
+
+
+def _mode_sums(vals: np.ndarray, phase: np.ndarray, out: np.ndarray) -> None:
+    """out[:, j] = sum over the angle of vals * phase^j, for every column j.
+
+    The phase recurrence overwrites vals.
+    """
+    for j in range(out.shape[1]):
+        if j:
+            vals *= phase
+        np.add.reduce(vals, axis=-1, out=out[:, j])
+
+
 def _sphere_diagonal_quadrature(
     N: int,
     dim: int,
@@ -437,9 +495,15 @@ def _sphere_diagonal_quadrature(
     the amplitude is evaluated at every ordered pair, since a jets-only
     symbol is swap-symmetric only up to its truncation.
 
-    Mode j of the angular integral is projected out for all j at once:
-    by one matmul against e^{-i j beta} on the shared uniform grid, or by
-    the phase recurrence vals *= e^{-i beta} on the per-pair cutoff grids.
+    The kernel is an integer power q^N with |q| <= 1 (``_pair_kernel``),
+    so it takes about 2 log2(N) complex multiplies and no transcendental.
+    One pass walks the unordered live pairs in blocks of ``_PAIR_BLOCK``:
+    each block forms its kernel and multiplies it into its rows and their
+    mirrors.  Mode j of the angular integral is then projected out for
+    all j at once: on the per-pair cutoff grids by the phase recurrence
+    vals *= e^{-i beta}, run over all modes while the block is in cache;
+    on the shared uniform grid by one matmul against e^{-i j beta} after
+    the pass.
     """
     t, tw = _radial_nodes(n_radial)
     logt = np.log(t)
@@ -468,37 +532,26 @@ def _sphere_diagonal_quadrature(
         grid = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular - np.pi
         phase = np.broadcast_to(np.exp(1j * grid), (n_un, n_angular))
     # the ordered-pair arrays set the peak memory: x is dead once the
-    # amplitude returns, so its buffer takes the amplitude, the kernel
-    # (one per unordered pair) is multiplied into it and freed, and the
-    # phase is conjugated in place for the mode recurrence
+    # amplitude returns, so its buffer takes the amplitude and then the
+    # kernel, one block at a time
     x = np.empty((oa.size, n_angular), dtype=complex)
     np.multiply(r[ua, None], phase, out=x[:n_un])
     np.multiply(r[up_b, None], phase[n_diag:], out=x[n_un:])
     vals = x
     vals[...] = amplitude(x, np.broadcast_to(r[ob, None], x.shape))
-    # kernel e^{N log(1 + rr e^{i beta}) - N/2 (log(1+t1) + log(1+t2))}
-    kern = rr[ua, ub][:, None] * phase
-    kern += 1.0
-    np.log(kern, out=kern)
-    kern *= N
-    kern -= 0.5 * N * (l1p[ua] + l1p[ub])[:, None]
-    np.exp(kern, out=kern)
-    if rho > 0.0:
-        kern *= beta0[:, None] * gw
-    else:
-        kern *= 2.0 * np.pi / n_angular
-    np.multiply(kern, vals[:n_un], out=vals[:n_un])
-    np.multiply(kern[n_diag:], vals[n_un:], out=vals[n_un:])
-    del kern
-    if rho > 0.0:
-        np.conjugate(phase, out=phase)
-        live_inner = np.empty((oa.size, dim), dtype=complex)
-        for j in range(dim):
-            if j:
-                vals[:n_un] *= phase
-                vals[n_un:] *= phase[n_diag:]
-            np.sum(vals, axis=-1, out=live_inner[:, j])
-    else:
+    del x
+    live_inner = np.empty((oa.size, dim), dtype=complex) if rho > 0.0 else None
+    for own, mirror, off in _pair_blocks(n_un, n_diag):
+        kern = _pair_kernel(t[ua[own]], t[ub[own]], phase[own], N)
+        kern *= beta0[own, None] * gw if rho > 0.0 else 2.0 * np.pi / n_angular
+        vals[own] *= kern
+        vals[mirror] *= kern[off:]
+        del kern
+        if rho > 0.0:
+            np.conjugate(phase[own], out=phase[own])
+            _mode_sums(vals[own], phase[own], live_inner[own])
+            _mode_sums(vals[mirror], phase[own][off:], live_inner[mirror])
+    if rho <= 0.0:
         live_inner = vals @ np.exp(-1j * np.outer(grid, np.arange(dim)))
     del vals, phase
     inner = np.zeros(rr.shape + (dim,), dtype=complex)
@@ -633,7 +686,7 @@ def bergman_gram_defect(
             n_angular = max(64, 2 * N + 8)
 
         def amplitude(x, zbar):
-            return (N + 1.0) * np.ones(np.broadcast(x, zbar).shape)
+            return np.broadcast_to(N + 1.0, np.broadcast(x, zbar).shape)
 
         diag = _sphere_diagonal_quadrature(N, N + 1, amplitude, 0.0, n_radial, n_angular)
         return float(np.max(np.abs(diag - 1.0)))

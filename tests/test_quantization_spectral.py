@@ -315,6 +315,100 @@ def test_sphere_quadrature_peak_memory(cut):
     assert peak < 2.0 * full
 
 
+def _live_phase(rho, n_angular):
+    """The unordered live pairs of the default grid, in the quadrature's order.
+
+    Returns (t, ua, ub, n_diag, phase): the diagonal pairs first, then the
+    strict upper triangle, and e^{i beta} at each pair's angular nodes.
+    """
+    t, _ = qs._radial_nodes(qs.DEFAULT_RADIAL)
+    l1p = np.log1p(t)
+    rr = np.sqrt(t)[:, None] * np.sqrt(t)[None, :]
+    live = np.ones(rr.shape, dtype=bool)
+    if rho > 0.0:
+        c0 = (rho * np.exp(l1p[:, None] + l1p[None, :]) - 1.0 - rr**2) / (2.0 * rr)
+        live = c0 < 1.0
+    diag = np.flatnonzero(np.diag(live))
+    up_a, up_b = np.nonzero(np.triu(live, 1))
+    ua, ub = np.concatenate([diag, up_a]), np.concatenate([diag, up_b])
+    if rho > 0.0:
+        beta0 = np.arccos(np.clip(c0, -1.0, 1.0))[ua, ub]
+        gx, _ = qs._gauss_legendre(n_angular)
+        phase = np.exp(1j * (beta0[:, None] * gx))
+    else:
+        grid = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular - np.pi
+        phase = np.broadcast_to(np.exp(1j * grid), (ua.size, n_angular))
+    return t, ua, ub, diag.size, phase
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="the oracle needs a long double wider than a double",
+)
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 64, 100, 128, 255])
+def test_pair_kernel_matches_exp_log_form(N):
+    # bit patterns of N, a power of two, and numpy's own cutoff at 100
+    # (np.power switches from repeated multiplication to cpow there).  The
+    # oracle is the exp-log form exp(N log(1 + rr e^{i beta}) - N/2 (log(1+t_a)
+    # + log(1+t_b))) taken in long double: in double, the two terms of
+    # size N log(1+t) cancel and the form itself is off by up to 6e-13 of
+    # the largest kernel at N = 255.
+    for rho, n_angular in ((qs.cutoff_rho(SPH), max(64, N + 40)), (0.0, max(64, 2 * N + 8))):
+        t, ua, ub, n_diag, phase = _live_phase(rho, n_angular)
+        rr = np.sqrt(t[ua]) * np.sqrt(t[ub])
+        l1p = np.log1p(t.astype(np.longdouble))
+        for own, _, _ in qs._pair_blocks(ua.size, n_diag):
+            got = qs._pair_kernel(t[ua[own]], t[ub[own]], phase[own], N)
+            z = 1 + rr[own, None].astype(np.longdouble) * phase[own].astype(np.clongdouble)
+            want = np.exp(N * np.log(z) - 0.5 * N * (l1p[ua[own]] + l1p[ub[own]])[:, None])
+            top = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * top, (rho, own)
+
+
+def _whole_buffer_modes(vals, phase, n_diag, dim):
+    """The mode recurrence over the whole ordered-pair buffer, unblocked.
+
+    Rows [0, n_un) are the unordered pairs and rows n_un: the mirrors of
+    pairs n_diag:; every mode streams the whole buffer once.
+    """
+    n_un = phase.shape[0]
+    out = np.empty((vals.shape[0], dim), dtype=complex)
+    for j in range(dim):
+        if j:
+            vals[:n_un] *= phase
+            vals[n_un:] *= phase[n_diag:]
+        np.sum(vals, axis=-1, out=out[:, j])
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 37])
+def test_blocked_mode_recurrence_is_bit_identical(block, monkeypatch):
+    if block is not None:
+        # blocks that hold only diagonal pairs, whose mirror slices are empty
+        monkeypatch.setattr(qs, "_PAIR_BLOCK", block)
+    N, n_angular = 64, 104
+    _, ua, _, n_diag, phase = _live_phase(qs.cutoff_rho(SPH), n_angular)
+    n_un = ua.size
+    assert n_un > qs._PAIR_BLOCK and n_un % qs._PAIR_BLOCK != 0
+    phase = np.conjugate(phase)
+    rng = np.random.default_rng(5)
+    shape = (2 * n_un - n_diag, n_angular)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = _whole_buffer_modes(vals.copy(), phase, n_diag, N + 1)
+    got = np.empty_like(want)
+    for own, mirror, off in qs._pair_blocks(n_un, n_diag):
+        qs._mode_sums(vals[own], phase[own], got[own])
+        qs._mode_sums(vals[mirror], phase[own][off:], got[mirror])
+    assert np.array_equal(got, want)
+    # and the whole quadrature does not depend on where the blocks fall
+    amp = lambda x, zbar: 1 + 0.3 * x + 0.1 * zbar**2
+    runs = [(N, N + 1, amp, rho, qs.DEFAULT_RADIAL, n_angular) for rho in (qs.cutoff_rho(SPH), 0.0)]
+    blocked = [qs._sphere_diagonal_quadrature(*args) for args in runs]
+    monkeypatch.setattr(qs, "_PAIR_BLOCK", 10**6)  # one block
+    for args, want in zip(runs, blocked):
+        assert np.array_equal(qs._sphere_diagonal_quadrature(*args), want), args[3]
+
+
 def test_bergman_gram_defect():
     for N in (4, 8, 16, 32, 64):
         assert qs.bergman_gram_defect(SPH, N) < 1e-10
