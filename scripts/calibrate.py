@@ -73,13 +73,9 @@ def calibrate_sharp_class(batch=12, seed=20240502) -> float:
         g = random_sphere_symbol(rng)
         if f.norm_estimate() < 1e-6 or g.norm_estimate() < 1e-6:
             continue
-        prod = cc.sharp_product(f, g, K=2)
-        for (r, R, m) in grids:
-            nf = f.norm_estimate(r=r, R=R, m=m)
-            ng = g.norm_estimate(r=2 * r, R=2 * R, m=m)
-            npp = prod.norm_estimate(r=2 * r, R=2 * R, m=m)
-            if nf > 1e-9 and ng > 1e-9:
-                worst = max(worst, npp / (nf * ng))
+        for row in cc.class_stability_check(f, g, 2, grids):
+            if row["norm_f"] > 1e-9 and row["norm_g"] > 1e-9:
+                worst = max(worst, row["ratio"])
     return 1.05 * worst
 
 

@@ -309,26 +309,16 @@ def calibrate_hard_sum(n: int, d: int, ell_max: int = 200, m_max: int = 24) -> f
 
 
 def calibrate_easy_sum(d: int, j_max: int = 200, m_max: int = 24) -> float:
-    """Smallest C with value <= 2 + C (3/4)^m on the calibration domain."""
+    """Smallest C with value <= 2 + C (3/4)^m on the calibration domain.
+
+    Exact rationals up to the j cutoff, longdouble beyond, nudged up as in
+    ``calibrate_hard_sum``.
+    """
     worst = 0.0
     for j in range(0, j_max + 1):
         for m in range(_legal_m_easy(d), m_max + 1):
-            res_exact = j <= EXACT_ELL_LIMIT
-            if res_exact:
-                value = float(
-                    sum(
-                        Fraction(
-                            min(i + 1, j - i + 1) ** d * (j + 1) ** m,
-                            ((i + 1) ** m) * ((j - i + 1) ** m),
-                        )
-                        for i in range(j + 1)
-                    )
-                )
-            else:
-                i = np.arange(j + 1, dtype=np.longdouble)
-                top = np.minimum(i + 1, j - i + 1) ** d * np.longdouble(j + 1) ** m
-                value = float(np.sum(top / ((i + 1) ** m * (j - i + 1) ** m)))
-            gap = (value - 2.0) * (4.0 / 3.0) ** m
+            res = lem_easy_sum(j, d, m, exact=j <= EXACT_ELL_LIMIT)
+            gap = (float(res.value) - 2.0) * (4.0 / 3.0) ** m
             worst = max(worst, gap)
     for _ in range(4):
         worst = math.nextafter(worst, math.inf)

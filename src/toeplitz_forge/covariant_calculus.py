@@ -27,6 +27,9 @@ F = f_l(dx, dzbar + iota_vbar) and G the holomorphic one.  W_0[F, G] is
 plain multiplication by construction (rho J starts at 1), so inverting
 sharp is a triangular recursion whose division happens in the truncated
 jet ring, where it is exact.
+
+Composition, inversion and the contravariant transform share one driver:
+``_per_node`` runs the per-node step, and ``_wick_sum`` is the sum above.
 """
 
 from __future__ import annotations
@@ -140,9 +143,6 @@ class CovariantSymbol:
     def m(self) -> int:
         return self.jets[0].m
 
-    def coeff_jet(self, node_index: int, k: int) -> PowerSeries:
-        return self.jets[node_index].coeffs[k]
-
     def node_values(self, k: int) -> np.ndarray:
         """Coefficient k restricted to the diagonal grid."""
         return np.array(
@@ -162,15 +162,25 @@ class CovariantSymbol:
         """Coefficient k at a polarized point, preferring the exact evaluator."""
         if self.global_eval is not None:
             return self.global_eval(k, np.asarray(x, dtype=complex), np.asarray(zbar, dtype=complex))
+        return self._jets_value({k: 1.0}, x, zbar)
+
+    def _jets_value(self, weights: dict, x, zbar) -> np.ndarray:
+        """sum_k weights[k] times coefficient k at polarized points, from the
+        node jets: each point is located once, and each node's blocks are
+        combined before the powers of its offsets meet them."""
         idx, a, bbar = frame_pair_offsets(self, x, zbar)
-        out = np.empty(np.shape(idx), dtype=complex)
-        flat_idx = np.atleast_1d(idx)
-        fa, fb = np.atleast_1d(a), np.atleast_1d(bbar)
-        res = np.atleast_1d(out)
+        flat_idx, fa, fb = np.ravel(idx), np.ravel(a), np.ravel(bbar)
+        out = np.zeros(flat_idx.shape, dtype=complex)
         for i in np.unique(flat_idx):
             sel = flat_idx == i
-            res[sel] = self.jet_eval(int(i), k, fa[sel], fb[sel])
-        return out if out.shape else complex(res[0])
+            coeffs = self.jets[int(i)].coeffs
+            c = np.zeros(coeffs[0].coeffs.shape, dtype=complex)
+            for k, w in weights.items():
+                c += w * np.asarray(coeffs[k].coeffs, dtype=complex)
+            pow_a = fa[sel, None] ** np.arange(c.shape[0])
+            pow_b = fb[sel, None] ** np.arange(c.shape[1])
+            out[sel] = np.sum((pow_a @ c) * pow_b, axis=1)
+        return out.reshape(np.shape(idx))
 
     def norm_estimate(self, r=None, R=None, m=None) -> float:
         """Symbol-class norm: worst node-jet estimate."""
@@ -189,9 +199,9 @@ def frame_pair_offsets(symbol: CovariantSymbol, x, zbar):
     x = np.asarray(x, dtype=complex)
     zbar = np.asarray(zbar, dtype=complex)
     if not geom.compact:
-        idx = np.zeros(np.broadcast(x, zbar).shape, dtype=int)
+        x, zbar = np.broadcast_arrays(x, zbar)
         node = symbol.nodes[0]
-        return idx, x - node, zbar - np.conj(node)
+        return np.zeros(x.shape, dtype=int), x - node, zbar - np.conj(node)
     if symbol.rotation_invariant:
         # f(e^{ig} x, e^{-ig} zbar) = f(x, zbar): rotate the pair midpoint
         # onto the positive real meridian before taking offsets
@@ -445,31 +455,24 @@ def _block_from_jet(jet: PowerSeries, cap: int) -> np.ndarray:
     return out
 
 
-def _substitute_left(jet: PowerSeries, eng: _Engine) -> PairFamily:
-    """f(dx, dzbar + iota_vbar): the first slot is not integrated over."""
+def _substitute(jet: PowerSeries, eng: _Engine, left: bool) -> PairFamily:
+    """The left factor f(dx, dzbar + iota_vbar) or the right factor
+    g(dx + iota_v, dzbar): the slot that is not integrated over stays a
+    parameter, the other takes the Morse substitution power by power."""
     M = eng.param_cap
     c = _block_from_jet(jet, M)
-    acc = PairFamily.zeros(eng.pair_cap, M)
-    for t in range(M + 1):
-        if not np.any(c[:, t]):
-            continue
-        col = np.zeros((M + 1, M + 1), dtype=np.complex128)
-        col[:, 0] = c[:, t]
-        acc = acc + eng.z_powers[t].param_scale(col)
-    return acc
-
-
-def _substitute_right(jet: PowerSeries, eng: _Engine) -> PairFamily:
-    """g(dx + iota_v, dzbar): the second slot is not integrated over."""
-    M = eng.param_cap
-    c = _block_from_jet(jet, M)
+    powers = eng.z_powers if left else eng.x_powers
     acc = PairFamily.zeros(eng.pair_cap, M)
     for s in range(M + 1):
-        if not np.any(c[s, :]):
+        line = c[:, s] if left else c[s, :]
+        if not np.any(line):
             continue
-        row = np.zeros((M + 1, M + 1), dtype=np.complex128)
-        row[0, :] = c[s, :]
-        acc = acc + eng.x_powers[s].param_scale(row)
+        kept = np.zeros((M + 1, M + 1), dtype=np.complex128)
+        if left:
+            kept[:, 0] = line
+        else:
+            kept[0, :] = line
+        acc = acc + powers[s].param_scale(kept)
     return acc
 
 
@@ -522,11 +525,23 @@ def _jet_list(sym: CovariantSymbol, i: int, K: int) -> list:
     return [stored[k] if k <= sym.K else zero for k in range(K + 1)]
 
 
-def _sharp_node(eng: _Engine, fjets: list, gjets: list, K: int) -> list:
-    """(f sharp g)_k as param blocks at one node, k = 0..K."""
+def _per_node(syms: Sequence[CovariantSymbol], K: int, solve: Callable) -> list:
+    """solve(jets of syms[0], jets of syms[1], ...) at every node; nodes
+    whose jets are byte-identical in every symbol share one call."""
+    per_node: list = []
+    cache: dict = {}
+    for i in range(len(syms[0].nodes)):
+        key = tuple(_node_key(s, i) for s in syms)
+        if key not in cache:
+            cache[key] = solve(*(_jet_list(s, i, K) for s in syms))
+        per_node.append(cache[key])
+    return per_node
+
+
+def _wick_sum(eng: _Engine, F: list, G: list, K: int) -> list:
+    """sum over l + j + n = k of W_n[F_l, G_j] as param blocks, k = 0..K,
+    for substituted families F_l, G_j (zero families are skipped)."""
     M = eng.param_cap
-    F = [_substitute_left(fjets[l], eng) for l in range(K + 1)]
-    G = [_substitute_right(gjets[j], eng) for j in range(K + 1)]
     out = [np.zeros((M + 1, M + 1), dtype=np.complex128) for _ in range(K + 1)]
     for l in range(K + 1):
         if not np.any(F[l].coeffs):
@@ -538,6 +553,13 @@ def _sharp_node(eng: _Engine, fjets: list, gjets: list, K: int) -> list:
             for n, block in enumerate(tower):
                 out[l + j + n] += block
     return out
+
+
+def _sharp_node(eng: _Engine, fjets: list, gjets: list, K: int) -> list:
+    """(f sharp g)_k as param blocks at one node, k = 0..K."""
+    F = [_substitute(jet, eng, left=True) for jet in fjets]
+    G = [_substitute(jet, eng, left=False) for jet in gjets]
+    return _wick_sum(eng, F, G, K)
 
 
 def _assemble(
@@ -581,13 +603,7 @@ def sharp_product(
     _check_pair(f, g)
     P = _pair_cap(K, pair_cap)
     eng = _engine(f.geometry, P, f.order)
-    per_node: list = []
-    cache: dict = {}
-    for i in range(len(f.nodes)):
-        key = (_node_key(f, i), _node_key(g, i))
-        if key not in cache:
-            cache[key] = _sharp_node(eng, _jet_list(f, i, K), _jet_list(g, i, K), K)
-        per_node.append(cache[key])
+    per_node = _per_node((f, g), K, lambda fj, gj: _sharp_node(eng, fj, gj, K))
     # class bookkeeping: the product lives in the doubled class
     # S^{2r,2R}_m, but the stored parameters stay at the template's values
     # so summation cutoffs keep their natural scale; class-stability
@@ -618,57 +634,37 @@ def solve_sharp(
     _check_pair(f, h)
     P = _pair_cap(K, pair_cap)
     eng = _engine(f.geometry, P, f.order)
-    M = eng.param_cap
-    per_node: list = []
-    cache: dict = {}
-    for i in range(len(f.nodes)):
-        key = (_node_key(f, i), _node_key(h, i))
-        if key not in cache:
-            cache[key] = _solve_node(eng, _jet_list(f, i, K), _jet_list(h, i, K), K, M)
-        per_node.append(cache[key])
+    per_node = _per_node((f, h), K, lambda fj, hj: _solve_node(eng, fj, hj, K))
     invariant = f.rotation_invariant and h.rotation_invariant
     return _assemble(h, per_node, K, invariant)
 
 
-def _solve_node(eng: _Engine, fjets: list, hjets: list, K: int, M: int) -> list:
+def _solve_node(eng: _Engine, fjets: list, hjets: list, K: int) -> list:
+    M = eng.param_cap
     f0 = PowerSeries(_block_from_jet(fjets[0], M), M)
     if abs(f0.constant_term()) < 1e-12:
         raise ArithmeticError("leading coefficient f_0 vanishes at a node")
     Dinv = (f0 * PowerSeries(eng.w0, M)).reciprocal()
-    F = [_substitute_left(fjets[l], eng) for l in range(K + 1)]
-    g_blocks: list = []
-    G_fams: list = []
-    towers: dict = {}
+    F = [_substitute(jet, eng, left=True) for jet in fjets]
     hb = [_block_from_jet(hjets[k], M) for k in range(K + 1)]
+    # rem[k] is h_k minus every bracket W_n[f_l, g_j] with l + j + n = k
+    # found so far, subtracted as soon as g_j is solved.  When step k is
+    # reached only g_{<k} have entered, so rem[k] is the right-hand side of
+    # W_0[f_0, g_k]; after the last step it is minus the assembled residual
+    rem = [b.copy() for b in hb]
+    g_blocks: list = []
     for k in range(K + 1):
-        acc = hb[k].copy()
-        for j in range(k):
-            for l in range(K + 1 - j):
-                n = k - l - j
-                if n < 0:
-                    continue
-                acc -= towers[(l, j)][n]
-        gk = PowerSeries(acc, M) * Dinv
+        gk = PowerSeries(rem[k], M) * Dinv
         g_blocks.append(gk.coeffs)
-        Gk = _substitute_right(gk, eng)
-        G_fams.append(Gk)
+        Gk = _substitute(gk, eng, left=False)
         for l in range(K + 1 - k):
             if np.any(F[l].coeffs):
-                towers[(l, k)] = _bracket_tower(F[l], Gk, eng, K - l - k)
-            else:
-                towers[(l, k)] = [np.zeros((M + 1, M + 1), dtype=np.complex128)] * (K - l - k + 1)
-    # assembled residual: the recursion is division in an exact ring, so
-    # anything beyond float noise (relative to the solved coefficients,
-    # which grow like powers of 1/f_0) means the caps were violated
-    worst = 0.0
-    for k in range(K + 1):
-        acc = -hb[k]
-        for j in range(k + 1):
-            for l in range(K + 1 - j):
-                n = k - l - j
-                if n >= 0:
-                    acc = acc + towers[(l, j)][n]
-        worst = max(worst, float(np.max(np.abs(acc))))
+                for n, block in enumerate(_bracket_tower(F[l], Gk, eng, K - l - k)):
+                    rem[l + k + n] -= block
+    # the recursion is division in an exact ring, so a residual beyond
+    # float noise (relative to the solved coefficients, which grow like
+    # powers of 1/f_0) means the caps were violated
+    worst = max(float(np.max(np.abs(r))) for r in rem)
     scale = max(1.0, max(float(np.max(np.abs(b))) for b in hb),
                 max(float(np.max(np.abs(b))) for b in g_blocks))
     if worst > _SOLVE_TOL * scale:
@@ -772,41 +768,31 @@ def contravariant_to_covariant(
     three-factor amplitude a(x, wbar) f~(y, wbar-extension) a(y, zbar):
     the Bergman symbol rides both kernel factors and the diagonal
     function's polarization sits in the middle with both slots
-    substituted.  f is handed over as its K=0 jet family (the polarized
-    extension near the diagonal).
+    substituted.  f is handed over as its jet family (the polarized
+    extension near the diagonal).  Per node, L_k = sum_{l+i=k} a_l f_i
+    (left and middle substitutions) enters the Wick sum against a (right).
     """
     P = _pair_cap(K, pair_cap)
     if f.order < 1:
         raise ValueError("the diagonal function needs a positive jet order")
     a = bergman_symbol(f.geometry, K, order=f.order, r=f.r, R=f.R, m=f.m)
     eng = _engine(f.geometry, P, f.order)
-    M = eng.param_cap
-    per_node = []
-    cache: dict = {}
-    for i in range(len(f.nodes)):
-        key = _node_key(f, i)
-        if key not in cache:
-            ajets = _jet_list(a, min(i, len(a.nodes) - 1), K)
-            A_left = [_substitute_left(j, eng) for j in ajets]
-            A_right = [_substitute_right(j, eng) for j in ajets]
-            mids = [_substitute_middle(j, eng) for j in _jet_list(f, i, K)]
-            out = [np.zeros((M + 1, M + 1), dtype=np.complex128) for _ in range(K + 1)]
-            for l in range(K + 1):
-                if not np.any(A_left[l].coeffs):
-                    continue
-                for fi in range(K + 1 - l):
-                    if not np.any(mids[fi].coeffs):
-                        continue
-                    lf = A_left[l] * mids[fi]
-                    for j in range(K + 1 - l - fi):
-                        if not np.any(A_right[j].coeffs):
-                            continue
-                        tower = _bracket_tower(lf, A_right[j], eng, K - l - fi - j)
-                        for n, block in enumerate(tower):
-                            out[l + fi + j + n] += block
-            cache[key] = out
-        per_node.append(cache[key])
-    return _assemble(f, per_node, K, f.rotation_invariant)
+    # the Bergman symbol is constant and its node jets are byte-identical,
+    # so its substitutions serve every node
+    ajets = _jet_list(a, 0, K)
+    A_left = [_substitute(jet, eng, left=True) for jet in ajets]
+    A_right = [_substitute(jet, eng, left=False) for jet in ajets]
+
+    def node(fjets: list) -> list:
+        mids = [_substitute_middle(jet, eng) for jet in fjets]
+        L = []
+        for k in range(K + 1):
+            terms = [A_left[l] * mids[k - l] for l in range(k + 1)
+                     if np.any(A_left[l].coeffs) and np.any(mids[k - l].coeffs)]
+            L.append(sum(terms, PairFamily.zeros(eng.pair_cap, eng.param_cap)))
+        return _wick_sum(eng, L, A_right, K)
+
+    return _assemble(f, _per_node((f,), K, node), K, f.rotation_invariant)
 
 
 def wick_degree_check(
@@ -916,21 +902,21 @@ def normalized_sharp(f: CovariantSymbol, g: CovariantSymbol, K: int) -> Covarian
 
 
 def class_stability_check(
-    f: CovariantSymbol, g: CovariantSymbol, K: int, r: float, R: float, m: int
-) -> dict:
-    """The two-class product bound with the calibrated constant.
+    f: CovariantSymbol, g: CovariantSymbol, K: int, grids: Sequence[tuple]
+) -> list:
+    """The two-class product bound with the calibrated constant, per grid.
 
-    Measures ||f sharp g|| in S^{2r,2R}_m against
+    One product f sharp g serves every (r, R, m) in ``grids``; each row
+    measures ||f sharp g|| in S^{2r,2R}_m against
     C ||f||_{r,R,m} ||g||_{2r,2R,m}.
     """
     prod = sharp_product(f, g, K)
-    nf = f.norm_estimate(r=r, R=R, m=m)
-    ng = g.norm_estimate(r=2.0 * r, R=2.0 * R, m=m)
-    np_ = prod.norm_estimate(r=2.0 * r, R=2.0 * R, m=m)
-    bound = constants.SHARP_CLASS_C * nf * ng
-    return {
-        "product_norm": np_,
-        "bound": bound,
-        "holds": np_ <= bound,
-        "ratio": np_ / (nf * ng) if nf * ng > 0 else math.inf,
-    }
+    rows = []
+    for (r, R, m) in grids:
+        nf = f.norm_estimate(r=r, R=R, m=m)
+        ng = g.norm_estimate(r=2.0 * r, R=2.0 * R, m=m)
+        np_ = prod.norm_estimate(r=2.0 * r, R=2.0 * R, m=m)
+        bound = constants.SHARP_CLASS_C * nf * ng
+        rows.append(dict(r=r, R=R, m=m, norm_f=nf, norm_g=ng, product_norm=np_, bound=bound,
+                         holds=np_ <= bound, ratio=np_ / (nf * ng) if nf * ng > 0 else math.inf))
+    return rows

@@ -162,7 +162,6 @@ class BargmannModel(ModelGeometry):
     name = "bargmann"
     compact = False
     injectivity_radius = math.inf
-    total_volume = math.inf
 
     def two_phi_tilde(self, x, wbar):
         return np.multiply(x, wbar)
@@ -201,7 +200,6 @@ class SphereModel(ModelGeometry):
     name = "sphere"
     compact = True
     injectivity_radius = math.pi / math.sqrt(2.0)
-    total_volume = 1.0
 
     def two_phi_tilde(self, x, wbar):
         return np.log(1.0 + np.asarray(x, dtype=complex) * np.asarray(wbar, dtype=complex))
@@ -256,11 +254,6 @@ class SphereModel(ModelGeometry):
         wbar = np.asarray(wbar, dtype=complex)
         d = 1.0 + y * wbar
         return (y + wbar) / d, -1j * (y - wbar) / d, (1.0 - y * wbar) / d
-
-    @staticmethod
-    def chart_flip(z):
-        """Transition to the opposite affine chart."""
-        return 1.0 / z
 
 
 def bargmann() -> BargmannModel:

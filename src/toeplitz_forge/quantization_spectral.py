@@ -361,12 +361,14 @@ def _resolve_truncation(symbol: CovariantSymbol, N: int, K: Optional[int]) -> in
 
 
 def _summed_amplitude(symbol: CovariantSymbol, N: int, K: int) -> Callable:
-    top = min(K, symbol.K)
+    """The level-N kernel amplitude N sum_{k <= K} N^{-k} s_k at polarized points."""
+    weights = {k: float(N) ** (-k) for k in range(min(K, symbol.K) + 1)}
     if symbol.constant_coeffs is not None:
         # a constant amplitude is one scalar, whatever the shape of the grid
         total = np.zeros((), dtype=complex)
-        for k in range(top + 1):
-            total = total + float(N) ** (-k) * symbol.constant_coeffs[k]
+        for k, w in weights.items():
+            total = total + w * symbol.constant_coeffs[k]
+        total = float(N) * total
 
         def amp(x, zbar):
             return np.broadcast_to(total, np.broadcast(x, zbar).shape)
@@ -377,39 +379,14 @@ def _summed_amplitude(symbol: CovariantSymbol, N: int, K: int) -> Callable:
 
         def amp(x, zbar):
             acc = np.zeros(np.broadcast(x, zbar).shape, dtype=complex)
-            for k in range(top + 1):
-                acc = acc + float(N) ** (-k) * symbol.value(k, x, zbar)
-            return acc
+            for k, w in weights.items():
+                acc = acc + w * symbol.value(k, x, zbar)
+            return float(N) * acc
 
         return amp
 
-    # jets-only symbols: combine sum_k N^{-k} c_k into one block per node,
-    # then locate each evaluation point once
-    from .covariant_calculus import frame_pair_offsets
-
-    combined = []
-    for jet in symbol.jets:
-        shape = jet.coeffs[0].coeffs.shape
-        block = np.zeros(shape, dtype=complex)
-        for k in range(top + 1):
-            block += float(N) ** (-k) * np.asarray(jet.coeffs[k].coeffs, dtype=complex)
-        combined.append(block)
-
     def amp(x, zbar):
-        x = np.asarray(x, dtype=complex)
-        zbar = np.asarray(zbar, dtype=complex)
-        idx, a, bbar = frame_pair_offsets(symbol, x, zbar)
-        flat_idx = np.atleast_1d(idx).ravel()
-        fa = np.atleast_1d(a).ravel()
-        fb = np.atleast_1d(bbar).ravel()
-        out = np.zeros(flat_idx.shape, dtype=complex)
-        for i in np.unique(flat_idx):
-            sel = flat_idx == i
-            c = combined[int(i)]
-            pow_a = fa[sel, None] ** np.arange(c.shape[0])
-            pow_b = fb[sel, None] ** np.arange(c.shape[1])
-            out[sel] = np.sum((pow_a @ c) * pow_b, axis=1)
-        return out.reshape(np.broadcast(x, zbar).shape)
+        return float(N) * symbol._jets_value(weights, x, zbar)
 
     return amp
 
@@ -661,11 +638,7 @@ def covariant_matrix(
     if n_angular is None:
         n_angular = max(64, N + 40) if rho > 0.0 else max(64, 2 * N + 8)
     amp = _summed_amplitude(symbol, N, K_used)
-
-    def amplitude(x, zbar):
-        return float(N) * amp(x, zbar)
-
-    diag = _sphere_diagonal_quadrature(N, basis.dim, amplitude, rho, n_radial, n_angular)
+    diag = _sphere_diagonal_quadrature(N, basis.dim, amp, rho, n_radial, n_angular)
     return OperatorMatrix(np.diag(diag), N, label=f"kernel[K={K_used}]")
 
 
@@ -736,7 +709,7 @@ def bergman_kernel_error(
     dist = geometry.geodesic_distance(x, y)
     inside = dist <= eps
     psi = np.exp(N * geometry.two_phi_tilde(x, np.conj(y)))
-    approx = float(N) * amp(x, np.conj(y)) * psi * np.where(inside, 1.0, 0.0)
+    approx = amp(x, np.conj(y)) * psi * np.where(inside, 1.0, 0.0)
     exact = geometry.bergman_kernel(N, x, np.conj(y))
     err = np.abs(approx - exact) * np.exp(logw)
     return float(np.max(err))

@@ -631,14 +631,6 @@ class PairFamily(TruncatedRing):
         out[sel] = self.coeffs[sel]
         return self._new(out)
 
-    def pair_shift(self, di: int, dj: int) -> "PairFamily":
-        """Multiply by u^di ubar^dj."""
-        out = np.zeros_like(self.coeffs)
-        P = self.pair_cap
-        if di <= P and dj <= P:
-            out[di:, dj:] = self.coeffs[: P + 1 - di, : P + 1 - dj]
-        return self._new(out)
-
     def param_scale(self, block: np.ndarray) -> "PairFamily":
         """Multiply by a parameter-only polynomial (a (M+1, M+1) array)."""
         return self._new(_truncated_product(np.asarray(block), self.coeffs, self.param_cap))

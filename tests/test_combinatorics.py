@@ -190,6 +190,41 @@ def test_easy_sum_small_values():
     assert res.value == 2 and res.holds
 
 
+def _easy_sum_calibration_loop(d, j_max, m_max):
+    """The calibration sweep with its own copy of both value formulas."""
+    import numpy as np
+
+    worst = 0.0
+    for j in range(0, j_max + 1):
+        for m in range(max(d + 2, 2 * (d + 1)), m_max + 1):
+            if j <= cb.EXACT_ELL_LIMIT:
+                value = float(
+                    sum(
+                        Fraction(
+                            min(i + 1, j - i + 1) ** d * (j + 1) ** m,
+                            ((i + 1) ** m) * ((j - i + 1) ** m),
+                        )
+                        for i in range(j + 1)
+                    )
+                )
+            else:
+                i = np.arange(j + 1, dtype=np.longdouble)
+                top = np.minimum(i + 1, j - i + 1) ** d * np.longdouble(j + 1) ** m
+                value = float(np.sum(top / ((i + 1) ** m * (j - i + 1) ** m)))
+            worst = max(worst, (value - 2.0) * (4.0 / 3.0) ** m)
+    for _ in range(4):
+        worst = math.nextafter(worst, math.inf)
+    return worst
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_calibrate_easy_sum_matches_own_loop(d):
+    # the domain crosses EXACT_ELL_LIMIT, so both value paths are compared
+    j_max = 70
+    assert j_max > cb.EXACT_ELL_LIMIT
+    assert cb.calibrate_easy_sum(d, j_max=j_max, m_max=8) == _easy_sum_calibration_loop(d, j_max, 8)
+
+
 def test_sum_lemma_bounds_hold_on_sweep():
     # sampled sweep inside the calibration domain
     for n in (2, 3):

@@ -1,5 +1,6 @@
 """Sharp-product calculus: node frames, composition, inversion, brackets."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -108,6 +109,36 @@ def test_euclid_jets_match_exact_evaluator():
                 jet = complex(sym.jet_eval(i, k, a, bb))
                 exact = complex(sym.global_eval(k, x, zbar))
                 assert abs(jet - exact) <= 1e-9
+
+
+def test_jets_value_sums_located_node_jets():
+    # without the exact evaluator, value() and the weighted sum the
+    # quadratures use read the jet of the node each point is located at
+    exact = cc.symbol_from_euclid_poly(
+        SPHERE, [{(1, 0, 1): 0.5, (0, 0, 2): 1.0}, {(0, 1, 0): 1.0j}]
+    )
+    sym = dataclasses.replace(exact, global_eval=None)
+    rng = np.random.default_rng(3)
+    nodes = sym.nodes[rng.integers(0, 12, 40)]
+    a = rng.uniform(-0.05, 0.05, 40) + 1j * rng.uniform(-0.05, 0.05, 40)
+    bb = rng.uniform(-0.05, 0.05, 40) + 1j * rng.uniform(-0.05, 0.05, 40)
+    x = cc.frame_to_chart(SPHERE, nodes, a).reshape(5, 8)
+    zbar = ((bb + np.conj(nodes)) / (1.0 - nodes * bb)).reshape(5, 8)
+    idx, fa, fb = cc.frame_pair_offsets(sym, x, zbar)
+    want = [np.array([sym.jet_eval(i, k, u, v) for i, u, v in zip(idx.ravel(), fa.ravel(), fb.ravel())])
+            .reshape(x.shape) for k in range(2)]
+    for k in range(2):
+        got = sym.value(k, x, zbar)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want[k])) <= 1e-13 * np.max(np.abs(want[k]))
+        assert np.max(np.abs(got - exact.value(k, x, zbar))) <= 1e-7
+    mixed = sym._jets_value({0: 1.0, 1: 0.25}, x, zbar)
+    assert np.max(np.abs(mixed - (want[0] + 0.25 * want[1]))) <= 1e-13 * np.max(np.abs(want[0]))
+    # plane jets are the polynomials themselves; the points broadcast
+    plane = dataclasses.replace(cc.symbol_from_plane_poly(PLANE, [{(1, 1): 1.0, (0, 2): 0.5}]),
+                                global_eval=None)
+    x, zbar = np.linspace(-1, 1, 3)[:, None] + 0.5j, np.linspace(-2, 2, 4)[None, :]
+    assert np.max(np.abs(plane.value(0, x, zbar) - (x * zbar + 0.5 * zbar**2))) <= 1e-15
 
 
 def test_pullback_jets_stay_tame_at_pole_nodes():
@@ -533,6 +564,18 @@ def test_sharp_inverse_vanishing_leading_term():
         cc.sharp_inverse(f, K=1)
 
 
+def test_solve_sharp_residual_guard(monkeypatch):
+    # a W_0 weight 1% off solves every g_k 1% wrong; only the assembled
+    # residual can see it, since the recursion itself divides exactly
+    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.4}], order=6)
+    h = cc.unit_covariant(SPHERE, order=6)
+    cc.solve_sharp(f, h, K=2)
+    true_w0 = cc._Engine.w0.fget
+    monkeypatch.setattr(cc._Engine, "w0", property(lambda eng: 1.01 * true_w0(eng)))
+    with pytest.raises(ArithmeticError, match="residual"):
+        cc.solve_sharp(f, h, K=2)
+
+
 def test_sharp_inverse_report_rows():
     f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.2}], order=6)
     rep = cc.sharp_inverse_report(f, K=2)
@@ -573,6 +616,73 @@ def test_contravariant_x3_full_expansion():
     base = x3.node_values(0)
     for k in range(4):
         assert np.max(np.abs(t.node_values(k) - gamma[k] * base)) < 1e-9
+
+
+def _triple_loop_contravariant(f, K):
+    """Per-node blocks of T_N(f) by the former triple loop: one bracket per
+    (l, i, j) of a_l(left) f_i(middle) against a_j(right)."""
+    a = cc.bergman_symbol(f.geometry, K, order=f.order, r=f.r, R=f.R, m=f.m)
+    eng = cc._engine(f.geometry, 2 * K + 2, f.order)
+    M = eng.param_cap
+    per_node = []
+    for i in range(len(f.nodes)):
+        ajets = cc._jet_list(a, min(i, len(a.nodes) - 1), K)
+        A_left = [cc._substitute(j, eng, left=True) for j in ajets]
+        A_right = [cc._substitute(j, eng, left=False) for j in ajets]
+        mids = [cc._substitute_middle(j, eng) for j in cc._jet_list(f, i, K)]
+        out = [np.zeros((M + 1, M + 1), dtype=np.complex128) for _ in range(K + 1)]
+        for l in range(K + 1):
+            if not np.any(A_left[l].coeffs):
+                continue
+            for fi in range(K + 1 - l):
+                if not np.any(mids[fi].coeffs):
+                    continue
+                lf = A_left[l] * mids[fi]
+                for j in range(K + 1 - l - fi):
+                    if not np.any(A_right[j].coeffs):
+                        continue
+                    tower = cc._bracket_tower(lf, A_right[j], eng, K - l - fi - j)
+                    for n, block in enumerate(tower):
+                        out[l + fi + j + n] += block
+        per_node.append(out)
+    return per_node
+
+
+def test_contravariant_cauchy_combination_matches_triple_loop():
+    # three stored coefficients, so L_k = sum_{l+i=k} a_l f_i has two terms
+    # from k = 1 on (the sphere's a_0 = a_1 = 1)
+    f = cc.symbol_from_euclid_poly(
+        SPHERE,
+        [{(0, 0, 1): 1.0}, {(0, 0, 2): 0.5, (1, 0, 0): 0.3}, {(0, 0, 0): -0.2, (0, 0, 1): 0.7}],
+        order=6,
+    )
+    K = 2
+    got = cc.contravariant_to_covariant(f, K=K)
+    want = _triple_loop_contravariant(f, K)
+    for k in range(K + 1):
+        scale = max(np.max(np.abs(blocks[k])) for blocks in want)
+        for i, blocks in enumerate(want):
+            diff = np.max(np.abs(np.asarray(got.jets[i].coeffs[k].coeffs) - blocks[k]))
+            assert diff <= 1e-14 * scale, (i, k, diff / scale)
+
+
+def test_contravariant_substitutes_bergman_once(monkeypatch):
+    # the Bergman symbol's substitutions serve every node: one left and one
+    # right family per order for the call, although x3 has 12 distinct jets
+    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
+    assert len({cc._node_key(x3, i) for i in range(len(x3.nodes))}) == 12
+    K = 2
+    cc.bergman_symbol(SPHERE, K, order=6)
+    sides = []
+    substitute = cc._substitute
+
+    def counting(jet, eng, left):
+        sides.append(left)
+        return substitute(jet, eng, left)
+
+    monkeypatch.setattr(cc, "_substitute", counting)
+    cc.contravariant_to_covariant(x3, K=K)
+    assert sides.count(True) == K + 1 and sides.count(False) == K + 1
 
 
 def test_contravariant_plane_abs_x_squared():
@@ -642,8 +752,9 @@ def test_class_stability_frozen_constant():
         f, g = rand_symbol(), rand_symbol()
         if f.norm_estimate() < 1e-6 or g.norm_estimate() < 1e-6:
             continue
-        for (r, R, m) in grids:
-            res = cc.class_stability_check(f, g, K=2, r=r, R=R, m=m)
+        rows = cc.class_stability_check(f, g, K=2, grids=grids)
+        assert [(row["r"], row["R"], row["m"]) for row in rows] == grids
+        for res in rows:
             assert res["ratio"] <= constants.SHARP_CLASS_C
             assert res["holds"]
             checked += 1

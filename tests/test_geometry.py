@@ -194,4 +194,3 @@ def test_two_charts_consistency():
     m = sphere()
     z, w = 0.4 + 0.7j, -1.2 + 0.3j
     assert abs(m.geodesic_distance(z, w) - m.geodesic_distance(1 / z, 1 / w)) < 1e-12
-    assert abs(m.chart_flip(z) - 1.0 / z) < 1e-15

@@ -125,8 +125,8 @@ def test_conv_pair_diag_only_is_masked_full_product():
     rng = np.random.default_rng(2)
     lefts = [eng.rho_jac.coeffs]
     for _ in range(3):
-        F = cc._substitute_left(_jet(rng, 8), eng)
-        G = cc._substitute_right(_jet(rng, 8), eng)
+        F = cc._substitute(_jet(rng, 8), eng, left=True)
+        G = cc._substitute(_jet(rng, 8), eng, left=False)
         lefts.append((F * G).coeffs)
     diag = np.arange(11)
     for a in lefts:
