@@ -522,24 +522,19 @@ def _cmd_decay(args) -> int:
     levels = _parse_n_list(args.N_list)
     terms = _symbol_terms(args.f, geometry.compact)
     region = qs.parse_region(args.V)
-    with ThreadPoolExecutor(max_workers=min(4, len(levels))) as pool:
-        results = list(pool.map(
-            lambda N: qs.decay_level(geometry, terms, args.E, region, N, args.cutoff), levels))
+    report = qs.decay_report(geometry, terms, args.E, region, levels, args.cutoff)
     rows = []
-    table = []
-    for i, (N, (ev, mass)) in enumerate(zip(levels, results)):
-        table.append((N, mass))
+    for i, (N, ev, _target, mass) in enumerate(report.rows):
         partial = None
-        if len([m for _, m in table if m > 0]) >= 4:
-            partial = qs.decay_rate_fit(table)[0]
+        if sum(row[3] > 0 for row in report.rows[: i + 1]) >= 4:
+            partial = qs.decay_rate_fit(report.rows[: i + 1])[0]
         rows.append((N, ev, mass, partial))
-    rate, quality = qs.decay_rate_fit(table)
-    passed = quality > 0.9
+    passed = report.fit_quality > 0.9
     _write_csv(args.out, "decay", ("N", "lambda", "mass", "c_fit_partial"), rows)
     _write_summary(
         args.out, "decay", "decay",
         _settings(args, ("geometry", "f", "E", "V", "N_list", "cutoff", "out", "seed")),
-        {"rate": rate, "fit_quality": quality}, passed,
+        {"rate": report.rate, "fit_quality": report.fit_quality}, passed,
     )
     return 0 if passed else 1
 

@@ -226,26 +226,55 @@ def _legal_m_hard(n: int, d: int) -> int:
     return max(d + 2, 2 * (d + n - 1))
 
 
-def lem_easy_sum(j: int, d: int, m: int, exact: Optional[bool] = None) -> BoundCheckResult:
-    """Two-sided weighted sum over i = 0..j against the bound 2 + C (3/4)^m."""
+def _easy_sum_value(j: int, d: int, m: int, exact: bool) -> Number:
+    """The sum of :func:`lem_easy_sum`, exact or in longdouble; needs no frozen constant."""
     if j < 0 or d < 0:
         raise ValueError("need j, d >= 0")
     if m < _legal_m_easy(d):
         raise ValueError(f"m={m} below the legal floor {_legal_m_easy(d)} for d={d}")
-    if exact is None:
-        exact = j <= EXACT_ELL_LIMIT
     if exact:
-        value: Number = sum(
+        return sum(
             Fraction(min(i + 1, j - i + 1) ** d * (j + 1) ** m, ((i + 1) ** m) * ((j - i + 1) ** m))
             for i in range(j + 1)
         )
-    else:
-        i = np.arange(j + 1, dtype=np.longdouble)
-        top = np.minimum(i + 1, j - i + 1) ** d * np.longdouble(j + 1) ** m
-        value = float(np.sum(top / ((i + 1) ** m * (j - i + 1) ** m)))
-    c = constants.EASY_SUM_C[d]
-    bound = 2.0 + c * (0.75**m)
+    i = np.arange(j + 1, dtype=np.longdouble)
+    top = np.minimum(i + 1, j - i + 1) ** d * np.longdouble(j + 1) ** m
+    return float(np.sum(top / ((i + 1) ** m * (j - i + 1) ** m)))
+
+
+def lem_easy_sum(j: int, d: int, m: int, exact: Optional[bool] = None) -> BoundCheckResult:
+    """Two-sided weighted sum over i = 0..j against the bound 2 + C (3/4)^m."""
+    if exact is None:
+        exact = j <= EXACT_ELL_LIMIT
+    value = _easy_sum_value(j, d, m, exact)
+    bound = 2.0 + constants.EASY_SUM_C[d] * (0.75**m)
     return BoundCheckResult(value, bound, float(value) <= bound, {"j": j, "d": d, "m": m})
+
+
+def _hard_sum_value(n: int, d: int, ell: int, m: int, exact: bool) -> Number:
+    """The sum of :func:`lem_hard_sum`, exact or in longdouble; needs no frozen constant."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if d < 0 or ell < 0:
+        raise ValueError("need d, ell >= 0")
+    if m < _legal_m_hard(n, d):
+        raise ValueError(f"m={m} below the legal floor {_legal_m_hard(n, d)} for n={n}, d={d}")
+    if exact:
+        value = Fraction(0)
+        for tup in ascending_compositions(ell, n):
+            den = 1
+            for ik in tup:
+                den *= (ik + 1) ** m
+            value += Fraction((tup[-2] + 1) ** d * (ell + 1) ** m, den)
+        return value
+    acc = np.longdouble(0)
+    lead = np.longdouble(ell + 1) ** m
+    for tup in ascending_compositions(ell, n):
+        den = np.longdouble(1)
+        for ik in tup:
+            den *= np.longdouble(ik + 1) ** m
+        acc += (np.longdouble(tup[-2] + 1) ** d) * lead / den
+    return float(acc)
 
 
 def lem_hard_sum(n: int, d: int, ell: int, m: int, exact: Optional[bool] = None) -> BoundCheckResult:
@@ -254,30 +283,9 @@ def lem_hard_sum(n: int, d: int, ell: int, m: int, exact: Optional[bool] = None)
     value = sum over 0 <= i_1 <= ... <= i_n, sum = ell of
             (i_{n-1}+1)^d (ell+1)^m / prod (i_k+1)^m.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if d < 0 or ell < 0:
-        raise ValueError("need d, ell >= 0")
-    if m < _legal_m_hard(n, d):
-        raise ValueError(f"m={m} below the legal floor {_legal_m_hard(n, d)} for n={n}, d={d}")
     if exact is None:
         exact = ell <= EXACT_ELL_LIMIT
-    if exact:
-        value: Number = Fraction(0)
-        for tup in ascending_compositions(ell, n):
-            den = 1
-            for ik in tup:
-                den *= (ik + 1) ** m
-            value += Fraction((tup[-2] + 1) ** d * (ell + 1) ** m, den)
-    else:
-        acc = np.longdouble(0)
-        lead = np.longdouble(ell + 1) ** m
-        for tup in ascending_compositions(ell, n):
-            den = np.longdouble(1)
-            for ik in tup:
-                den *= np.longdouble(ik + 1) ** m
-            acc += (np.longdouble(tup[-2] + 1) ** d) * lead / den
-        value = float(acc)
+    value = _hard_sum_value(n, d, ell, m, exact)
     key = (n, d)
     if key not in constants.HARD_SUM_C:
         raise KeyError(f"no frozen constant for (n, d) = {key}; rerun the calibration script")
@@ -300,8 +308,8 @@ def calibrate_hard_sum(n: int, d: int, ell_max: int = 200, m_max: int = 24) -> f
     worst = 0.0
     for ell in range(0, ell_max + 1):
         for m in range(_legal_m_hard(n, d), m_max + 1):
-            res = lem_hard_sum(n, d, ell, m, exact=ell <= EXACT_ELL_LIMIT)
-            gap = (float(res.value) - 1.0) * (4.0 / 3.0) ** m
+            value = _hard_sum_value(n, d, ell, m, exact=ell <= EXACT_ELL_LIMIT)
+            gap = (float(value) - 1.0) * (4.0 / 3.0) ** m
             worst = max(worst, gap)
     for _ in range(4):
         worst = math.nextafter(worst, math.inf)
@@ -317,8 +325,8 @@ def calibrate_easy_sum(d: int, j_max: int = 200, m_max: int = 24) -> float:
     worst = 0.0
     for j in range(0, j_max + 1):
         for m in range(_legal_m_easy(d), m_max + 1):
-            res = lem_easy_sum(j, d, m, exact=j <= EXACT_ELL_LIMIT)
-            gap = (float(res.value) - 2.0) * (4.0 / 3.0) ** m
+            value = _easy_sum_value(j, d, m, exact=j <= EXACT_ELL_LIMIT)
+            gap = (float(value) - 2.0) * (4.0 / 3.0) ** m
             worst = max(worst, gap)
     for _ in range(4):
         worst = math.nextafter(worst, math.inf)

@@ -122,8 +122,8 @@ def _all_partials(f: PowerSeries, j_max: int) -> dict:
     return out
 
 
-def _check_reliable(f: PowerSeries, domain: Domain, tol: float) -> None:
-    """Flag series whose truncation tail dominates on the domain."""
+def _check_reliable(f: PowerSeries, domain: Domain) -> None:
+    """Flag series whose top-degree mass exceeds 1e-6 of the whole on the domain."""
     radii = domain.radii()
     deg = np.sum(np.indices(f.coeffs.shape), axis=0)
     mags = np.abs(np.asarray(f.coeffs, dtype=complex))
@@ -135,7 +135,7 @@ def _check_reliable(f: PowerSeries, domain: Domain, tol: float) -> None:
     weighted = mags * scale_pow
     top = weighted[deg >= max(f.order - 1, 1)].sum()
     body = weighted.sum()
-    if top > tol * max(body, 1e-30):
+    if top > 1e-6 * max(body, 1e-30):
         raise ValueError(
             f"series tail dominates on this domain (top-degree mass {top:.3e}); "
             "increase the series order or shrink the domain"
@@ -149,7 +149,6 @@ def estimate_h_norm(
     domain: Domain,
     j_max: int = 8,
     grid_resolution: int = 41,
-    reliability_tol: float = 1e-6,
 ) -> HNormCertificate:
     """Grid estimate of the weighted-derivative norm.
 
@@ -160,7 +159,7 @@ def estimate_h_norm(
         raise ValueError("need r > 0")
     if domain.naxes != f.nvars:
         raise ValueError("domain and series dimensions differ")
-    _check_reliable(f, domain, reliability_tol)
+    _check_reliable(f, domain)
     best = _weighted_sup((f,), domain.grids(grid_resolution), r, 1.0, m, j_max)
     return HNormCertificate(m, float(r), domain, best, j_max, grid_resolution)
 

@@ -15,9 +15,9 @@ two quantization routes:
 On top of the matrices: a Schur-test norm bound, singular values and
 Hermitian eigenpairs from LAPACK (SVD of the matrix itself, ``eigh``; the
 tests compare them against a cyclic-Jacobi solver of their own),
-forbidden-region masses of eigenvector sections
-(exact for x3 half-spaces, node-indicator quadrature for general
-regions), and least-squares exponential decay fits.
+forbidden-region masses of eigenvector sections (exact binomial tails for
+x3 half-spaces, node-indicator quadrature on one polar section grid for
+general regions), and least-squares exponential decay fits.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -174,15 +175,17 @@ def _split_coefficient(c) -> tuple:
     return Fraction(c.real), Fraction(c.imag)
 
 
-def _sphere_moment_entries(terms: dict, N: int) -> np.ndarray:
+def _sphere_moment_entries(terms: dict, norms: Sequence[Fraction]) -> np.ndarray:
     """Entries <e_j, f e_k> for f a polynomial in (x1, x2, x3), exactly.
 
-    The coefficient table maps exponent triples to (complex) coefficients.
+    The coefficient table maps exponent triples to (complex) coefficients;
+    ``norms`` are the exact squared monomial norms at level N = len - 1.
     Each monomial expands into z^p zbar^q / (1+t)^s terms whose weighted
     moments are rational; only the final orthonormalization square root
     leaves exact arithmetic.
     """
-    dim = N + 1
+    dim = len(norms)
+    N = dim - 1
     acc_re = [[Fraction(0)] * dim for _ in range(dim)]
     acc_im = [[Fraction(0)] * dim for _ in range(dim)]
     for (e1, e2, e3), cval in sorted(terms.items()):
@@ -201,7 +204,6 @@ def _sphere_moment_entries(terms: dict, N: int) -> np.ndarray:
                 moment = _beta_full(j + q, N + s)
                 acc_re[j][k] += tre * moment
                 acc_im[j][k] += tim * moment
-    norms = [Fraction(math.factorial(j) * math.factorial(N - j), math.factorial(N + 1)) for j in range(dim)]
     out = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
         for k in range(dim):
@@ -238,6 +240,33 @@ def _plane_moment_entries(terms: dict, N: int, dim: int) -> np.ndarray:
     return out
 
 
+def _section_grid(geometry: ModelGeometry, N: int, dim: int, n_radial: int, n_angular: int):
+    """Polar quadrature grid of the level-N space.
+
+    Returns the radial weights of the level-N volume (the caller takes
+    the angular mean), the uniform angle grid, the real ambient
+    coordinates at the nodes, and moduli[a, j] = |e_j|_h at radius a.
+    """
+    t, tw = _radial_nodes(n_radial)
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
+    if geometry.compact:
+        vol = tw * np.exp(-2.0 * np.log1p(t))
+        log_h = -float(N) * np.log1p(t)
+        d = 1.0 + t[:, None]
+        coords = (2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - t[:, None]) / d)
+    else:
+        # laggauss is only stable to degree ~100, so keep the mapped
+        # Legendre rule; the weight e^{-Nt} split across the moduli
+        # tempers large nodes
+        vol, log_h = tw, -float(N) * t
+        coords = (z.real, z.imag)
+    j = np.arange(dim)[None, :]
+    lognorm = _log_norm_inv(geometry.compact, N, dim)[None, :]
+    moduli = np.exp(0.5 * j * np.log(t)[:, None] + 0.5 * log_h[:, None] + 0.5 * lognorm)
+    return vol, theta, coords, moduli
+
+
 def _quadrature_entries(geometry: ModelGeometry, func: Callable, N: int, dim: int, n_radial: int) -> np.ndarray:
     """Multiplier-matrix quadrature for non-polynomial data.
 
@@ -246,35 +275,14 @@ def _quadrature_entries(geometry: ModelGeometry, func: Callable, N: int, dim: in
     """
 
     def assemble(n_rad):
-        n_ang = 2 * dim + 16
-        theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        t, tw = _radial_nodes(n_rad)
-        if geometry.compact:
-            weight = tw * np.exp(-(N + 2) * np.log1p(t))
-        else:
-            # laggauss is only stable to degree ~100, so keep the mapped
-            # Legendre rule and carry the exponential weight explicitly
-            weight = tw * np.exp(-N * t)
-        r = np.sqrt(t)
-        z = r[:, None] * np.exp(1j * theta)[None, :]
-        if geometry.compact:
-            d = 1.0 + t[:, None]
-            vals = func((z + np.conj(z)) / d, -1j * (z - np.conj(z)) / d, (1.0 - t[:, None]) / d)
-        else:
-            vals = func(np.real(z), np.imag(z))
-        vals = np.broadcast_to(np.asarray(vals, dtype=complex), z.shape)
-        modes = np.fft.fft(vals, axis=1) / n_ang  # mode[m] multiplies e^{i m theta}... conj below
-        out = np.zeros((dim, dim), dtype=complex)
-        lognorm = [0.5 * _log_norm_inv(geometry, N, j) for j in range(dim)]
-        logt = np.log(t)
-        for j in range(dim):
-            for k in range(dim):
-                # fft index m multiplies e^{-i m theta}; z^k zbar^j carries
-                # e^{i (k-j) theta}, so the surviving mode is j - k
-                mode = (j - k) % n_ang
-                rad = np.exp(0.5 * (j + k) * logt + lognorm[j] + lognorm[k])
-                out[j, k] = np.sum(weight * rad * modes[:, mode])
-        return out
+        vol, theta, coords, moduli = _section_grid(geometry, N, dim, n_rad, 2 * dim + 16)
+        vals = np.broadcast_to(np.asarray(func(*coords), dtype=complex), (vol.size, theta.size))
+        # fft index m multiplies e^{-i m theta}; conj(z^j) z^k carries
+        # e^{i (k-j) theta}, so entry (j, k) takes mode j - k
+        modes = np.fft.fft(vals, axis=1) / theta.size
+        j = np.arange(dim)
+        diff = (j[:, None] - j[None, :]) % theta.size
+        return np.einsum("a,aj,ak,ajk->jk", vol, moduli, moduli, modes[:, diff])
 
     first = assemble(n_radial)
     refined = assemble(int(1.5 * n_radial) + 1)
@@ -286,11 +294,12 @@ def _quadrature_entries(geometry: ModelGeometry, func: Callable, N: int, dim: in
     return refined
 
 
-def _log_norm_inv(geometry: ModelGeometry, N: int, j: int) -> float:
-    """log(1 / ||z^j||^2) for the level-N weight."""
-    if geometry.compact:
-        return math.lgamma(N + 2) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
-    return (j + 1) * math.log(N) - math.lgamma(j + 1)
+def _log_norm_inv(compact: bool, N: int, dim: int) -> np.ndarray:
+    """log(1 / ||z^j||^2) for the level-N weight, j < dim."""
+    if compact:
+        return np.array([math.lgamma(N + 2) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
+                         for j in range(dim)])
+    return np.array([(j + 1) * math.log(N) - math.lgamma(j + 1) for j in range(dim)])
 
 
 def contravariant_matrix(
@@ -318,7 +327,7 @@ def contravariant_matrix(
         if len(key) != width or any(int(e) != e or e < 0 for e in key):
             raise ValueError(f"exponent tuples must be length {width} and nonnegative")
     if geometry.compact:
-        ent = _sphere_moment_entries(terms, N)
+        ent = _sphere_moment_entries(terms, basis.norms)
     else:
         ent = _plane_moment_entries(terms, N, basis.dim)
     return OperatorMatrix(ent, N, label="multiplier")
@@ -534,9 +543,7 @@ def _sphere_diagonal_quadrature(
     inner = np.zeros(rr.shape + (dim,), dtype=complex)
     inner[oa, ob] = live_inner
     j = np.arange(dim)
-    lognj = np.array(
-        [math.lgamma(N + 2) - math.lgamma(k + 1) - math.lgamma(N - k + 1) for k in range(dim)]
-    )
+    lognj = _log_norm_inv(True, N, dim)
     w = tw[:, None] * np.exp(
         0.5 * j[None, :] * logt[:, None] - (0.5 * N + 2.0) * l1p[:, None] + 0.5 * lognj[None, :]
     )
@@ -673,8 +680,6 @@ def bergman_kernel_error(
     N: int,
     K: Optional[int] = None,
     eps: Optional[float] = None,
-    n_theta: int = 9,
-    n_sep: int = 9,
 ) -> float:
     """Sup over sample pairs of the weighted error of the cutoff kernel.
 
@@ -685,15 +690,12 @@ def bergman_kernel_error(
     kernel's own weighted size.
     """
     sym = bergman_symbol(geometry, K=4)
-    if K is None:
-        K = min(sym.K, summation_cutoff(N, sym.R))
-    else:
-        K = _resolve_truncation(sym, N, K)
+    K = _resolve_truncation(sym, N, K)
     if eps is None:
         eps = CUTOFF_FACTOR * geometry.injectivity_radius if geometry.compact else math.inf
     amp = _summed_amplitude(sym, N, K)
     if geometry.compact:
-        thetas = np.linspace(0.15, math.pi - 0.15, n_theta)
+        thetas = np.linspace(0.15, math.pi - 0.15, 9)
         azimuths = np.array([0.0, 0.7, 1.6, 3.0])
         tx = np.tan(thetas / 2.0)
         x = np.repeat(tx, thetas.size * azimuths.size).astype(complex)
@@ -701,10 +703,10 @@ def bergman_kernel_error(
         y = ty * np.exp(1j * np.tile(azimuths, thetas.size * thetas.size))
         logw = -0.5 * N * (np.log1p(np.abs(x) ** 2) + np.log1p(np.abs(y) ** 2))
     else:
-        base = np.linspace(0.0, 1.5, n_theta)
-        seps = np.linspace(0.0, 3.0 / math.sqrt(N), n_sep)
-        x = np.repeat(base, n_sep).astype(complex)
-        y = (np.repeat(base, n_sep) + np.tile(seps, n_theta)).astype(complex)
+        base = np.linspace(0.0, 1.5, 9)
+        seps = np.linspace(0.0, 3.0 / math.sqrt(N), 9)
+        x = np.repeat(base, seps.size).astype(complex)
+        y = (np.repeat(base, seps.size) + np.tile(seps, base.size)).astype(complex)
         logw = -0.5 * N * (np.abs(x) ** 2 + np.abs(y) ** 2)
     dist = geometry.geodesic_distance(x, y)
     inside = dist <= eps
@@ -770,13 +772,13 @@ def invertibility_check(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
-def eigenpairs(m, residual_tol: float = 1e-10):
+def eigenpairs(m):
     """Sorted (eigenvalue, unit eigenvector) pairs of a Hermitian matrix.
 
     LAPACK ``eigh`` diagonalization (the tests check it against cyclic
     Jacobi rotations, an independent route); rejects non-Hermitian
-    input and verifies the residual ||A u - lambda u|| against the
-    tolerance.
+    input and verifies the residual ||A u - lambda u|| against 1e-10 of
+    the matrix scale.
     """
     a = _as_matrix(m)
     n = a.shape[0]
@@ -788,8 +790,8 @@ def eigenpairs(m, residual_tol: float = 1e-10):
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     evals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
     residual = float(np.max(np.abs(a @ vecs - vecs * evals[None, :]), initial=0.0))
-    if residual > residual_tol * scale:
-        raise ArithmeticError(f"eigen residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if residual > 1e-10 * scale:
+        raise ArithmeticError(f"eigen residual {residual:.3e} exceeds 1.0e-10")
     return [(float(evals[i]), vecs[:, i].copy()) for i in range(len(evals))]
 
 
@@ -824,33 +826,26 @@ def parse_region(spec: str):
     raise ValueError(f"cannot parse region {spec!r}; expected '<coord> <op> <value>'")
 
 
-def _beta_tail(j: int, M: int, t0: Fraction) -> Fraction:
-    """Exact ∫_{t0}^∞ t^j (1+t)^{-(M+2)} dt for rational t0 >= 0."""
-    if t0 < 0:
-        t0 = Fraction(0)
-    s0 = Fraction(1) + t0
-    total = Fraction(0)
-    for i in range(j + 1):
-        c = math.comb(j, i) * (-1) ** (j - i)
-        total += Fraction(c, M + 1 - i) * s0 ** (i - M - 1)
-    return total
+def _x3_masses(N: int, op: str, value) -> list:
+    """Exact masses of the basis sections e_0..e_N in {x3 op value}.
 
-
-def _x3_interval(op: str, value: Fraction):
-    """Chart-parameter t-interval of {x3 op value}; x3 = (1-t)/(1+t)."""
+    In w = (1 - x3)/2, |e_j|^2 has density Beta(j+1, N-j+1), whose CDF
+    at x is the binomial tail P(Bin(N+1, x) > j).  {x3 >= value} is
+    {w <= x} with x = (1 - value)/2, so ">=" takes tails and "<=" heads;
+    clamping x to [0, 1] covers the empty and whole regions.  With
+    x = p/q every term shares the denominator q^(N+1), so each mass is a
+    running sum of integers over it.
+    """
+    if op not in (">=", "<="):
+        raise ValueError(f"unsupported comparison {op!r}")
+    x = min(max((1 - Fraction(value)) / 2, Fraction(0)), Fraction(1))
+    p, q = x.numerator, x.denominator
+    terms = [math.comb(N + 1, k) * p**k * (q - p) ** (N + 1 - k) for k in range(N + 2)]
     if op == ">=":
-        if value > 1:
-            return None  # empty
-        if value <= -1:
-            return (Fraction(0), None)  # whole: t in [0, inf)
-        return (Fraction(0), (1 - value) / (1 + value))
-    if op == "<=":
-        if value < -1:
-            return None
-        if value >= 1:
-            return (Fraction(0), None)
-        return ((1 - value) / (1 + value), None)
-    raise ValueError(f"unsupported comparison {op!r}")
+        sums = list(accumulate(reversed(terms)))[::-1][1:]  # k > j
+    else:
+        sums = list(accumulate(terms))[:-1]  # k <= j
+    return [Fraction(s, q ** (N + 1)) for s in sums]
 
 
 def forbidden_mass(
@@ -866,8 +861,9 @@ def forbidden_mass(
 
     ``u`` holds coefficients in the orthonormal basis.  Regions: None for
     the whole space, a string for :func:`parse_region`, a structured
-    ("x3", op, value) triple (exact rational radial integrals), or a
-    predicate on the ambient coordinates evaluated on quadrature nodes.
+    ("x3", op, value) triple (exact binomial-tail masses), or a
+    predicate on the ambient coordinates evaluated on the nodes of
+    :func:`_section_grid`.
     The quadrature path recomputes the total mass and raises when it
     strays from 1 by more than 1e-8.
     """
@@ -883,46 +879,21 @@ def forbidden_mass(
     if isinstance(region, tuple):
         if not geometry.compact:
             raise ValueError("x3 half-spaces live on the sphere")
-        interval = _x3_interval(region[1], Fraction(region[2]))
-        if interval is None:
-            return 0.0
-        lo, hi = interval
         mass = 0.0
-        for j in range(basis.dim):
-            piece = _beta_tail(j, N, lo)
-            if hi is not None:
-                piece -= _beta_tail(j, N, hi)
-            mass += abs(u[j]) ** 2 * float(piece / basis.norms[j])
-        return mass
+        for uj, mj in zip(u, _x3_masses(N, region[1], region[2])):
+            mass += abs(uj) ** 2 * float(mj)  # float(Fraction) rounds correctly
+        return float(mass)
     if region is None:
         return total
     if not callable(region):
         raise ValueError("region must be None, a string, an (x3, op, value) triple, or a predicate")
-    if geometry.compact:
-        t, tw = _radial_nodes(n_radial)
-        radial_weight = tw * np.exp(-2.0 * np.log1p(t))
-        log_h = -float(N) * np.log1p(t)
-    else:
-        # mapped Legendre instead of laggauss: stable at any degree, and the
-        # weight e^{-Nt} split across the basis factors tempers large nodes
-        t, tw = _radial_nodes(max(n_radial, 2 * basis.dim + 8))
-        radial_weight = tw
-        log_h = -float(N) * t
+    # the plane's Gaussian weight needs enough radial nodes for the top degree
+    n_rad = n_radial if geometry.compact else max(n_radial, 2 * basis.dim + 8)
     if n_angular is None:
         n_angular = max(64, 2 * basis.dim + 16)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    logt = np.log(t)
-    section = np.zeros((t.size, n_angular), dtype=complex)
-    for j in range(basis.dim):
-        mag = np.exp(0.5 * j * logt + 0.5 * log_h + 0.5 * _log_norm_inv(geometry, N, j))
-        section += u[j] * mag[:, None] * np.exp(1j * j * theta)[None, :]
-    density = np.abs(section) ** 2 * radial_weight[:, None] / n_angular
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    if geometry.compact:
-        d = 1.0 + t[:, None]
-        coords = ((z + np.conj(z)).real / d, (-1j * (z - np.conj(z))).real / d, (1.0 - t[:, None]) / d)
-    else:
-        coords = (np.real(z), np.imag(z))
+    vol, theta, coords, moduli = _section_grid(geometry, N, basis.dim, n_rad, n_angular)
+    section = (moduli * u) @ np.exp(1j * np.outer(np.arange(basis.dim), theta))
+    density = np.abs(section) ** 2 * vol[:, None] / n_angular
     quad_total = float(np.sum(density))
     if abs(quad_total - 1.0) > 1e-8:
         raise ArithmeticError(
@@ -975,15 +946,6 @@ class DecayReport:
     fit_quality: float
 
 
-def decay_level(geometry: ModelGeometry, f, target: float, region: Region, N: int,
-                cutoff: Optional[int] = None) -> tuple:
-    """(eigenvalue, forbidden-region mass) at level N for the eigenvector of
-    the multiplier operator of f whose eigenvalue is nearest the target."""
-    mat = contravariant_matrix(geometry, f, N, cutoff)
-    ev, vec = min(eigenpairs(mat), key=lambda p: abs(p[0] - target))
-    return float(ev), float(forbidden_mass(geometry, N, vec, region, cutoff))
-
-
 def decay_report(
     geometry: ModelGeometry,
     f,
@@ -994,12 +956,15 @@ def decay_report(
 ) -> DecayReport:
     """Eigenvector decay sweep for the multiplier operator of f.
 
-    Each level is one :func:`decay_level` step; the exponential rate
-    comes from :func:`decay_rate_fit`.
+    At each level the eigenvector whose eigenvalue is nearest the target
+    gives one row (N, eigenvalue, target, forbidden-region mass); the
+    exponential rate comes from :func:`decay_rate_fit`.
     """
     rows = []
     for N in N_list:
-        ev, mass = decay_level(geometry, f, target, region, N, cutoff)
-        rows.append((int(N), ev, float(target), mass))
+        mat = contravariant_matrix(geometry, f, N, cutoff)
+        ev, vec = min(eigenpairs(mat), key=lambda p: abs(p[0] - target))
+        mass = forbidden_mass(geometry, N, vec, region, cutoff)
+        rows.append((int(N), float(ev), float(target), float(mass)))
     rate, quality = decay_rate_fit(rows)
     return DecayReport(tuple(rows), rate, quality)

@@ -475,19 +475,18 @@ def morse_expand(phase, amplitude: PowerSeries, K: int) -> ExpansionResult:
 
 
 def numeric_phase_integral(integrand: Callable[[np.ndarray], np.ndarray],
-                           N: float, radius: float,
-                           radial_points: int = 240,
-                           angular_points: int = 256) -> complex:
+                           N: float, radius: float) -> complex:
     """N * (1/pi) * integral of integrand(v) over the disc |v| <= radius.
 
     One complex variable. ``integrand`` must accept a complex ndarray
     and is the full a(v, conj v) exp(N Phi(v, conj v)); polar
-    Gauss-Legendre in r, uniform rule in the (periodic) angle.
+    Gauss-Legendre in r (240 nodes), uniform rule in the (periodic) angle
+    (256 nodes).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(radial_points)
+    nodes, weights = np.polynomial.legendre.leggauss(240)
     r = 0.5 * radius * (nodes + 1.0)
     wr = 0.5 * radius * weights * r
-    theta = np.linspace(0.0, 2.0 * np.pi, angular_points, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     v = r[:, None] * np.exp(1j * theta)[None, :]
     vals = np.asarray(integrand(v), dtype=np.complex128)
     ang = vals.mean(axis=1) * (2.0 * np.pi)

@@ -149,7 +149,7 @@ def test_decay_sweep(tmp_path):
     doc = read_json(tmp_path / "decay.json")
     assert doc["rate"] > 0.1
     assert doc["fit_quality"] > 0.99
-    # the CLI's threaded levels and decay_report take the same per-level step
+    # the CSV rows are decay_report's rows
     report = qs.decay_report(geometry.sphere(), {(0, 0, 1): 1.0}, 0.0, "x3 >= 1/2",
                              [8, 12, 16, 20])
     assert [r[:3] for r in rows] == [[str(N), repr(ev), repr(m)] for N, ev, _, m in report.rows]
@@ -201,6 +201,9 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     assert run(["decay", "--N-list", "8,12,8", "--out", str(tmp_path)]) == 2
     assert run(["decay", "--geometry", "torus", "--out", str(tmp_path)]) == 2
     assert run(["compose", "--f", "poly:junk", "--out", str(tmp_path)]) == 2
+    # the south pole carries no mass, so the rate fit has no rows
+    with pytest.warns(UserWarning, match="nonpositive mass"):
+        assert run(["decay", "--V", "x3 <= -1", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toeplitz_forge import combinatorics as cb
+from toeplitz_forge import constants
 
 
 def test_multiindex_basics():
@@ -217,12 +218,31 @@ def _easy_sum_calibration_loop(d, j_max, m_max):
     return worst
 
 
-@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_calibrate_easy_sum_matches_own_loop(d):
-    # the domain crosses EXACT_ELL_LIMIT, so both value paths are compared
+    # the domain crosses EXACT_ELL_LIMIT, so both value paths are compared;
+    # d = 3 has no frozen constant, which the calibration must not need
     j_max = 70
     assert j_max > cb.EXACT_ELL_LIMIT
     assert cb.calibrate_easy_sum(d, j_max=j_max, m_max=8) == _easy_sum_calibration_loop(d, j_max, 8)
+
+
+def test_calibrate_hard_sum_needs_no_frozen_constant():
+    assert (5, 0) not in constants.HARD_SUM_C
+    worst = 0.0
+    for ell in range(9):
+        for m in cb.legal_m_range(5, 0, 9):
+            value = sum(
+                Fraction((ell + 1) ** m, math.prod((i + 1) ** m for i in tup))
+                for tup in cb.ascending_compositions(ell, 5)
+            )
+            worst = max(worst, (float(value) - 1.0) * (4.0 / 3.0) ** m)
+    for _ in range(4):
+        worst = math.nextafter(worst, math.inf)
+    got = cb.calibrate_hard_sum(5, 0, ell_max=8, m_max=9)
+    assert math.isfinite(got) and got == worst
+    with pytest.raises(KeyError):
+        cb.lem_hard_sum(5, 0, 8, 9)
 
 
 def test_sum_lemma_bounds_hold_on_sweep():

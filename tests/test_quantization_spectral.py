@@ -620,6 +620,46 @@ def test_forbidden_mass_whole_and_empty():
     assert qs.forbidden_mass(SPH, 4, vec, "x3 >= 2") == 0.0
     assert qs.forbidden_mass(SPH, 4, vec, "x3 <= -3/2") == 0.0
     assert qs.forbidden_mass(SPH, 4, vec, "x3 >= -2") == pytest.approx(1.0)
+    # the poles: a point, or the whole sphere
+    assert qs.forbidden_mass(SPH, 4, vec, "x3 >= 1") == 0.0
+    assert qs.forbidden_mass(SPH, 4, vec, "x3 <= 1") == 1.0
+    assert qs.forbidden_mass(SPH, 4, vec, "x3 >= -1") == 1.0
+    assert qs.forbidden_mass(SPH, 4, vec, "x3 <= -1") == 0.0
+    assert qs.forbidden_mass(SPH, 4, vec, "x3 < -1") == 0.0
+
+
+def _beta_tail(j, M, t0):
+    """Exact ∫_{t0}^∞ t^j (1+t)^{-(M+2)} dt for rational t0 >= 0, by its
+    alternating antiderivative."""
+    s0 = 1 + max(t0, Fraction(0))
+    return sum(Fraction(math.comb(j, i) * (-1) ** (j - i), M + 1 - i) * s0 ** (i - M - 1)
+               for i in range(j + 1))
+
+
+def _x3_masses_by_interval(N, op, value):
+    """Per-j masses in {x3 op value} over the chart interval in t, x3 = (1-t)/(1+t)."""
+    if op == ">=":
+        if value > 1:
+            return [Fraction(0)] * (N + 1)
+        lo, hi = Fraction(0), (None if value <= -1 else (1 - value) / (1 + value))
+    else:
+        # {x3 <= -1} is the south pole, where the interval form divides by zero
+        if value <= -1:
+            return [Fraction(0)] * (N + 1)
+        lo, hi = (Fraction(0) if value >= 1 else (1 - value) / (1 + value)), None
+    out = []
+    for j in range(N + 1):
+        piece = _beta_tail(j, N, lo) - (0 if hi is None else _beta_tail(j, N, hi))
+        out.append(piece / SPH.norm_sq_monomial(N, j))
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 8, 31, 32, 64])
+def test_x3_masses_match_beta_interval_oracle(N):
+    cuts = [Fraction(c) for c in ("-3/2", "-1", "-1/2", "0", "1/4", "1/3", "1/2", "2/3", "1", "3/2")]
+    for op in (">=", "<="):
+        for cut in cuts:
+            assert qs._x3_masses(N, op, cut) == _x3_masses_by_interval(N, op, cut), (op, cut)
 
 
 def test_forbidden_mass_callable_matches_exact():
