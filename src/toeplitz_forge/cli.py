@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -72,10 +71,6 @@ def _write_summary(out_dir: str, name: str, command: str, settings: dict, payloa
     return path
 
 
-def _settings(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 # ---------------------------------------------------------------------------
 # config files and argument plumbing
 
@@ -102,22 +97,20 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv) -> None:
-    if not args.config:
-        return
-    values = _load_config(args.config)
-    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
-    for dest, raw in values.items():
+def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
+    """Install the config file's values as the subcommand's defaults."""
+    actions = {a.dest: a for a in sub._actions}
+    values = {}
+    for dest, raw in _load_config(path).items():
         action = actions.get(dest)
-        if action is None:
-            raise _config_error(f"unknown key {dest!r} for this subcommand")
-        if any(opt in argv for opt in action.option_strings):
-            continue  # explicit flags beat config values
+        if action is None or not action.option_strings or dest == "help":
+            raise _config_error(f"{dest!r} is not an option of this subcommand")
         caster = action.type or str
         try:
-            setattr(args, dest, caster(raw))
+            values[dest] = caster(raw)
         except (TypeError, ValueError) as exc:
             raise _config_error(f"bad value for {dest!r}: {exc}")
+    sub.set_defaults(**values)
 
 
 def _parse_n_list(text: str):
@@ -202,7 +195,7 @@ def _parse_domain(text: str) -> fs.Domain:
 # lemmas verify
 
 
-def _cmd_lemmas(args) -> int:
+def _cmd_lemmas(args) -> tuple:
     if args.action != "verify":
         raise ValueError(f"unknown lemmas action {args.action!r}")
     if args.n < 1 or args.d < 0 or args.m_max < 0 or args.ell_max < 1:
@@ -214,14 +207,8 @@ def _cmd_lemmas(args) -> int:
             res = cb.lem_hard_sum(args.n, args.d, ell, m)
             rows.append((args.n, args.d, m, ell, float(res.value), float(res.bound), res.holds))
             all_hold = all_hold and res.holds
-    _write_csv(args.out, "lemmas", ("n", "d", "m", "ell", "value", "bound", "holds"), rows)
-    _write_summary(
-        args.out, "lemmas", "lemmas verify",
-        _settings(args, ("n", "d", "m_max", "ell_max", "out", "seed")),
-        {"rows": len(rows), "violations": sum(1 for r in rows if not r[-1])},
-        all_hold,
-    )
-    return 0 if all_hold else 1
+    payload = {"rows": len(rows), "violations": sum(1 for r in rows if not r[-1])}
+    return "lemmas verify", ("n", "d", "m", "ell", "value", "bound", "holds"), rows, payload, all_hold
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +224,7 @@ def _symbols_coeffs(args):
         raise ValueError(f"coeffs must be comma-separated floats or 'factorial', got {args.coeffs!r}")
 
 
-def _cmd_symbols(args) -> int:
+def _cmd_symbols(args) -> tuple:
     if args.K < 0:
         raise ValueError("K must be >= 0")
     domain = _parse_domain(args.domain)
@@ -289,13 +276,7 @@ def _cmd_symbols(args) -> int:
         passed = res.sup_abs <= res.uniform_bound * (1.0 + 1e-12)
     else:
         raise ValueError(f"unknown symbols action {args.action!r}")
-    _write_csv(args.out, "symbols", ("k", "j", "ratio", "constant"), rows)
-    _write_summary(
-        args.out, "symbols", f"symbols {args.action}",
-        _settings(args, ("action", "domain", "r", "R", "m", "K", "N", "coeffs", "out", "seed")),
-        payload, passed,
-    )
-    return 0 if passed else 1
+    return f"symbols {args.action}", ("k", "j", "ratio", "constant"), rows, payload, passed
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +316,7 @@ def _geometry_rows(geometry, which: str):
     return rows
 
 
-def _cmd_geometry(args) -> int:
+def _cmd_geometry(args) -> tuple:
     if args.action != "check":
         raise ValueError(f"unknown geometry action {args.action!r}")
     geometry = _geometry(args.geometry)
@@ -347,13 +328,8 @@ def _cmd_geometry(args) -> int:
         rows = _geometry_rows(geometry, args.which)
     worst = max(r[4] / max(abs(r[3]), 1.0) for r in rows)
     passed = worst < 1e-10
-    _write_csv(args.out, "geometry", ("which", "point", "value", "reference", "error"), rows)
-    _write_summary(
-        args.out, "geometry", f"geometry check {args.which}",
-        _settings(args, ("geometry", "which", "out", "seed")),
-        {"worst_relative_error": worst}, passed,
-    )
-    return 0 if passed else 1
+    header = ("which", "point", "value", "reference", "error")
+    return f"geometry check {args.which}", header, rows, {"worst_relative_error": worst}, passed
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +344,7 @@ def _phase_pair(geometry, order: int):
     return PowerSeries.from_terms({(1, 1): -1.0}, 2, order)
 
 
-def _cmd_phase(args) -> int:
+def _cmd_phase(args) -> tuple:
     if args.action != "expand":
         raise ValueError(f"unknown phase action {args.action!r}")
     if args.K < 0 or args.degree < 0:
@@ -392,13 +368,8 @@ def _cmd_phase(args) -> int:
         worst = max(worst, err)
         rows.append((k, w.real, w.imag, m.real, m.imag, err))
     passed = worst < 1e-8
-    _write_csv(args.out, "phase", ("k", "wick_re", "wick_im", "morse_re", "morse_im", "error"), rows)
-    _write_summary(
-        args.out, "phase", "phase expand",
-        _settings(args, ("geometry", "K", "degree", "out", "seed")),
-        {"max_route_disagreement": worst}, passed,
-    )
-    return 0 if passed else 1
+    header = ("k", "wick_re", "wick_im", "morse_re", "morse_im", "error")
+    return "phase expand", header, rows, {"max_route_disagreement": worst}, passed
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +392,7 @@ def _coefficient_rows(symbol, K: int, reference=None):
     return rows, worst
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> tuple:
     if args.K < 0:
         raise ValueError("K must be >= 0")
     geometry = _geometry(args.geometry)
@@ -432,16 +403,11 @@ def _cmd_compose(args) -> int:
     control = cc.sharp_product(f, g, args.K, pair_cap=args.K + 6)
     rows, worst = _coefficient_rows(product, args.K, reference=control)
     passed = worst < 1e-8
-    _write_csv(args.out, "compose", ("k", "basepoint", "coeff_re", "coeff_im", "residual"), rows)
-    _write_summary(
-        args.out, "compose", "compose",
-        _settings(args, ("geometry", "K", "f", "g", "order", "out", "seed")),
-        {"max_residual": worst}, passed,
-    )
-    return 0 if passed else 1
+    header = ("k", "basepoint", "coeff_re", "coeff_im", "residual")
+    return "compose", header, rows, {"max_residual": worst}, passed
 
 
-def _cmd_bergman(args) -> int:
+def _cmd_bergman(args) -> tuple:
     if args.K < 0 or args.Nmax < 1:
         raise ValueError("need K >= 0 and Nmax >= 1")
     geometry = _geometry(args.geometry)
@@ -462,18 +428,12 @@ def _cmd_bergman(args) -> int:
     # the sphere the exact matrix at the default cutoff is (1 - rho^{N+1}) I
     exact = 1.0 - qs.cutoff_rho(geometry) ** (args.Nmax + 1)
     passed = worst_spread < 1e-8 and 0.9 <= smallest / exact <= 1.1
-    _write_csv(args.out, "bergman", ("k", "basepoint", "coeff_re", "coeff_im", "residual"), rows)
-    _write_summary(
-        args.out, "bergman", "bergman",
-        _settings(args, ("geometry", "K", "Nmax", "out", "seed")),
-        {
-            "identity_defect_at_Nmax": defect,
-            "min_singular_at_Nmax": smallest,
-            "max_coefficient_spread": worst_spread,
-        },
-        passed,
-    )
-    return 0 if passed else 1
+    payload = {
+        "identity_defect_at_Nmax": defect,
+        "min_singular_at_Nmax": smallest,
+        "max_coefficient_spread": worst_spread,
+    }
+    return "bergman", ("k", "basepoint", "coeff_re", "coeff_im", "residual"), rows, payload, passed
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +449,12 @@ def _partial_slope(ns, errs):
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _cmd_bergman_check(args) -> int:
+def _cmd_bergman_check(args) -> tuple:
     if args.Nmax < 8:
         raise ValueError("Nmax must be at least 8")
     geometry = _geometry(args.geometry)
     levels = list(range(8, args.Nmax + 1, 8))
-    with ThreadPoolExecutor(max_workers=min(4, len(levels))) as pool:
-        errors = list(pool.map(lambda N: qs.bergman_kernel_error(geometry, N), levels))
+    errors = [qs.bergman_kernel_error(geometry, N) for N in levels]
     rows = []
     for i, (N, err) in enumerate(zip(levels, errors)):
         rows.append((N, err, _partial_slope(levels[: i + 1], errors[: i + 1])))
@@ -508,16 +467,11 @@ def _cmd_bergman_check(args) -> int:
         passed = slope < 0.0
     if slope is None:
         slope = 0.0
-    _write_csv(args.out, "bergman-check", ("N", "sup_error", "slope"), rows)
-    _write_summary(
-        args.out, "bergman-check", "bergman-check",
-        _settings(args, ("geometry", "Nmax", "out", "seed")),
-        {"slope": slope, "max_sup_error": max(errors)}, passed,
-    )
-    return 0 if passed else 1
+    payload = {"slope": slope, "max_sup_error": max(errors)}
+    return "bergman-check", ("N", "sup_error", "slope"), rows, payload, passed
 
 
-def _cmd_decay(args) -> int:
+def _cmd_decay(args) -> tuple:
     geometry = _geometry(args.geometry)
     levels = _parse_n_list(args.N_list)
     terms = _symbol_terms(args.f, geometry.compact)
@@ -530,13 +484,8 @@ def _cmd_decay(args) -> int:
             partial = qs.decay_rate_fit(report.rows[: i + 1])[0]
         rows.append((N, ev, mass, partial))
     passed = report.fit_quality > 0.9
-    _write_csv(args.out, "decay", ("N", "lambda", "mass", "c_fit_partial"), rows)
-    _write_summary(
-        args.out, "decay", "decay",
-        _settings(args, ("geometry", "f", "E", "V", "N_list", "cutoff", "out", "seed")),
-        {"rate": report.rate, "fit_quality": report.fit_quality}, passed,
-    )
-    return 0 if passed else 1
+    payload = {"rate": report.rate, "fit_quality": report.fit_quality}
+    return "decay", ("N", "lambda", "mass", "c_fit_partial"), rows, payload, passed
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m-max", type=int, default=16, dest="m_max")
     p.add_argument("--ell-max", type=int, default=40, dest="ell_max")
-    p.set_defaults(func=_cmd_lemmas)
+    p.set_defaults(func=_cmd_lemmas, parser=p)
 
     p = subs.add_parser("symbols", parents=[parent], help="symbol-class norm/product/inverse/sum checks")
     p.add_argument("action", choices=["norm", "product", "inverse", "sum"])
@@ -573,20 +522,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=6)
     p.add_argument("--N", type=int, default=40)
     p.add_argument("--coeffs", default="factorial")
-    p.set_defaults(func=_cmd_symbols)
+    p.set_defaults(func=_cmd_symbols, parser=p)
 
     p = subs.add_parser("geometry", parents=[parent], help="closed-form geometry cross-checks")
     p.add_argument("action", choices=["check"])
     p.add_argument("--geometry", default="sphere")
     p.add_argument("--which", choices=["phi1", "psi", "bergman", "mixed-log"], default="bergman")
-    p.set_defaults(func=_cmd_geometry)
+    p.set_defaults(func=_cmd_geometry, parser=p)
 
     p = subs.add_parser("phase", parents=[parent], help="stationary-phase route comparison")
     p.add_argument("action", choices=["expand"])
     p.add_argument("--geometry", default="plane")
     p.add_argument("--K", type=int, default=3)
     p.add_argument("--degree", type=int, default=3)
-    p.set_defaults(func=_cmd_phase)
+    p.set_defaults(func=_cmd_phase, parser=p)
 
     p = subs.add_parser("compose", parents=[parent], help="sharp product with stability residuals")
     p.add_argument("--geometry", default="sphere")
@@ -594,18 +543,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="x3")
     p.add_argument("--g", default="poly:0,0,0=1.0;0,0,1=-0.333")
     p.add_argument("--order", type=int, default=8)
-    p.set_defaults(func=_cmd_compose)
+    p.set_defaults(func=_cmd_compose, parser=p)
 
     p = subs.add_parser("bergman", parents=[parent], help="projector symbol coefficients")
     p.add_argument("--geometry", default="sphere")
     p.add_argument("--K", type=int, default=3)
     p.add_argument("--Nmax", type=int, default=32)
-    p.set_defaults(func=_cmd_bergman)
+    p.set_defaults(func=_cmd_bergman, parser=p)
 
     p = subs.add_parser("bergman-check", parents=[parent], help="kernel-expansion error sweep")
     p.add_argument("--geometry", default="sphere")
     p.add_argument("--Nmax", type=int, default=64)
-    p.set_defaults(func=_cmd_bergman_check)
+    p.set_defaults(func=_cmd_bergman_check, parser=p)
 
     p = subs.add_parser("decay", parents=[parent], help="eigenvector forbidden-region decay sweep")
     p.add_argument("--geometry", default="sphere")
@@ -614,33 +563,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--V", default="x3 >= 1/2")
     p.add_argument("--N-list", default="8,12,16,20,24,28,32", dest="N_list")
     p.add_argument("--cutoff", type=int, default=None)
-    p.set_defaults(func=_cmd_decay)
+    p.set_defaults(func=_cmd_decay, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one subcommand and write its artifacts.
+
+    Each ``_cmd_*`` returns ``(label, header, rows, payload, passed)``; the
+    JSON settings are every option of the subcommand's own parser.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    sub = next(
-        choice
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-        for name, choice in action.choices.items()
-        if name == args.command
-    )
+    if args.config:
+        _apply_config(args.parser, args.config)
+        args = parser.parse_args(argv)  # explicit flags beat config values
     try:
-        _apply_config(args, sub, argv)
-        return args.func(args)
-    except SystemExit:
-        raise
+        label, header, rows, payload, passed = args.func(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    settings = {a.dest: getattr(args, a.dest) for a in args.parser._actions
+                if a.dest not in ("help", "config")}
+    _write_csv(args.out, args.command, header, rows)
+    _write_summary(args.out, args.command, label, settings, payload, passed)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

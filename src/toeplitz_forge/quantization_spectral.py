@@ -267,7 +267,7 @@ def _section_grid(geometry: ModelGeometry, N: int, dim: int, n_radial: int, n_an
     return vol, theta, coords, moduli
 
 
-def _quadrature_entries(geometry: ModelGeometry, func: Callable, N: int, dim: int, n_radial: int) -> np.ndarray:
+def _quadrature_entries(geometry: ModelGeometry, func: Callable, N: int, dim: int) -> np.ndarray:
     """Multiplier-matrix quadrature for non-polynomial data.
 
     The angular integral is an exact trapezoid mode projection; the radial
@@ -280,12 +280,18 @@ def _quadrature_entries(geometry: ModelGeometry, func: Callable, N: int, dim: in
         # fft index m multiplies e^{-i m theta}; conj(z^j) z^k carries
         # e^{i (k-j) theta}, so entry (j, k) takes mode j - k
         modes = np.fft.fft(vals, axis=1) / theta.size
-        j = np.arange(dim)
-        diff = (j[:, None] - j[None, :]) % theta.size
-        return np.einsum("a,aj,ak,ajk->jk", vol, moduli, moduli, modes[:, diff])
+        # one diagonal d = j - k at a time: gathering modes[:, j - k] for
+        # every pair would hold an (n_radial, dim, dim) array
+        out = np.empty((dim, dim), dtype=complex)
+        weighted = vol[:, None] * moduli
+        for d in range(1 - dim, dim):
+            j = np.arange(max(d, 0), min(dim, dim + d))
+            mode = modes[:, d % theta.size]
+            out[j, j - d] = np.einsum("aj,aj,a->j", weighted[:, j], moduli[:, j - d], mode)
+        return out
 
-    first = assemble(n_radial)
-    refined = assemble(int(1.5 * n_radial) + 1)
+    first = assemble(MASS_RADIAL)
+    refined = assemble(int(1.5 * MASS_RADIAL) + 1)
     scale = max(1.0, float(np.max(np.abs(refined))))
     if np.max(np.abs(first - refined)) > 1e-9 * scale:
         raise ArithmeticError(
@@ -307,7 +313,6 @@ def contravariant_matrix(
     f,
     N: int,
     cutoff: Optional[int] = None,
-    n_radial: int = MASS_RADIAL,
 ) -> OperatorMatrix:
     """Matrix of u -> projection(f u) in the orthonormal monomial basis.
 
@@ -319,7 +324,7 @@ def contravariant_matrix(
     """
     basis = basis_norms(geometry, N, cutoff)
     if callable(f):
-        ent = _quadrature_entries(geometry, f, N, basis.dim, n_radial)
+        ent = _quadrature_entries(geometry, f, N, basis.dim)
         return OperatorMatrix(ent, N, label="multiplier[quadrature]")
     terms = dict(f)
     width = 3 if geometry.compact else 2
@@ -605,7 +610,6 @@ def covariant_matrix(
     eps: Optional[float] = None,
     cutoff: Optional[int] = None,
     n_radial: int = DEFAULT_RADIAL,
-    n_angular: Optional[int] = None,
 ) -> OperatorMatrix:
     """Matrix of the kernel operator N^d 1_U Psi^N sum_k N^{-k} s_k.
 
@@ -642,19 +646,13 @@ def covariant_matrix(
             "general symbols are only stored along a meridian"
         )
     rho = cutoff_rho(geometry, eps)
-    if n_angular is None:
-        n_angular = max(64, N + 40) if rho > 0.0 else max(64, 2 * N + 8)
+    n_angular = max(64, N + 40) if rho > 0.0 else max(64, 2 * N + 8)
     amp = _summed_amplitude(symbol, N, K_used)
     diag = _sphere_diagonal_quadrature(N, basis.dim, amp, rho, n_radial, n_angular)
     return OperatorMatrix(np.diag(diag), N, label=f"kernel[K={K_used}]")
 
 
-def bergman_gram_defect(
-    geometry: ModelGeometry,
-    N: int,
-    n_radial: int = DEFAULT_RADIAL,
-    n_angular: Optional[int] = None,
-) -> float:
+def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:
     """Distance of the quadrature Gram matrix of the exact projector to I.
 
     The reproducing kernel is integrated against all basis pairs with no
@@ -662,13 +660,11 @@ def bergman_gram_defect(
     validates the covariant-matrix scheme at this resolution.
     """
     if geometry.compact:
-        if n_angular is None:
-            n_angular = max(64, 2 * N + 8)
-
         def amplitude(x, zbar):
             return np.broadcast_to(N + 1.0, np.broadcast(x, zbar).shape)
 
-        diag = _sphere_diagonal_quadrature(N, N + 1, amplitude, 0.0, n_radial, n_angular)
+        n_angular = max(64, 2 * N + 8)
+        diag = _sphere_diagonal_quadrature(N, N + 1, amplitude, 0.0, DEFAULT_RADIAL, n_angular)
         return float(np.max(np.abs(diag - 1.0)))
     blocks = [np.ones((1, 1), dtype=complex)]
     ent = _plane_gaussian_entries(blocks, N, 0, N + 1)
@@ -854,8 +850,6 @@ def forbidden_mass(
     u,
     region: Region,
     cutoff: Optional[int] = None,
-    n_radial: int = MASS_RADIAL,
-    n_angular: Optional[int] = None,
 ) -> float:
     """Weighted mass ∫_V |u(z)|^2_h dm of a unit section over a region.
 
@@ -888,9 +882,8 @@ def forbidden_mass(
     if not callable(region):
         raise ValueError("region must be None, a string, an (x3, op, value) triple, or a predicate")
     # the plane's Gaussian weight needs enough radial nodes for the top degree
-    n_rad = n_radial if geometry.compact else max(n_radial, 2 * basis.dim + 8)
-    if n_angular is None:
-        n_angular = max(64, 2 * basis.dim + 16)
+    n_rad = MASS_RADIAL if geometry.compact else max(MASS_RADIAL, 2 * basis.dim + 8)
+    n_angular = max(64, 2 * basis.dim + 16)
     vol, theta, coords, moduli = _section_grid(geometry, N, basis.dim, n_rad, n_angular)
     section = (moduli * u) @ np.exp(1j * np.outer(np.arange(basis.dim), theta))
     density = np.abs(section) ** 2 * vol[:, None] / n_angular

@@ -1,7 +1,10 @@
 """End-to-end tests of the experiment runner."""
 
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -170,13 +173,15 @@ def test_config_file_supplies_values(tmp_path):
     assert len(rows) == 2  # N = 8, 16
 
 
-def test_config_flag_overrides_file(tmp_path):
+@pytest.mark.parametrize("flag", [["--Nmax", "24"], ["--Nmax=24"], ["--Nm", "24"]],
+                         ids=["space", "equals", "prefix"])
+def test_config_flag_overrides_file(tmp_path, flag):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("Nmax = 16\n")
-    assert run(["bergman-check", "--config", str(cfg), "--Nmax", "24",
-                "--out", str(tmp_path)]) == 0
+    assert run(["bergman-check", "--config", str(cfg), *flag, "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "bergman-check.csv")
     assert len(rows) == 3
+    assert read_json(tmp_path / "bergman-check.json")["settings"]["Nmax"] == "24"
 
 
 def test_malformed_config_exits_two(tmp_path, capsys):
@@ -195,6 +200,18 @@ def test_unknown_config_key_exits_two(tmp_path):
     with pytest.raises(SystemExit) as info:
         run(["bergman-check", "--config", str(cfg), "--out", str(tmp_path)])
     assert info.value.code == 2
+
+
+def test_positional_config_key_exits_two(tmp_path, capsys):
+    # the action is chosen on the command line, never by a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("action = sum\n")
+    with pytest.raises(SystemExit) as info:
+        run(["symbols", "norm", "--config", str(cfg), "--out", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "symbols.csv").exists()
 
 
 def test_bad_arguments_exit_two(tmp_path, capsys):
@@ -224,3 +241,17 @@ def test_summary_records_defaults(tmp_path):
     assert settings["f"] == "x3"
     assert settings["V"] == "x3 >= 1/2"
     assert "generated_at" in doc
+
+
+def test_readme_table_lists_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        m = re.match(r"\| `([\w-]+)([^`]*)` \|", line)
+        if m:
+            rows[m.group(1)] = set(re.findall(r"--[\w-]+", m.group(2)))
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shared = {"--help", "--out", "--seed", "--config"}
+    for name, sub in subs.choices.items():
+        options = {opt for a in sub._actions for opt in a.option_strings if opt.startswith("--")}
+        assert options - shared <= rows[name], name

@@ -315,6 +315,23 @@ def test_sphere_quadrature_peak_memory(cut):
     assert peak < 2.0 * full
 
 
+def test_multiplier_quadrature_peak_memory():
+    N = 64
+    f = lambda x1, x2, x3: x3 + 0.3 * x1**2
+    qs.contravariant_matrix(SPH, f, N)  # fill the caches
+    tracemalloc.start()
+    try:
+        qs.contravariant_matrix(SPH, f, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refined pass gathered the FFT modes of every entry (j, k) into a
+    # complex (n_radial, dim, dim) array, 18.7 MB of peak in all; one
+    # diagonal at a time peaks at 2.6 MB
+    gathered = (int(1.5 * qs.MASS_RADIAL) + 1) * (N + 1) ** 2 * 16
+    assert peak < 0.25 * gathered
+
+
 def _live_phase(rho, n_angular):
     """The unordered live pairs of the default grid, in the quadrature's order.
 
