@@ -1,7 +1,7 @@
 """Time the conv_pair kernel, the truncated series product, series
-composition, both Morse flattenings, two callers of the composition
-engine and the sphere kernel quadrature behind covariant_matrix and
-bergman_gram_defect.
+composition, both Morse flattenings, the composition engine's build and
+three of its callers, and the sphere kernel quadrature behind
+covariant_matrix and bergman_gram_defect.
 
 Each time is the best of five calls after one warm-up call.
 
@@ -28,7 +28,8 @@ def _workloads():
     a = rng.standard_normal((17, 17, 9, 9)) + 1j * rng.standard_normal((17, 17, 9, 9))
     b = rng.standard_normal((17, 17, 9, 9)) + 1j * rng.standard_normal((17, 17, 9, 9))
     # operands of the K=4 engines (pair cap 10, param cap 8): on the sphere
-    # the transported density has 115 live pair blocks, on the plane 1
+    # the density rho_jac has 60 live pair blocks of the 66 within the
+    # pair cap, on the plane 1
     sph_eng = cc._engine(geometry.sphere(), 10, 8)
     pl_eng = cc._engine(geometry.bargmann(), 10, 8)
     # dense two-variable series at the orders the stationary-phase routes use
@@ -41,6 +42,7 @@ def _workloads():
     f = cc.symbol_from_euclid_poly(sph, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=12)
     g = cc.symbol_from_euclid_poly(sph, [{(0, 0, 1): 1.0}], order=12)
     berg = cc.bergman_symbol(sph, K=4)
+    c2c = cc.symbol_from_euclid_poly(sph, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=8)
     jobs = {
         "conv_pair 17^2x9^2": lambda: _kernels.conv_pair(a, b, 16, 8),
         "conv_pair sphere 11^2x9^2": lambda: _kernels.conv_pair(
@@ -79,7 +81,10 @@ def _workloads():
     family = L(dx, dzb + pubar) - L(dx + pu, dzb + pubar) + L(dx + pu, dzb) - L(dx, dzb)
     jobs["morse_normalize_family sphere (10, 8)"] = lambda: sp.morse_normalize_family(family)
     jobs.update({
+        # the K=4 sphere engine built past the engine cache
+        "_build_engine sphere (10, 8) cold": lambda: cc._build_engine(sph, 10, 8),
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),
+        "contravariant_to_covariant K=2 order 8": lambda: cc.contravariant_to_covariant(c2c, 2),
         # at N = 8 the quadrature's fixed cost (node set-up, the amplitude
         # over every live pair, the scatter) dominates; at N = 64 the kernel
         # power and the mode recurrence

@@ -2,11 +2,13 @@
 
 ``conv_pair`` is the bi-graded convolution of the engine's parametric
 series (``stationary_phase.PairFamily``): axes 0/1 grade the oscillatory
-pair variables, axes 2/3 the base-point offsets.  It packs each parameter
-block into its monomials of total degree <= M and multiplies the live
-blocks of both operands with one matmul per chunk of rows, against the
-multiplication matrices of the b blocks (one gather through a cached,
-read-only index map); blocks that are zero in either operand take no part.
+pair variables, axes 2/3 the base-point offsets, and both are truncated
+at a total degree (pair degree <= P, parameter degree <= M).  It packs
+each parameter block into its monomials of total degree <= M and
+multiplies the live blocks of both operands with one matmul per chunk of
+rows, against the multiplication matrices of the b blocks (one gather
+through a cached, read-only index map); blocks that are zero in either
+operand, or above the pair cap, take no part.
 
 The total-degree truncated product of ``series.PowerSeries`` lives in the
 series module, and spectra come from LAPACK in ``quantization_spectral``.
@@ -56,8 +58,9 @@ def _param_monomials(cap):
 def _live_blocks(x, pair_cap, param_cap):
     """Pair indices (i, j) and packed coefficients of the nonzero blocks of x.
 
-    Pair degrees beyond the cap and parameter entries of total degree
-    beyond it cannot reach the truncated product, so they are dropped.
+    Blocks of total pair degree i + j beyond the cap and parameter entries
+    of total degree beyond it cannot reach the truncated product, so they
+    are dropped.
     """
     ps, qs, _ = _param_monomials(param_cap)
     x = x[: pair_cap + 1, : pair_cap + 1]
@@ -67,7 +70,9 @@ def _live_blocks(x, pair_cap, param_cap):
         fit[:, :, :p, :q] = x[:, :, :p, :q]
         x = fit
     packed = x[:, :, ps, qs]
-    i, j = np.nonzero(np.any(packed != 0, axis=2))
+    live = np.any(packed != 0, axis=2)
+    live &= np.add.outer(np.arange(live.shape[0]), np.arange(live.shape[1])) <= pair_cap
+    i, j = np.nonzero(live)
     return i, j, packed[i, j]
 
 
@@ -86,15 +91,15 @@ def _multipliers(vb, quot):
 def _add_products(out, va, mul, ia, ja, ib, jb, pair_cap):
     """Add the products of packed a blocks with the b blocks of ``mul``.
 
-    One matmul forms every product; those whose pair indices (ia + ib,
-    ja + jb) stay within the cap are added into ``out`` with
+    One matmul forms every product; those whose pair degree
+    (ia + ib) + (ja + jb) stays within the cap are added into ``out`` with
     ``np.bincount``, in a-row order.
     """
     P, n = pair_cap, mul.shape[0]
     prod = (va @ mul).reshape(-1, ib.size, n)
     ti = ia[:, None] + ib[None, :]
     tj = ja[:, None] + jb[None, :]
-    keep = (ti <= P) & (tj <= P)
+    keep = ti + tj <= P
     slots = ((ti[keep] * (P + 1) + tj[keep])[:, None] * n + np.arange(n)).ravel()
     kept = prod[keep].ravel()
     out.real += np.bincount(slots, kept.real, out.size).reshape(out.shape)
@@ -105,14 +110,16 @@ def conv_pair(a, b, pair_cap, param_cap, diag_only=False):
     """Bi-graded truncated convolution.
 
     ``a``/``b`` have shape (P+1, P+1, M+1, M+1); axis 0/1 grade the pair
-    variables (v, vbar), axis 2/3 the parameters.  ``diag_only`` keeps only
-    output blocks with equal pair degrees (what the Wick contraction reads).
+    variables (v, vbar), axis 2/3 the parameters.  Both gradings are
+    truncated at a total degree, so output block (i, j) is zero when
+    i + j > P.  ``diag_only`` keeps only output blocks with equal pair
+    degrees (what the Wick contraction reads).
 
     Parameter blocks are packed into their monomials of total degree <= M,
     and every live b block becomes its multiplication matrix (one gather
     through ``_param_monomials``).  Matmuls multiply the live a blocks,
-    a chunk of rows at a time, against those matrices; each product whose
-    pair offsets stay within P is added into its output block.
+    a chunk of rows at a time, against those matrices; each product of
+    pair degree at most P is added into its output block.
 
     ``diag_only`` computes only what it keeps: an a block at pair offset
     i - j = o lands on a diagonal block only against the b blocks at

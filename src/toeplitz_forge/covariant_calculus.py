@@ -422,11 +422,10 @@ def _build_engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _En
     wbar = zbar + ubar
     phase = L(x, wbar) - L(y, wbar) + L(y, zbar) - L(x, zbar)
     morse = morse_normalize_family(phase)
-    rho = geometry.density_rho_ring(y, wbar)
-    rho_jac = morse.transport(rho) * morse.jacobian
-    return _Engine(geometry, P, M, morse, rho_jac,
-                   _pair_powers(dx + morse.iota_v, M),
-                   _pair_powers(dzb + morse.iota_vbar, M))
+    # rho at the flattened variables, by its ring formula
+    y, wbar = x + morse.iota_v, zbar + morse.iota_vbar
+    rho_jac = geometry.density_rho_ring(y, wbar) * morse.jacobian
+    return _Engine(geometry, P, M, morse, rho_jac, _pair_powers(y, M), _pair_powers(wbar, M))
 
 
 def _engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _Engine:
@@ -495,7 +494,8 @@ def _substitute_middle(jet: PowerSeries, eng: _Engine) -> PairFamily:
 
 def _bracket_tower(F: PairFamily, G: PairFamily, eng: _Engine, top: int) -> list:
     """[W_0, ..., W_top] of the pair (F, G): n! times diagonal blocks of
-    F G rhoJ.  Valid while 2 top <= pair_cap - 2 (the transport accuracy)."""
+    F G rhoJ.  Valid while 2 top <= pair_cap - 2: rhoJ is exact through
+    pair degree pair_cap - 2."""
     prod = F * G
     full = _kernels.conv_pair(
         prod.coeffs, eng.rho_jac.coeffs, eng.pair_cap, eng.param_cap, diag_only=True
@@ -597,8 +597,8 @@ def sharp_product(
 
     Coefficients beyond a factor's stored truncation enter as zero, which
     is exact for polynomial symbols.  The engine's pair cap defaults to
-    2K + 2, the smallest cap whose transported density is accurate at the
-    (K, K) diagonal block.
+    2K + 2, the smallest cap whose density rhoJ is exact at the (K, K)
+    diagonal block.
     """
     _check_pair(f, g)
     P = _pair_cap(K, pair_cap)

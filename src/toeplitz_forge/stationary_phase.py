@@ -502,9 +502,11 @@ class PairFamily(TruncatedRing):
     Coefficients form a dense complex array of shape
     (pair_cap+1, pair_cap+1, param_cap+1, param_cap+1) indexed by
     (u degree, ubar degree, first offset degree, second offset degree).
-    Pair degrees are capped per axis (a bidegree box); parameter degrees
-    by total degree.  Both caps are monomial ideals, so the truncated
-    arithmetic is an exact quotient ring.
+    Pair degrees are capped by total degree u + ubar <= pair_cap, and
+    parameter degrees by total degree, so entries above either
+    anti-diagonal stay zero, as in ``PowerSeries``.  Both caps are
+    monomial ideals, so the truncated arithmetic is an exact quotient
+    ring.
 
     Its own sum and product (``_kernels.conv_pair``) feed the ring algebra
     of ``series.TruncatedRing`` (log, reciprocal, powers, scalar ops), so
@@ -570,7 +572,7 @@ class PairFamily(TruncatedRing):
         return PairFamily.constant(value, self.pair_cap, self.param_cap)
 
     def _top_degree(self) -> int:
-        return 2 * self.pair_cap + self.param_cap
+        return self.pair_cap + self.param_cap
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -680,7 +682,9 @@ class MorseFamily:
     so iota_vbar is exact through pair degree pair_cap - 1 and the
     Jacobian through pair_cap - 2.  a_block is the pairing coefficient
     A(params) = -[u ubar] Phi; the (0,0) pair block of ``jacobian``
-    equals ainv_block exactly.
+    equals ainv_block exactly.  A function of the flattened variables
+    is evaluated on them by the ring formulas: substitution commutes
+    with the ring operations.
     """
 
     iota_v: PairFamily
@@ -688,8 +692,6 @@ class MorseFamily:
     jacobian: PairFamily
     a_block: np.ndarray
     ainv_block: np.ndarray
-    ainv_powers: list  # PowerSeries ainv^i in the two offsets, i = 0..pair_cap
-    vbar_powers: list
 
     @property
     def pair_cap(self) -> int:
@@ -698,34 +700,6 @@ class MorseFamily:
     @property
     def param_cap(self) -> int:
         return self.iota_vbar.param_cap
-
-    def transport(self, fam: PairFamily) -> PairFamily:
-        """Compose fam with (iota_v, iota_vbar); parameters pass through."""
-        return _compose_grouped(fam, self.ainv_powers, self.vbar_powers)
-
-
-def _compose_grouped(fam: PairFamily, ainv_powers: list, vbar_powers: list) -> PairFamily:
-    """fam(iota_v, iota_vbar) with iota_v = u * ainv, grouped by vbar power.
-
-    sum_j [ sum_i c_ij(params) ainv^i u^i ] * iota_vbar^j costs one pair
-    convolution per live j instead of a full bivariate substitution.
-    """
-    P, M = fam.pair_cap, fam.param_cap
-    acc = PairFamily.zeros(P, M)
-    for j in range(P + 1):
-        g = np.zeros_like(acc.coeffs)
-        live = False
-        for i in range(P + 1):
-            blk = fam.coeffs[i, j]
-            if not blk.any():
-                continue
-            g[i, 0] = blk if i == 0 else (PowerSeries(blk, M) * ainv_powers[i]).coeffs
-            live = True
-        if not live:
-            continue
-        gfam = PairFamily(g, P, M)
-        acc = acc + (gfam if j == 0 else gfam * vbar_powers[j])
-    return acc
 
 
 def _pair_powers(base: PairFamily, top: int) -> list:
@@ -747,11 +721,12 @@ def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
     g_b = sum_a c_ab ainv^a u^a is built once, before the degree loop,
     and each pair-homogeneous part of each power iota_vbar^b once.  A
     part is one column of a graded family (``_graded``); two parts, or
-    g_b and a part, multiply with one ``conv_pair`` on one-column
-    operands, which convolves their u-degree lists.  The guard at pair
-    degree D is ``_divide_by_u`` with ``tol``, scaled by the degree-D
-    error.  Only ``vbar_powers``, the full box powers that ``transport``
-    composes with, are multiplied out at the end.
+    g_b and a part, multiply with one ``conv_pair``: two parts as
+    one-column operands, which convolves their u-degree lists, and g_b
+    (blocks (a, 0)) with a degree-d part (blocks (i, d - i)) as plain
+    families, regraded.  The guard at pair degree D is ``_divide_by_u``
+    with ``tol``, scaled by the degree-D error.  No power of iota_vbar is
+    multiplied out beyond what the solve reads.
     """
     P, M = phase.pair_cap, phase.param_cap
     if P < 2:
@@ -778,18 +753,19 @@ def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
         return _kernels.conv_pair(x[:, None], y[:, None], P, M)[:, 0]
 
     def spread(g, part):
-        # g_b graded: its u^a block sits at u degree a and degree a
-        gg = np.zeros((g.shape[0],) + g.shape, dtype=np.complex128)
-        a = np.arange(g.shape[0])
-        gg[a, a] = g
-        return _kernels.conv_pair(gg, part[:, None], P, M)[:, : g.shape[0]]
+        # g_b at blocks (a, 0) times the degree-d part at blocks (i, d - i)
+        d = part.shape[0] - 1
+        gb = np.zeros_like(ser.coeffs)
+        gb[: g.shape[0], 0] = g
+        pd = np.zeros_like(ser.coeffs)
+        pd[np.arange(d + 1), d - np.arange(d + 1)] = part
+        return _graded(_kernels.conv_pair(gb, pd, P, M))[:, d:]
 
     w = _solve_online(rem, tol, "pair-degree", times, spread)
 
     u = PairFamily.variables(P, M)[0]
     iota_v = u.param_scale(ainv_block)
     iota_vbar = PairFamily(_ungraded(w), P, M)
-    vbar_powers = _pair_powers(iota_vbar, P)
     jacobian = iota_vbar.diff_ubar().param_scale(ainv_block)
     return MorseFamily(
         iota_v=iota_v,
@@ -797,6 +773,4 @@ def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
         jacobian=jacobian,
         a_block=a_block,
         ainv_block=ainv_block,
-        ainv_powers=ainv_powers,
-        vbar_powers=vbar_powers,
     )

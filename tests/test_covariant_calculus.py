@@ -253,6 +253,35 @@ def test_sphere_unit_sharp_unit_alternating():
             assert np.max(np.abs(block)) < 1e-10
 
 
+def _sphere_coordinate(axis, order=8):
+    expo = [0, 0, 0]
+    expo[axis] = 1
+    return cc.symbol_from_euclid_poly(SPHERE, [{tuple(expo): 1.0}], order=order)
+
+
+def test_sphere_x3_sharp_x3_closed_form():
+    # T(x3) is diag (N - 2j)/(N + 1), so T(x3)^2 has the Berezin symbol
+    # x3^2 + sum_k N^-k (-1)^(k-1) (1 - 2 x3^2): every coefficient of
+    # x3 # x3, at every node
+    x3 = _sphere_coordinate(2)
+    p = cc.sharp_product(x3, x3, K=5)
+    t = x3.node_values(0)
+    for k in range(6):
+        want = t**2 if k == 0 else (-1.0) ** (k - 1) * (1.0 - 2.0 * t**2)
+        assert np.max(np.abs(p.node_values(k) - want)) <= 1e-12, k
+
+
+def test_sphere_spin_commutator_closed_form():
+    # [T(x2), T(x3)] = -2i/(N + 1) T(x1), so the antisymmetric part of the
+    # product is (x2 # x3 - x3 # x2)_k = -2i (-1)^(k-1) x1 for k >= 1
+    x1, x2, x3 = (_sphere_coordinate(axis) for axis in range(3))
+    left, right = cc.sharp_product(x2, x3, K=4), cc.sharp_product(x3, x2, K=4)
+    for k in range(5):
+        want = 0.0 if k == 0 else -2j * (-1.0) ** (k - 1) * x1.node_values(0)
+        got = left.node_values(k) - right.node_values(k)
+        assert np.max(np.abs(got - want)) <= 1e-12, k
+
+
 def test_sharp_preserves_rotation_invariance():
     f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
     g = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 2): 1.0}], order=6)
@@ -426,6 +455,14 @@ def test_bergman_sphere_coefficients():
     assert a.global_eval is not None
 
 
+def test_bergman_sphere_constant_terms_through_K6():
+    # S_N(z, z) = N + 1 against N^d Psi^N: a = (1, 1, 0, ...) exactly
+    a = cc.bergman_symbol(SPHERE, K=6, order=8)
+    for k in range(7):
+        want = 1.0 if k < 2 else 0.0
+        assert np.max(np.abs(a.node_values(k) - want)) <= 1e-12, k
+
+
 def test_bergman_plane_coefficients():
     a = cc.bergman_symbol(PLANE, K=4, order=6)
     assert abs(complex(a.jets[0].coeffs[0].constant_term()) - 1.0) < 1e-14
@@ -483,6 +520,17 @@ def test_engine_built_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert builds == [("sphere", 10, 8)]
     assert len(got) == 4 and all(e is got[0] for e in got)
+
+
+@pytest.mark.parametrize("P", [6, 8, 10])
+def test_engine_density_stable_under_pair_cap(P):
+    # the blocks (n, n) with 2n <= P - 2 that _bracket_tower reads are
+    # exact at cap P, so a larger cap moves them by rounding only
+    eng, ref = cc._engine(SPHERE, P, 8), cc._engine(SPHERE, P + 2, 8)
+    for n in range((P - 2) // 2 + 1):
+        want = ref.rho_jac.block(n, n)
+        gap = np.max(np.abs(eng.rho_jac.block(n, n) - want)) / np.max(np.abs(want))
+        assert gap <= 1e-9, (n, gap)
 
 
 def test_bergman_uniqueness_via_second_symbol():

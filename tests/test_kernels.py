@@ -12,8 +12,9 @@ from toeplitz_forge.series import PowerSeries
 def _loop_conv_pair(a, b, pair_cap, param_cap, diag_only):
     """The per-nonzero slice-add loop that conv_pair packs into matmuls.
 
-    For every pair of live blocks, each nonzero parameter coefficient of
-    the a block adds one shifted slice of the b block.
+    For every pair of live blocks whose pair degrees sum to at most the
+    pair cap, each nonzero parameter coefficient of the a block adds one
+    shifted slice of the b block.
     """
     P, M = pair_cap, param_cap
     out = np.zeros((P + 1, P + 1, M + 1, M + 1), dtype=np.complex128)
@@ -25,7 +26,7 @@ def _loop_conv_pair(a, b, pair_cap, param_cap, diag_only):
         blk_a = a[i1, j1]
         for i2, j2 in used_b:
             i, j = i1 + i2, j1 + j2
-            if i > P or j > P or (diag_only and i != j):
+            if i + j > P or (diag_only and i != j):
                 continue
             blk_b = b[i2, j2]
             for p, q in np.argwhere(blk_a != 0):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplitz_forge import geometry
+from toeplitz_forge import _kernels, geometry
 from toeplitz_forge import stationary_phase as sp
 from toeplitz_forge.series import PowerSeries
 from toeplitz_forge.stationary_phase import (
@@ -444,12 +444,15 @@ def test_expansion_result_guards():
 
 
 def test_family_exp_multinomial():
+    # the pair cap is a total-degree cap: u^i ubar^j survives for i + j <= 4
     u, ubar, dx, dzb = PairFamily.variables(4, 3)
     fam = (u + ubar + dx).exp()
     for i in range(5):
         for j in range(5):
             for p in range(4):
                 want = 1.0 / (math.factorial(i) * math.factorial(j) * math.factorial(p))
+                if i + j > 4:
+                    want = 0.0
                 assert fam.coeffs[i, j, p, 0] == pytest.approx(want, rel=1e-12)
 
 
@@ -476,12 +479,12 @@ def test_family_product_reference():
     grid = np.add.outer(np.arange(M + 1), np.arange(M + 1))
     for fam in (a, b):
         fam.coeffs[:, :, grid > M] = 0.0
-    # reference: explicit loop respecting box pair caps and total param cap
+    # reference: explicit loop respecting the total pair and param caps
     want = np.zeros_like(a.coeffs)
     for i1, j1, p1, q1 in np.argwhere(a.coeffs != 0):
         for i2, j2, p2, q2 in np.argwhere(b.coeffs != 0):
             i, j, p, q = i1 + i2, j1 + j2, p1 + p2, q1 + q2
-            if i <= P and j <= P and p + q <= M:
+            if i + j <= P and p + q <= M:
                 want[i, j, p, q] += a.coeffs[i1, j1, p1, q1] * b.coeffs[i2, j2, p2, q2]
     got = (a * b).coeffs
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -507,11 +510,13 @@ def test_family_shift_scale_diff():
 def test_param_scale_matches_pair_product():
     # param_scale takes the series product; a family whose only live pair
     # block is (0, 0) takes conv_pair to the same result.  Both operands
-    # carry entries above the parameter cap, which both products drop.
+    # carry entries above the parameter cap, which both products drop; the
+    # family lies inside the pair cap, which param_scale does not apply.
     rng = np.random.default_rng(8)
     P, M = 4, 3
     shape = (P + 1, P + 1, M + 1, M + 1)
     fam = PairFamily(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), P, M)
+    fam.coeffs[np.add.outer(np.arange(P + 1), np.arange(P + 1)) > P] = 0.0
     block = rng.standard_normal((M + 1, M + 1)) + 1j * rng.standard_normal((M + 1, M + 1))
     block[1, 2] = 0.0  # a zero coefficient adds no slice
     G = PairFamily.zeros(P, M)
@@ -575,7 +580,7 @@ def test_family_flatten_identity():
 
 def test_family_flatten_sphere_base_closed_forms():
     # at zero offsets: iota_vbar = (e^{u ubar} - 1)/u, J = e^{u ubar},
-    # density transport rho(iota) J = e^{-u ubar}
+    # density rho(dx + iota_v, dzbar + iota_vbar) J = e^{-u ubar}
     P = 8
     fam = _sphere_family(P, 0)
     data = morse_normalize_family(fam)
@@ -589,8 +594,7 @@ def test_family_flatten_sphere_base_closed_forms():
                 1.0 / math.factorial(m), rel=1e-10)
     u, ubar, dx, dzb = PairFamily.variables(P, 0)
     model = geometry.SphereModel()
-    rho = model.density_rho_ring(dx + u, dzb + ubar)
-    w = data.transport(rho) * data.jacobian
+    w = model.density_rho_ring(dx + data.iota_v, dzb + data.iota_vbar) * data.jacobian
     for m in range(P):
         if 2 * m <= P - 2:
             want = (-1.0) ** m / math.factorial(m)
@@ -635,11 +639,15 @@ def test_family_transport_matches_scalar_substitute():
     rng = np.random.default_rng(11)
     amp2 = PowerSeries(rng.standard_normal((P + 1, P + 1)) * 0.5, P)
     amp2.coeffs[np.sum(np.indices(amp2.coeffs.shape), axis=0) > P] = 0.0
-    amp_fam = PairFamily(amp2.coeffs[:, :, None, None].astype(complex), P, 0)
 
     (kv, kvb), _ = morse_normalize(sphere_phase(P + 2), K=P - 2)
     scal = amp2.substitute([kv.truncate(P), kvb.truncate(P)])
-    got = data.transport(amp_fam)
+    # sum c_ij iota_v^i iota_vbar^j with family products
+    v_powers = sp._pair_powers(data.iota_v, P)
+    vbar_powers = sp._pair_powers(data.iota_vbar, P)
+    got = PairFamily.zeros(P, 0)
+    for i, j in zip(*np.nonzero(amp2.coeffs)):
+        got = got + v_powers[i] * vbar_powers[j] * complex(amp2.coeffs[i, j])
     for i in range(P + 1):
         for j in range(P + 1):
             if i + j <= P - 1:
@@ -660,6 +668,30 @@ def test_family_degenerate_pairing():
     fam.coeffs[2, 2, 0, 0] = 1.0
     with pytest.raises(ValueError, match="degenerate"):
         morse_normalize_family(fam)
+
+
+def _compose_grouped(fam, ainv_powers, vbar_powers):
+    """fam(iota_v, iota_vbar) with iota_v = u * ainv, grouped by vbar power.
+
+    sum_j [ sum_i c_ij(params) ainv^i u^i ] * iota_vbar^j: one pair
+    convolution per live j instead of a full bivariate substitution.
+    """
+    P, M = fam.pair_cap, fam.param_cap
+    acc = PairFamily.zeros(P, M)
+    for j in range(P + 1):
+        g = np.zeros_like(acc.coeffs)
+        live = False
+        for i in range(P + 1):
+            blk = fam.coeffs[i, j]
+            if not blk.any():
+                continue
+            g[i, 0] = blk if i == 0 else (PowerSeries(blk, M) * ainv_powers[i]).coeffs
+            live = True
+        if not live:
+            continue
+        gfam = PairFamily(g, P, M)
+        acc = acc + (gfam if j == 0 else gfam * vbar_powers[j])
+    return acc
 
 
 def _recompose_family(phase, tol=1e-9):
@@ -683,7 +715,7 @@ def _recompose_family(phase, tol=1e-9):
     uub.coeffs[1, 1, 0, 0] = 1.0
     for D in range(3, P + 1):
         vbar_powers = sp._pair_powers(iota_vbar, P)
-        err = sp._compose_grouped(ser, ainv_powers, vbar_powers) + uub
+        err = _compose_grouped(ser, ainv_powers, vbar_powers) + uub
         err_d = err.pair_homogeneous(D)
         if not err_d.coeffs.any():
             continue
@@ -695,10 +727,8 @@ def _recompose_family(phase, tol=1e-9):
         shifted = np.zeros_like(err_d.coeffs)
         shifted[:P, :] = err_d.coeffs[1:, :]
         iota_vbar = iota_vbar + PairFamily(shifted, P, M)
-    vbar_powers = sp._pair_powers(iota_vbar, P)
     jacobian = iota_vbar.diff_ubar().param_scale(ainv_block)
-    return MorseFamily(iota_v, iota_vbar, jacobian, a_block, ainv_block,
-                       ainv_powers, vbar_powers)
+    return MorseFamily(iota_v, iota_vbar, jacobian, a_block, ainv_block)
 
 
 @pytest.mark.parametrize("P", [6, 8, 10])
@@ -711,22 +741,34 @@ def test_online_family_matches_recomposition(model, P):
     assert np.array_equal(got.iota_v.coeffs, want.iota_v.coeffs)
     assert _rel_gap(got.iota_vbar.coeffs, want.iota_vbar.coeffs) <= 1e-13
     assert _rel_gap(got.jacobian.coeffs, want.jacobian.coeffs) <= 1e-13
-    assert len(got.vbar_powers) == len(want.vbar_powers) == P + 1
-    for g, w in zip(got.vbar_powers, want.vbar_powers):
-        assert _rel_gap(g.coeffs, w.coeffs) <= 1e-13
 
 
 def test_family_flatten_recomposes_nothing(monkeypatch):
-    calls = []
-    real = sp._compose_grouped
+    # every conv_pair call of a (10, 8) solve is one of the online loop's
+    # products (``times`` or ``spread``): none recomposes the phase, and no
+    # power of iota_vbar is multiplied out after the loop
+    right, loop = [], []
+    real_conv, real_solve = _kernels.conv_pair, sp._solve_online
 
-    def counted(*args):
-        calls.append(len(args))
-        return real(*args)
+    def conv(a, b, *args, **kwargs):
+        right.append(b)
+        return real_conv(a, b, *args, **kwargs)
+
+    def counted(fn):
+        def call(*args):
+            loop.append(fn)
+            return fn(*args)
+        return call
+
+    def solve(rem, tol, what, times, spread):
+        return real_solve(rem, tol, what, counted(times), counted(spread))
 
     phase = _sphere_family(10, 8)
-    monkeypatch.setattr(sp, "_compose_grouped", counted)
-    data = morse_normalize_family(phase)
-    assert calls == []
-    data.transport(phase)  # transport still composes, through the same helper
-    assert len(calls) == 1
+    monkeypatch.setattr(_kernels, "conv_pair", conv)
+    monkeypatch.setattr(sp, "_solve_online", solve)
+    morse_normalize_family(phase)
+    assert len(right) == len(loop) == 91
+    # each right operand is one graded column or one pair-homogeneous part
+    for b in right:
+        i, j = np.nonzero(np.any(b, axis=(2, 3)))
+        assert np.all(j == 0) or np.unique(i + j).size == 1
