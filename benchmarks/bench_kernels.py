@@ -77,8 +77,7 @@ def _workloads():
     jobs["morse_expand sphere K=6"] = lambda: sp.morse_expand(sphere_phase, amplitude, 6)
     # the phase family of the K=4 sphere engine (pair cap 10, param cap 8)
     pu, pubar, dx, dzb = sp.PairFamily.variables(10, 8)
-    L = sph.two_phi_tilde_ring
-    family = L(dx, dzb + pubar) - L(dx + pu, dzb + pubar) + L(dx + pu, dzb) - L(dx, dzb)
+    family = sph.phase_phi1(dx, dx + pu, dzb + pubar, dzb)
     jobs["morse_normalize_family sphere (10, 8)"] = lambda: sp.morse_normalize_family(family)
     jobs.update({
         # the K=4 sphere engine built past the engine cache

@@ -143,12 +143,6 @@ class CovariantSymbol:
     def m(self) -> int:
         return self.jets[0].m
 
-    def node_values(self, k: int) -> np.ndarray:
-        """Coefficient k restricted to the diagonal grid."""
-        return np.array(
-            [complex(self.jets[i].coeffs[k].constant_term()) for i in range(len(self.nodes))]
-        )
-
     def jet_eval(self, node_index: int, k: int, a, bbar):
         """Evaluate coefficient k's node jet at frame offsets (vectorized)."""
         c = np.asarray(self.jets[node_index].coeffs[k].coeffs, dtype=complex)
@@ -260,26 +254,22 @@ def _jet_domain() -> Domain:
     return Domain.disk(JET_DOMAIN_RADIUS) * Domain.disk(JET_DOMAIN_RADIUS)
 
 
-def _frame_euclid_series(node: complex, order: int):
+def _frame_euclid_series(geometry: ModelGeometry, node: complex, order: int):
     """Jets of the polarized sphere coordinates (x1, x2, x3) in the normal
     frame of a meridian node.
 
     Building them through the global chart would multiply series with
     coefficients ~ node^p and cancel catastrophically near the pole, so
-    the frame jets are assembled from the base-point functions and the
-    rigid rotation that carries the node to the origin:
+    the frame jets are the base-point jets of ``euclid_polarized`` carried
+    by the rigid rotation that takes the node to the origin:
     x2 is fixed and (x1, x3) rotate by the node's polar angle.
     """
     lam = complex(node)
     if abs(lam.imag) > 1e-14:
         raise ValueError("sphere nodes sit on the real meridian")
     lam = lam.real
-    a = PowerSeries.variable(0, 2, order)
-    bbar = PowerSeries.variable(1, 2, order)
-    d = (1 + a * bbar).reciprocal()
-    base1 = (a + bbar) * d
-    base2 = (a - bbar) * d * (-1j)
-    base3 = (1 - a * bbar) * d
+    base1, base2, base3 = geometry.euclid_polarized(
+        PowerSeries.variable(0, 2, order), PowerSeries.variable(1, 2, order))
     c = (1.0 - lam * lam) / (1.0 + lam * lam)
     s = 2.0 * lam / (1.0 + lam * lam)
     return (base1 * c + base3 * s, base2, base1 * (-s) + base3 * c)
@@ -308,7 +298,7 @@ def symbol_from_euclid_poly(
     domain = _jet_domain()
     jets = []
     for node in nodes:
-        e1, e2, e3 = _frame_euclid_series(node, order)
+        e1, e2, e3 = _frame_euclid_series(geometry, node, order)
         coeffs = []
         for terms in terms_per_k:
             acc = PowerSeries.zero(2, order)
@@ -415,16 +405,11 @@ _ENGINE_LOCK = threading.Lock()
 
 def _build_engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _Engine:
     P, M = pair_cap, param_cap
-    u, ubar, dx, dzb = PairFamily.variables(P, M)
-    L = geometry.two_phi_tilde_ring
-    x, zbar = dx, dzb
-    y = x + u
-    wbar = zbar + ubar
-    phase = L(x, wbar) - L(y, wbar) + L(y, zbar) - L(x, zbar)
-    morse = morse_normalize_family(phase)
-    # rho at the flattened variables, by its ring formula
+    u, ubar, x, zbar = PairFamily.variables(P, M)
+    morse = morse_normalize_family(geometry.phase_phi1(x, x + u, zbar + ubar, zbar))
+    # rho at the flattened variables, by the density's own formula
     y, wbar = x + morse.iota_v, zbar + morse.iota_vbar
-    rho_jac = geometry.density_rho_ring(y, wbar) * morse.jacobian
+    rho_jac = geometry.density_rho(y, wbar) * morse.jacobian
     return _Engine(geometry, P, M, morse, rho_jac, _pair_powers(y, M), _pair_powers(wbar, M))
 
 
@@ -707,23 +692,15 @@ def bergman_symbol(
 def _build_bergman_symbol(geometry, K, order, r, R, m) -> CovariantSymbol:
     one = unit_covariant(geometry, K=0, order=order, r=r, R=R, m=m)
     out = solve_sharp(one, one, K)
-    out.rotation_invariant = True
+    # both models are homogeneous, so the exact symbol is constant: pin its
+    # coefficients from node 0 and attach the matching exact evaluator
     consts = tuple(complex(out.jets[0].coeffs[k].constant_term()) for k in range(K + 1))
 
     def evaluator(k, x, zbar):
         return np.full(np.broadcast(x, zbar).shape, consts[k], dtype=complex)
 
-    # the solved jets are constants; expose them and the matching exact
-    # evaluator
-    flat = 0.0
-    for jet in out.jets:
-        for k in range(K + 1):
-            block = np.array(jet.coeffs[k].coeffs, dtype=complex)
-            block[0, 0] -= consts[k]
-            flat = max(flat, float(np.max(np.abs(block))))
-    if flat < 1e-8:
-        out.global_eval = evaluator
-        out.constant_coeffs = consts
+    out.global_eval = evaluator
+    out.constant_coeffs = consts
     out.nodes.setflags(write=False)
     for jet in out.jets:
         for series in jet.coeffs:
@@ -735,28 +712,6 @@ def sharp_inverse(f: CovariantSymbol, K: int, pair_cap: Optional[int] = None) ->
     """f^{sharp -1}: the symbol with f sharp f^{sharp -1} = Bergman symbol."""
     a = bergman_symbol(f.geometry, K, order=f.order, r=f.r, R=f.R, m=f.m)
     return solve_sharp(f, a, K, pair_cap=pair_cap)
-
-
-@dataclass
-class NormGrowthReport:
-    rows: list  # (r, R, m, norm_f, norm_inverse, ratio)
-    max_ratio: float
-
-
-def sharp_inverse_report(
-    f: CovariantSymbol, K: int, grids: Sequence[tuple] = ((1.0, 2.0, 2), (1.0, 4.0, 3), (1.5, 6.75, 2))
-) -> NormGrowthReport:
-    """Inverse norm against C ||f|| across (r, R, m) parameter grids."""
-    inv = sharp_inverse(f, K)
-    rows = []
-    worst = 0.0
-    for (r, R, m) in grids:
-        nf = f.norm_estimate(r=r, R=R, m=m)
-        ni = inv.norm_estimate(r=r, R=R, m=m)
-        ratio = ni / nf if nf > 0 else math.inf
-        rows.append((r, R, m, nf, ni, ratio))
-        worst = max(worst, ratio)
-    return NormGrowthReport(rows, worst)
 
 
 def contravariant_to_covariant(
@@ -828,7 +783,7 @@ def wick_degree_check(
 
 
 # ---------------------------------------------------------------------------
-# the Bargmann closed form and the normalized wrapper
+# the Bargmann closed form
 
 
 def bargmann_wick_product(f: CovariantSymbol, g: CovariantSymbol, K: int) -> CovariantSymbol:
@@ -857,44 +812,6 @@ def bargmann_wick_product(f: CovariantSymbol, g: CovariantSymbol, K: int) -> Cov
                 acc = acc + (df * dg) * (1.0 / math.factorial(n))
         blocks.append(acc.coeffs)
     return _assemble(f, [blocks], K, False)
-
-
-def normalized_sharp(f: CovariantSymbol, g: CovariantSymbol, K: int) -> CovariantSymbol:
-    """Product in the normalized convention.
-
-    Raw sharp composes kernels N^d Psi^N f(N); the normalized convention
-    weighs kernels by the Bergman symbol (T~(f) = T(f * a), so T~(1) is
-    exactly S_N).  The wrapper computes ((f * a) sharp (g * a)) * a^{*-1}
-    with * the coefficientwise Cauchy product.  Tests state which
-    convention they exercise; everything upstream is the raw product.
-    """
-    from .function_spaces import star_inverse
-
-    _check_pair(f, g)
-    a = bergman_symbol(f.geometry, K, order=f.order, r=f.r, R=f.R, m=f.m)
-
-    def _times(s: CovariantSymbol, t: CovariantSymbol) -> CovariantSymbol:
-        jets = []
-        for i in range(len(s.nodes)):
-            sj, tj = s.jets[i], t.jets[min(i, len(t.jets) - 1)]
-            K_out = min(K, sj.K + tj.K)
-            coeffs = []
-            for k in range(K_out + 1):
-                acc = PowerSeries.zero(2, s.order)
-                for l in range(k + 1):
-                    if l <= sj.K and k - l <= tj.K:
-                        acc = acc + sj.coeffs[l] * tj.coeffs[k - l]
-                coeffs.append(acc)
-            jets.append(make_symbol(coeffs, sj.domain, sj.r, sj.R, sj.m))
-        return CovariantSymbol(s.geometry, s.nodes.copy(), tuple(jets),
-                               s.rotation_invariant and t.rotation_invariant, None)
-
-    fa = _times(f, a)
-    ga = _times(g, a)
-    raw = sharp_product(fa, ga, K)
-    ainv_jets = tuple(star_inverse(j) for j in a.jets)
-    ainv = CovariantSymbol(a.geometry, a.nodes.copy(), ainv_jets, True, None)
-    return _times(raw, ainv)
 
 
 # ---------------------------------------------------------------------------

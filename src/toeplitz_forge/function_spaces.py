@@ -164,84 +164,6 @@ def estimate_h_norm(
     return HNormCertificate(m, float(r), domain, best, j_max, grid_resolution)
 
 
-def embed_certificate(c: HNormCertificate, m_new: int, r_new: float) -> HNormCertificate:
-    """Reinterpret a certificate at weaker parameters, constant unchanged.
-
-    Legal when m_new >= m and r_new >= r * 2^(m_new - m): the weight
-    (j+1)^(m_new) / r_new^j is then dominated by (j+1)^m / r^j for all j.
-    """
-    if m_new < c.m:
-        raise ValueError("embedding cannot decrease m")
-    if r_new < c.r * 2 ** (m_new - c.m):
-        raise ValueError(
-            f"embedding needs r_new >= {c.r * 2 ** (m_new - c.m)}, got {r_new}"
-        )
-    return HNormCertificate(m_new, float(r_new), c.domain, c.constant, c.j_max, c.grid_resolution)
-
-
-def invert_h(
-    f: PowerSeries, cert: HNormCertificate, inf_abs: float
-) -> tuple:
-    """Reciprocal series with its certificate.
-
-    ``inf_abs`` must lower-bound |f| on the domain; this is re-verified on
-    the certificate's grid. The returned constant is the grid estimate for
-    1/f, which must not exceed the classical bound ||f|| / inf_abs^2.
-    """
-    if inf_abs <= 0:
-        raise ValueError("need a positive lower bound")
-    grids = cert.domain.grids(cert.grid_resolution)
-    vals = np.abs(_eval_mesh(f, grids))
-    if float(np.min(vals)) < inf_abs:
-        raise ValueError(
-            f"|f| dips to {float(np.min(vals)):.6g} on the grid, below {inf_abs}"
-        )
-    inv = f.reciprocal()
-    new_cert = estimate_h_norm(
-        inv, cert.m, cert.r, cert.domain, cert.j_max, cert.grid_resolution
-    )
-    bound = cert.constant / inf_abs**2
-    if new_cert.constant > bound * (1.0 + 1e-9):
-        raise ArithmeticError(
-            f"reciprocal estimate {new_cert.constant:.6g} exceeds the bound {bound:.6g}"
-        )
-    return inv, new_cert
-
-
-def cauchy_import(
-    f: PowerSeries, T: float, sup_bound: float, d: int = 1
-) -> HNormCertificate:
-    """Certificate from a plain sup bound via Cauchy derivative estimates.
-
-    |f| <= sup_bound on the disk of radius 2T yields membership in
-    H(-d, d/T) on the disk of radius T with constant C * sup_bound. For
-    d = 1 (both model spaces) C = 1: the Cauchy estimate gives
-    |f^(j)(x)| <= sup_bound * j! / T^j on |x| <= T, and the weight
-    (j+1)^(-1) (T/1)^j / j! collapses the rest.
-    """
-    if T <= 0:
-        raise ValueError("need T > 0")
-    if d != 1:
-        raise NotImplementedError("only one complex dimension is supported")
-    if f.nvars != 1:
-        raise ValueError("cauchy_import expects a one-variable series")
-    # sanity: confirm the promised sup bound on the outer boundary grid
-    outer = Domain.disk(2.0 * T).grids(64)
-    vals = np.abs(_eval_mesh(f, outer))
-    if float(np.max(vals)) > sup_bound * (1.0 + 1e-9):
-        raise ValueError(
-            f"|f| reaches {float(np.max(vals)):.6g} on the outer disk, above {sup_bound}"
-        )
-    constant = constants.CAUCHY_IMPORT_C[d] * sup_bound
-    cert = HNormCertificate(-d, d / T, Domain.disk(T), constant, j_max=10, grid_resolution=41)
-    inner = estimate_h_norm(f, -d, d / T, Domain.disk(T), j_max=10)
-    if inner.constant > constant * (1.0 + 1e-9):
-        raise ArithmeticError(
-            f"grid estimate {inner.constant:.6g} exceeds the imported constant {constant:.6g}"
-        )
-    return cert
-
-
 # ---------------------------------------------------------------------------
 # analytic symbols
 
@@ -539,15 +461,3 @@ def summation(a: AnalyticSymbol, N: int, c1: Optional[float] = None) -> Summatio
         tail_estimate = float(np.max(np.abs(_eval_mesh(tail_acc, grids))))
     uniform_bound = a.constant * 3.0 / (3.0 - math.e)
     return SummationResult(N, K_used, values, tail_estimate, uniform_bound, sup_abs)
-
-
-def tail_rate(c1: float) -> float:
-    """Exponential rate of the summation tail: c2 = c1 log(3/e)."""
-    return c1 * math.log(3.0 / math.e)
-
-
-def symbol_pullback(a: AnalyticSymbol, kappa: Sequence[PowerSeries]) -> AnalyticSymbol:
-    """Compose every coefficient with a change of variables fixing the base."""
-    new_coeffs = tuple(c.substitute(list(kappa)) for c in a.coeffs)
-    return AnalyticSymbol(new_coeffs, a.K, a.r, a.R, a.m, a.domain,
-                          a.j_max, a.grid_resolution)

@@ -1,26 +1,28 @@
 """The two model spaces: flat complex plane and round sphere.
 
-Each model packages its polarized potential, reproducing kernel, volume
-density, metric, and exact monomial norms. Conventions:
+A model states five primitives, and everything else is derived from them:
 
-* polarized potential ``phi_tilde(x, wbar)``: plane ``x wbar / 2``,
-  sphere ``log(1 + x wbar) / 2``; on the diagonal ``phi(z) =
-  phi_tilde(z, conj z)`` is the real potential.
-* un-normalized kernel ``Psi(x, ybar) = exp(2 phi_tilde(x, ybar))``,
-  so ``Psi^N`` is ``exp(N x ybar)`` on the plane and ``(1 + x ybar)^N``
-  on the sphere.
-* volume: plane ``dA / pi``; sphere ``(1/pi)(1 + |z|^2)^{-2} dA``
-  (total mass one).
-* metric ``2 A(z, zbar) |dz|^2`` with ``A`` the mixed Hessian of
-  ``2 phi``; sphere injectivity radius ``pi / sqrt(2)``.
+* ``two_phi_tilde(x, wbar) = L``, the polarized potential doubled: plane
+  ``x wbar``, sphere ``log(1 + x wbar)``.  The un-normalized kernel is
+  ``Psi(x, ybar) = exp(L(x, ybar))``, so ``Psi^N`` is ``exp(N x ybar)`` on
+  the plane and ``(1 + x ybar)^N`` on the sphere.
+* ``density_rho(y, wbar)``, the polarized volume density against flat
+  ``dA / pi``: plane 1, sphere ``(1 + y wbar)^{-2}`` (total mass one).  On
+  a Kaehler model it is also the mixed Hessian of ``L``, so the metric is
+  ``2 rho(z, zbar) |dz|^2``.
+* ``geodesic_distance``; sphere injectivity radius ``pi / sqrt(2)``.
+* ``norm_sq_monomial`` and ``bergman_kernel``, the exact level-N oracles.
 
-The four-point phase combination
+Each formula is written once and takes numpy arrays or scalars (made
+complex) and ring elements (``PowerSeries``, ``PairFamily``) alike: the
+engine builds its phase and density from the same expressions the
+quadratures evaluate.  The four-point phase combination
 
-    Phi1(x, y, wbar, zbar) = L(x,wbar) - L(y,wbar) + L(y,zbar) - L(x,zbar),
+    Phi1(x, y, wbar, zbar) = L(x,wbar) - L(y,wbar) + L(y,zbar) - L(x,zbar)
 
-with ``L = 2 phi_tilde``, vanishes on {y = x} and {wbar = zbar} and has
-non-positive real part on the real locus; all oscillatory-integral
-machinery downstream expands ``exp(N Phi1)``.
+vanishes on {y = x} and {wbar = zbar} and has non-positive real part on
+the real locus; all oscillatory-integral machinery downstream expands
+``exp(N Phi1)``.
 """
 
 from __future__ import annotations
@@ -31,21 +33,42 @@ from fractions import Fraction
 
 import numpy as np
 
-from .series import PowerSeries
+from .series import PowerSeries, TruncatedRing
 
 
-def _ring_log_shifted(s: PowerSeries) -> PowerSeries:
-    """log of a series with arbitrary nonzero constant term."""
-    c = s.constant_term()
+def _operands(*args):
+    """Ring elements pass through; anything else becomes a complex array."""
+    if any(isinstance(a, TruncatedRing) for a in args):
+        return args
+    return tuple(np.asarray(a, dtype=complex) for a in args)
+
+
+def _log(t):
+    """log of an array, or of a ring element with any nonzero constant term."""
+    if not isinstance(t, TruncatedRing):
+        return np.log(t)
+    c = t.constant_term()
     if c == 0:
         raise ValueError("log needs a nonzero constant term")
-    scaled = s * (1.0 / complex(c))
+    scaled = t * (1.0 / complex(c))
     scaled.coeffs[(0,) * scaled.nvars] = 1.0  # pin the one-ulp division residue
     return complex(np.log(complex(c))) + scaled.log()
 
 
+def _inverse_square(t):
+    return t.reciprocal() ** 2 if isinstance(t, TruncatedRing) else t ** (-2.0)
+
+
+def _divider(d):
+    """Division by d; a ring element divides through one reciprocal."""
+    if isinstance(d, TruncatedRing):
+        inv = d.reciprocal()
+        return lambda t: t * inv
+    return lambda t: t / d
+
+
 class ModelGeometry:
-    """Shared machinery; concrete models fill in the primitives."""
+    """Shared machinery; concrete models fill in the five primitives."""
 
     name: str
     compact: bool
@@ -53,21 +76,11 @@ class ModelGeometry:
     # -- primitives, overridden per model -----------------------------------
 
     def two_phi_tilde(self, x, wbar):
-        raise NotImplementedError
-
-    def two_phi_tilde_ring(self, x, wbar):
-        """Same quantity for ring elements (series) with +, *, log."""
+        """Polarized potential L = 2 phi_tilde."""
         raise NotImplementedError
 
     def density_rho(self, y, wbar):
-        """Polarized volume density against flat dA/pi."""
-        raise NotImplementedError
-
-    def density_rho_ring(self, y, wbar):
-        raise NotImplementedError
-
-    def hessian_pairing(self, x, zbar):
-        """Mixed Hessian A of the polarized potential L = 2 phi_tilde."""
+        """Polarized volume density against flat dA/pi; the mixed Hessian of L."""
         raise NotImplementedError
 
     def geodesic_distance(self, x, y):
@@ -81,17 +94,7 @@ class ModelGeometry:
         """Exact reproducing kernel S_N(x, ybar)."""
         raise NotImplementedError
 
-    def dim_h(self, N: int):
-        """Dimension of the level-N space (None when infinite)."""
-        raise NotImplementedError
-
     # -- shared derived quantities ------------------------------------------
-
-    def phi_tilde(self, x, wbar):
-        return 0.5 * self.two_phi_tilde(x, wbar)
-
-    def phi(self, z):
-        return np.real(self.phi_tilde(z, np.conj(z)))
 
     def psi_pointwise_norm(self, x, y, N: int):
         """|Psi^N(x, conj y)| measured in the weighted norm at both points.
@@ -107,6 +110,7 @@ class ModelGeometry:
         return np.exp(N * expo)
 
     def phase_phi1(self, x, y, wbar, zbar):
+        """The four-point phase Phi1, for arrays and ring elements alike."""
         L = self.two_phi_tilde
         return L(x, wbar) - L(y, wbar) + L(y, zbar) - L(x, zbar)
 
@@ -117,18 +121,16 @@ class ModelGeometry:
         wbar = zbar + ubar, zbar = zbar0 + dzbar, which puts the critical
         point of the oscillatory integral at u = ubar = 0 for every offset.
         Every monomial of the result carries u-degree >= 1 and
-        ubar-degree >= 1.
+        ubar-degree >= 1.  A pointwise oracle for the engine's phase
+        family, which is built at the origin from the same ``phase_phi1``.
         """
         u = PowerSeries.variable(0, 4, order)
         ubar = PowerSeries.variable(1, 4, order)
         dx = PowerSeries.variable(2, 4, order)
         dzbar = PowerSeries.variable(3, 4, order)
         x = complex(x0) + dx
-        y = x + u
         zbar = complex(zbar0) + dzbar
-        wbar = zbar + ubar
-        L = self.two_phi_tilde_ring
-        phase = L(x, wbar) - L(y, wbar) + L(y, zbar) - L(x, zbar)
+        phase = self.phase_phi1(x, x + u, zbar + ubar, zbar)
         # the telescoping kills every monomial missing a u or ubar factor;
         # scrub the float residue of that cancellation, it is load-bearing
         residue = max(
@@ -148,9 +150,7 @@ class ModelGeometry:
         ubar = PowerSeries.variable(1, 4, order)
         dx = PowerSeries.variable(2, 4, order)
         dzbar = PowerSeries.variable(3, 4, order)
-        y = complex(x0) + dx + u
-        wbar = complex(zbar0) + dzbar + ubar
-        return self.density_rho_ring(y, wbar)
+        return self.density_rho(complex(x0) + dx + u, complex(zbar0) + dzbar + ubar)
 
     def __repr__(self) -> str:
         return f"ModelGeometry({self.name})"
@@ -164,34 +164,21 @@ class BargmannModel(ModelGeometry):
     injectivity_radius = math.inf
 
     def two_phi_tilde(self, x, wbar):
-        return np.multiply(x, wbar)
-
-    def two_phi_tilde_ring(self, x, wbar):
+        x, wbar = _operands(x, wbar)
         return x * wbar
 
     def density_rho(self, y, wbar):
-        return np.multiply(y, wbar) * 0.0 + 1.0
-
-    def density_rho_ring(self, y, wbar):
+        y, wbar = _operands(y, wbar)
         return (y * wbar) * 0 + 1
-
-    def hessian_pairing(self, x, zbar):
-        return np.multiply(x, zbar) * 0.0 + 1.0
 
     def geodesic_distance(self, x, y):
         return math.sqrt(2.0) * np.abs(np.subtract(x, y))
-
-    def dm_weight(self, z):
-        return np.abs(z) * 0.0 + 1.0
 
     def norm_sq_monomial(self, N: int, j: int) -> Fraction:
         return Fraction(math.factorial(j), N ** (j + 1))
 
     def bergman_kernel(self, N: int, x, ybar):
         return N * np.exp(N * np.asarray(x, dtype=complex) * np.asarray(ybar, dtype=complex))
-
-    def dim_h(self, N: int):
-        return None
 
 
 class SphereModel(ModelGeometry):
@@ -202,19 +189,12 @@ class SphereModel(ModelGeometry):
     injectivity_radius = math.pi / math.sqrt(2.0)
 
     def two_phi_tilde(self, x, wbar):
-        return np.log(1.0 + np.asarray(x, dtype=complex) * np.asarray(wbar, dtype=complex))
-
-    def two_phi_tilde_ring(self, x, wbar):
-        return _ring_log_shifted(1 + x * wbar)
+        x, wbar = _operands(x, wbar)
+        return _log(1 + x * wbar)
 
     def density_rho(self, y, wbar):
-        return (1.0 + np.asarray(y, dtype=complex) * np.asarray(wbar, dtype=complex)) ** (-2.0)
-
-    def density_rho_ring(self, y, wbar):
-        return (1 + y * wbar).reciprocal() ** 2
-
-    def hessian_pairing(self, x, zbar):
-        return (1.0 + np.asarray(x, dtype=complex) * np.asarray(zbar, dtype=complex)) ** (-2.0)
+        y, wbar = _operands(y, wbar)
+        return _inverse_square(1 + y * wbar)
 
     def geodesic_distance(self, x, y):
         x = np.asarray(x, dtype=complex)
@@ -224,9 +204,6 @@ class SphereModel(ModelGeometry):
         ratio = np.clip(num / den, 0.0, 1.0)
         return math.sqrt(2.0) * np.arccos(np.sqrt(ratio))
 
-    def dm_weight(self, z):
-        return (1.0 + np.abs(np.asarray(z, dtype=complex)) ** 2) ** (-2.0)
-
     def norm_sq_monomial(self, N: int, j: int) -> Fraction:
         if not 0 <= j <= N:
             raise ValueError(f"monomial degree {j} outside 0..{N}")
@@ -235,25 +212,15 @@ class SphereModel(ModelGeometry):
     def bergman_kernel(self, N: int, x, ybar):
         return (N + 1) * (1.0 + np.asarray(x, dtype=complex) * np.asarray(ybar, dtype=complex)) ** N
 
-    def dim_h(self, N: int):
-        return N + 1
-
     # -- sphere-specific helpers --------------------------------------------
 
     @staticmethod
-    def euclid_coords(z):
-        """Unit-sphere embedding (x1, x2, x3) of a chart point."""
-        z = np.asarray(z, dtype=complex)
-        d = 1.0 + np.abs(z) ** 2
-        return 2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - np.abs(z) ** 2) / d
-
-    @staticmethod
     def euclid_polarized(y, wbar):
-        """Analytic extensions of x1, x2, x3 off the real locus wbar = conj y."""
-        y = np.asarray(y, dtype=complex)
-        wbar = np.asarray(wbar, dtype=complex)
-        d = 1.0 + y * wbar
-        return (y + wbar) / d, -1j * (y - wbar) / d, (1.0 - y * wbar) / d
+        """Analytic extensions of the unit-sphere coordinates x1, x2, x3 off
+        the real locus wbar = conj y; at wbar = conj y they are real."""
+        y, wbar = _operands(y, wbar)
+        over = _divider(1 + y * wbar)
+        return over(y + wbar), over(-1j * (y - wbar)), over(1 - y * wbar)
 
 
 def bargmann() -> BargmannModel:
@@ -305,8 +272,8 @@ def mixed_log_derivative_check(t: float = 1.0, order: int = 4) -> MixedLogDeriva
     dw = PowerSeries.variable(1, 2, order)
     y = root + dy
     wbar = root + dw
-    minus_phi1 = _ring_log_shifted(1 + y * wbar)
-    g = _ring_log_shifted(minus_phi1)
+    minus_phi1 = _log(1 + y * wbar)
+    g = _log(minus_phi1)
     series_val = float(np.real(g.coeff((1, 1))))
 
     mixed = closed

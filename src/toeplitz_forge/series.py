@@ -248,12 +248,6 @@ class PowerSeries(TruncatedRing):
         coeffs[_degree_grid(self.nvars, order) > order] = 0
         return PowerSeries(coeffs, order)
 
-    def homogeneous(self, degree: int) -> "PowerSeries":
-        """Keep only the total-degree ``degree`` part."""
-        out = self.coeffs.copy()
-        out[_degree_grid(self.nvars, self.order) != degree] = 0
-        return self._new(out)
-
     def max_abs(self) -> float:
         if self.is_exact:
             return float(max((abs(Fraction(c)) for c in self.coeffs.flat), default=0))

@@ -510,8 +510,8 @@ class PairFamily(TruncatedRing):
 
     Its own sum and product (``_kernels.conv_pair``) feed the ring algebra
     of ``series.TruncatedRing`` (log, reciprocal, powers, scalar ops), so
-    the model geometries' ring formulas take families as they take
-    ``PowerSeries``.
+    the model geometries' formulas take families as they take
+    ``PowerSeries`` and arrays.
     """
 
     __slots__ = ("coeffs", "pair_cap", "param_cap")
@@ -625,23 +625,9 @@ class PairFamily(TruncatedRing):
         grid = _degree_grid(2, P)[:, :, None, None] + _degree_grid(2, M)[None, None, :, :]
         return int(grid[nz].min())
 
-    def pair_homogeneous(self, degree: int) -> "PairFamily":
-        """Keep only blocks with u degree + ubar degree == degree."""
-        out = np.zeros_like(self.coeffs)
-        sel = _degree_grid(2, self.pair_cap) == degree
-        out[sel] = self.coeffs[sel]
-        return self._new(out)
-
     def param_scale(self, block: np.ndarray) -> "PairFamily":
         """Multiply by a parameter-only polynomial (a (M+1, M+1) array)."""
         return self._new(_truncated_product(np.asarray(block), self.coeffs, self.param_cap))
-
-    def diff_u(self) -> "PairFamily":
-        out = np.zeros_like(self.coeffs)
-        n = self.pair_cap + 1
-        mult = np.arange(1, n).reshape(n - 1, 1, 1, 1)
-        out[: n - 1] = self.coeffs[1:] * mult
-        return self._new(out)
 
     def diff_ubar(self) -> "PairFamily":
         out = np.zeros_like(self.coeffs)
@@ -649,13 +635,6 @@ class PairFamily(TruncatedRing):
         mult = np.arange(1, n).reshape(1, n - 1, 1, 1)
         out[:, : n - 1] = self.coeffs[:, 1:] * mult
         return self._new(out)
-
-    def evaluate_params(self, dx: complex, dz: complex) -> np.ndarray:
-        """Contract the parameter axes at a numeric offset; (P+1, P+1) array."""
-        M = self.param_cap
-        pw1 = dx ** np.arange(M + 1)
-        pw2 = dz ** np.arange(M + 1)
-        return np.einsum("ijpq,p,q->ij", self.coeffs, pw1, pw2)
 
 
 def _scrub_boundary(fam: PairFamily, tol: float) -> PairFamily:
@@ -683,7 +662,7 @@ class MorseFamily:
     Jacobian through pair_cap - 2.  a_block is the pairing coefficient
     A(params) = -[u ubar] Phi; the (0,0) pair block of ``jacobian``
     equals ainv_block exactly.  A function of the flattened variables
-    is evaluated on them by the ring formulas: substitution commutes
+    is evaluated on them by its own formula: substitution commutes
     with the ring operations.
     """
 

@@ -16,6 +16,11 @@ def rand_pts(n, scale=1.0):
     return scale * (RNG.standard_normal(n) + 1j * RNG.standard_normal(n))
 
 
+def euclid_coords(z):
+    """Unit-sphere embedding (x1, x2, x3) of a chart point."""
+    return np.real(sphere().euclid_polarized(z, np.conj(z)))
+
+
 def test_model_by_name():
     assert model_by_name("sphere").name == "sphere"
     assert model_by_name("bargmann").name == "bargmann"
@@ -87,11 +92,12 @@ def test_phase_series_matches_pointwise_evaluation():
 
 
 def test_phase_series_hessian_matches_pairing():
-    # coefficient of u ubar equals minus the mixed Hessian at the base point
+    # coefficient of u ubar equals minus the mixed Hessian at the base point,
+    # which on a Kaehler model is the density
     for m in (bargmann(), sphere()):
         x0, zb0 = 0.4 + 0.1j, -0.2 + 0.3j
         s = m.phase_phi1_series(x0, zb0, order=4)
-        assert abs(s.coeffs[1, 1, 0, 0] + m.hessian_pairing(x0, zb0)) < 1e-12
+        assert abs(s.coeffs[1, 1, 0, 0] + m.density_rho(x0, zb0)) < 1e-12
 
 
 def test_density_series_matches_pointwise():
@@ -116,7 +122,7 @@ def test_psi_pointwise_norm_sphere_cosine_power():
     m = sphere()
     x, y = 0.5 - 0.2j, -0.1 + 0.9j
     # central angle between the images on the unit sphere
-    theta = math.acos(float(np.dot(m.euclid_coords(x), m.euclid_coords(y))))
+    theta = math.acos(float(np.dot(euclid_coords(x), euclid_coords(y))))
     for N in (1, 6):
         expect = math.cos(theta / 2.0) ** N
         assert abs(m.psi_pointwise_norm(x, y, N) - expect) < 1e-13
@@ -140,14 +146,15 @@ def test_geodesic_distance_bargmann():
 def test_euclid_coords_unit_norm_and_polarization():
     m = sphere()
     z = rand_pts(50)
-    x1, x2, x3 = m.euclid_coords(z)
+    d = 1.0 + np.abs(z) ** 2
+    x1, x2, x3 = 2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - np.abs(z) ** 2) / d
     assert np.max(np.abs(x1**2 + x2**2 + x3**2 - 1.0)) < 1e-12
     p1, p2, p3 = m.euclid_polarized(z, np.conj(z))
     assert np.max(np.abs(p1 - x1)) < 1e-12
     assert np.max(np.abs(p2 - x2)) < 1e-12
     assert np.max(np.abs(p3 - x3)) < 1e-12
     # north and south poles
-    assert np.allclose(m.euclid_coords(0.0), (0.0, 0.0, 1.0))
+    assert np.allclose(euclid_coords(0.0), (0.0, 0.0, 1.0))
 
 
 def test_monomial_norms_exact():
@@ -164,7 +171,7 @@ def test_bergman_kernel_is_normalized_monomial_sum():
     # S_N(x, ybar) = sum_j x^j ybar^j / |z^j|^2, summed exactly
     for m, N in ((sphere(), 6), (bargmann(), 5)):
         x, ybar = 0.4 + 0.2j, 0.3 - 0.5j
-        jmax = m.dim_h(N) - 1 if m.compact else 40
+        jmax = N if m.compact else 40
         acc = sum(
             (x * ybar) ** j / float(m.norm_sq_monomial(N, j)) for j in range(jmax + 1)
         )
@@ -175,7 +182,7 @@ def test_dm_weight_total_mass_sphere():
     # radial integral of (1/pi)(1+r^2)^{-2} dA is exactly 1
     m = sphere()
     r = np.linspace(0.0, 60.0, 200001)
-    integrand = m.dm_weight(r) * 2.0 * r  # dA/pi in polar = 2 r dr dtheta/(2 pi)
+    integrand = m.density_rho(r, r).real * 2.0 * r  # dA/pi in polar = 2 r dr dtheta/(2 pi)
     mass = np.trapezoid(integrand, r) + 1.0 / (1.0 + 60.0**2)  # tail closed form
     assert abs(mass - 1.0) < 1e-7
 

@@ -298,12 +298,10 @@ def test_reciprocal():
         x.reciprocal()
 
 
-def test_truncate_and_homogeneous():
+def test_truncate():
     s = PowerSeries.from_terms({(0, 0): 1, (1, 1): 2, (2, 1): 3}, 2, 4, exact=True)
     t = s.truncate(2)
     assert t.order == 2 and t.coeffs[1, 1] == 2
-    h = s.homogeneous(2)
-    assert h.coeffs[1, 1] == 2 and h.coeffs[0, 0] == 0 and h.coeffs[2, 1] == 0
 
 
 def test_power_matches_repeated_multiplication():
