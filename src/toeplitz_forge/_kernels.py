@@ -136,7 +136,8 @@ def conv_pair(a, b, pair_cap, param_cap, diag_only=False):
     ia, ja, va = _live_blocks(a, P, M)
     ib, jb, vb = _live_blocks(b, P, M)
     if diag_only:
-        for off in np.unique(ia - ja):
+        # ascending offsets; np.unique would import numpy.ma on first use
+        for off in sorted(set((ia - ja).tolist())):
             ra = np.flatnonzero(ia - ja == off)
             rb = np.flatnonzero(jb - ib == off)
             if rb.size:

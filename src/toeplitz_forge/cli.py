@@ -17,13 +17,8 @@ import sys
 
 import numpy as np
 
-from . import combinatorics as cb
-from . import covariant_calculus as cc
-from . import function_spaces as fs
-from . import geometry as geo
-from . import quantization_spectral as qs
-from . import stationary_phase as sp
-from .series import PowerSeries
+# Library modules are imported inside the handlers that call them, so each
+# launch compiles and loads only what its subcommand runs.
 
 SCHEMA_VERSION = "1.0"
 
@@ -128,6 +123,8 @@ def _parse_n_list(text: str):
 
 
 def _geometry(name: str):
+    from . import geometry as geo
+
     alias = {"plane": "bargmann"}
     try:
         return geo.model_by_name(alias.get(name, name))
@@ -178,7 +175,9 @@ def _symbol_terms(spec: str, compact: bool) -> dict:
     raise ValueError(f"unknown symbol spec {spec!r}; use a name or poly:<terms>")
 
 
-def _parse_domain(text: str) -> fs.Domain:
+def _parse_domain(text: str):
+    from . import function_spaces as fs
+
     kind, _, rest = text.partition(":")
     try:
         if kind == "interval":
@@ -196,6 +195,8 @@ def _parse_domain(text: str) -> fs.Domain:
 
 
 def _cmd_lemmas(args) -> tuple:
+    from . import combinatorics as cb
+
     if args.action != "verify":
         raise ValueError(f"unknown lemmas action {args.action!r}")
     if args.n < 1 or args.d < 0 or args.m_max < 0 or args.ell_max < 1:
@@ -225,6 +226,8 @@ def _symbols_coeffs(args):
 
 
 def _cmd_symbols(args) -> tuple:
+    from . import function_spaces as fs
+
     if args.K < 0:
         raise ValueError("K must be >= 0")
     domain = _parse_domain(args.domain)
@@ -317,6 +320,8 @@ def _geometry_rows(geometry, which: str):
 
 
 def _cmd_geometry(args) -> tuple:
+    from . import geometry as geo
+
     if args.action != "check":
         raise ValueError(f"unknown geometry action {args.action!r}")
     geometry = _geometry(args.geometry)
@@ -337,6 +342,8 @@ def _cmd_geometry(args) -> tuple:
 
 
 def _phase_pair(geometry, order: int):
+    from .series import PowerSeries
+
     if geometry.compact:
         u = PowerSeries.variable(0, 2, order)
         ubar = PowerSeries.variable(1, 2, order)
@@ -345,6 +352,9 @@ def _phase_pair(geometry, order: int):
 
 
 def _cmd_phase(args) -> tuple:
+    from . import stationary_phase as sp
+    from .series import PowerSeries
+
     if args.action != "expand":
         raise ValueError(f"unknown phase action {args.action!r}")
     if args.K < 0 or args.degree < 0:
@@ -393,6 +403,8 @@ def _coefficient_rows(symbol, K: int, reference=None):
 
 
 def _cmd_compose(args) -> tuple:
+    from . import covariant_calculus as cc
+
     if args.K < 0:
         raise ValueError("K must be >= 0")
     geometry = _geometry(args.geometry)
@@ -408,6 +420,9 @@ def _cmd_compose(args) -> tuple:
 
 
 def _cmd_bergman(args) -> tuple:
+    from . import covariant_calculus as cc
+    from . import quantization_spectral as qs
+
     if args.K < 0 or args.Nmax < 1:
         raise ValueError("need K >= 0 and Nmax >= 1")
     geometry = _geometry(args.geometry)
@@ -450,6 +465,8 @@ def _partial_slope(ns, errs):
 
 
 def _cmd_bergman_check(args) -> tuple:
+    from . import quantization_spectral as qs
+
     if args.Nmax < 8:
         raise ValueError("Nmax must be at least 8")
     geometry = _geometry(args.geometry)
@@ -472,6 +489,8 @@ def _cmd_bergman_check(args) -> tuple:
 
 
 def _cmd_decay(args) -> tuple:
+    from . import quantization_spectral as qs
+
     geometry = _geometry(args.geometry)
     levels = _parse_n_list(args.N_list)
     terms = _symbol_terms(args.f, geometry.compact)

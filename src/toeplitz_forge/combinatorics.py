@@ -226,6 +226,18 @@ def _legal_m_hard(n: int, d: int) -> int:
     return max(d + 2, 2 * (d + n - 1))
 
 
+def _exact_power_sum(terms: Iterable[tuple], lead: int, m: int) -> Fraction:
+    """sum_t w_t (lead / D_t)^m over the pairs (w_t, D_t), exactly.
+
+    With L = lcm(D_t) every term shares the denominator L^m, so the sum is
+    Fraction(lead^m sum_t w_t (L // D_t)^m, L^m): integer arithmetic and
+    one gcd, where adding the terms as fractions takes one gcd per term.
+    """
+    terms = list(terms)
+    L = math.lcm(*(den for _, den in terms))
+    return Fraction(lead**m * sum(w * (L // den) ** m for w, den in terms), L**m)
+
+
 def _easy_sum_value(j: int, d: int, m: int, exact: bool) -> Number:
     """The sum of :func:`lem_easy_sum`, exact or in longdouble; needs no frozen constant."""
     if j < 0 or d < 0:
@@ -233,9 +245,8 @@ def _easy_sum_value(j: int, d: int, m: int, exact: bool) -> Number:
     if m < _legal_m_easy(d):
         raise ValueError(f"m={m} below the legal floor {_legal_m_easy(d)} for d={d}")
     if exact:
-        return sum(
-            Fraction(min(i + 1, j - i + 1) ** d * (j + 1) ** m, ((i + 1) ** m) * ((j - i + 1) ** m))
-            for i in range(j + 1)
+        return _exact_power_sum(
+            ((min(i + 1, j - i + 1) ** d, (i + 1) * (j - i + 1)) for i in range(j + 1)), j + 1, m
         )
     i = np.arange(j + 1, dtype=np.longdouble)
     top = np.minimum(i + 1, j - i + 1) ** d * np.longdouble(j + 1) ** m
@@ -260,13 +271,11 @@ def _hard_sum_value(n: int, d: int, ell: int, m: int, exact: bool) -> Number:
     if m < _legal_m_hard(n, d):
         raise ValueError(f"m={m} below the legal floor {_legal_m_hard(n, d)} for n={n}, d={d}")
     if exact:
-        value = Fraction(0)
-        for tup in ascending_compositions(ell, n):
-            den = 1
-            for ik in tup:
-                den *= (ik + 1) ** m
-            value += Fraction((tup[-2] + 1) ** d * (ell + 1) ** m, den)
-        return value
+        return _exact_power_sum(
+            (((tup[-2] + 1) ** d, math.prod(ik + 1 for ik in tup)) for tup in ascending_compositions(ell, n)),
+            ell + 1,
+            m,
+        )
     acc = np.longdouble(0)
     lead = np.longdouble(ell + 1) ** m
     for tup in ascending_compositions(ell, n):
@@ -282,6 +291,10 @@ def lem_hard_sum(n: int, d: int, ell: int, m: int, exact: Optional[bool] = None)
 
     value = sum over 0 <= i_1 <= ... <= i_n, sum = ell of
             (i_{n-1}+1)^d (ell+1)^m / prod (i_k+1)^m.
+
+    The exact value is one integer sum over a common denominator: with
+    D_t = prod (i_k+1) and L = lcm(D_t),
+    value = (ell+1)^m sum_t (i_{n-1}+1)^d (L // D_t)^m / L^m.
     """
     if exact is None:
         exact = ell <= EXACT_ELL_LIMIT

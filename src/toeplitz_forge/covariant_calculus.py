@@ -165,9 +165,9 @@ class CovariantSymbol:
         idx, a, bbar = frame_pair_offsets(self, x, zbar)
         flat_idx, fa, fb = np.ravel(idx), np.ravel(a), np.ravel(bbar)
         out = np.zeros(flat_idx.shape, dtype=complex)
-        for i in np.unique(flat_idx):
+        for i in sorted(set(flat_idx.tolist())):  # not np.unique: it imports numpy.ma
             sel = flat_idx == i
-            coeffs = self.jets[int(i)].coeffs
+            coeffs = self.jets[i].coeffs
             c = np.zeros(coeffs[0].coeffs.shape, dtype=complex)
             for k, w in weights.items():
                 c += w * np.asarray(coeffs[k].coeffs, dtype=complex)

@@ -3,11 +3,15 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import toeplitz_forge
 from toeplitz_forge import cli
 from toeplitz_forge import geometry
 from toeplitz_forge import quantization_spectral as qs
@@ -255,3 +259,46 @@ def test_readme_table_lists_every_option():
     for name, sub in subs.choices.items():
         options = {opt for a in sub._actions for opt in a.option_strings if opt.startswith("--")}
         assert options - shared <= rows[name], name
+
+
+# Runs one subcommand in this interpreter, then prints the library modules
+# and whether numpy.ma was loaded.
+_IMPORT_PROBE = """
+import json, sys
+from toeplitz_forge import cli
+code = cli.main(sys.argv[1:])
+mods = sorted(m[len("toeplitz_forge."):] for m in sys.modules if m.startswith("toeplitz_forge."))
+print(json.dumps({"code": code, "modules": mods, "numpy_ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    # fresh interpreters, all started at once: each CLI launch loads the
+    # modules its subcommand calls, and the engine path stays off numpy.ma
+    always = {"cli", "_kernels"}
+    jobs = {
+        "lemmas": (["lemmas", "verify", "--m-max", "8", "--ell-max", "4"],
+                   always | {"combinatorics", "constants"}),
+        "symbols": (["symbols", "norm"], always | {"function_spaces", "series", "constants"}),
+        "geometry": (["geometry", "check"], always | {"geometry", "series"}),
+        "phase": (["phase", "expand", "--K", "1", "--degree", "1"],
+                  always | {"geometry", "series", "stationary_phase"}),
+        "compose": (["compose", "--geometry", "plane", "--f", "poly:0,0=1.0;1,1=0.5",
+                     "--g", "poly:0,0=1.0;1,1=-0.333"], None),
+    }
+    src = str(Path(toeplitz_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = {
+        name: subprocess.Popen([sys.executable, "-c", _IMPORT_PROBE, *args, "--out", str(tmp_path / name)],
+                               env=env, stdout=subprocess.PIPE, text=True)
+        for name, (args, _) in jobs.items()
+    }
+    for name, proc in procs.items():
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0, name
+        report = json.loads(out.splitlines()[-1])
+        assert report["code"] == 0, name
+        assert not report["numpy_ma"], name
+        expected = jobs[name][1]
+        if expected is not None:
+            assert set(report["modules"]) == expected, name

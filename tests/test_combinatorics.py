@@ -7,11 +7,13 @@ not tolerances.
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toeplitz_forge import cli
 from toeplitz_forge import combinatorics as cb
 from toeplitz_forge import constants
 
@@ -182,6 +184,55 @@ def test_hard_sum_exact_matches_float_path():
         assert abs(float(exact.value) - float(approx.value)) < 1e-12 * float(exact.value)
 
 
+def _hard_sum_oracle(n, d, ell, m):
+    """The lemma's sum added term by term in Fraction arithmetic."""
+    value = Fraction(0)
+    for tup in cb.ascending_compositions(ell, n):
+        den = 1
+        for ik in tup:
+            den *= (ik + 1) ** m
+        value += Fraction((tup[-2] + 1) ** d * (ell + 1) ** m, den)
+    return value
+
+
+def _easy_sum_oracle(j, d, m):
+    return sum(
+        Fraction(min(i + 1, j - i + 1) ** d * (j + 1) ** m, ((i + 1) ** m) * ((j - i + 1) ** m))
+        for i in range(j + 1)
+    )
+
+
+ORACLE_SIZES = (0, 1, 2, 7, 23, 40, 60)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hard_sum_common_denominator_matches_termwise_oracle(n):
+    for d in (0, 1, 2):
+        for ell in ORACLE_SIZES:
+            for m in (cb.legal_m_range(n, d, 24)[0], 24):
+                got = cb._hard_sum_value(n, d, ell, m, exact=True)
+                want = _hard_sum_oracle(n, d, ell, m)
+                assert isinstance(got, Fraction) and got == want, (n, d, ell, m)
+                assert float(got) == float(want), (n, d, ell, m)
+
+
+def test_easy_sum_common_denominator_matches_termwise_oracle():
+    for d in (0, 1, 2):
+        for j in ORACLE_SIZES:
+            for m in (max(d + 2, 2 * (d + 1)), 24):
+                got = cb._easy_sum_value(j, d, m, exact=True)
+                want = _easy_sum_oracle(j, d, m)
+                assert isinstance(got, Fraction) and got == want, (d, j, m)
+                assert float(got) == float(want), (d, j, m)
+
+
+def test_lemmas_verify_defaults_match_reference_csv(tmp_path):
+    # the CLI's exact sums print the reference bytes at every default row
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "lemmas-verify.csv"
+    assert cli.main(["lemmas", "verify", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "lemmas.csv").read_bytes() == reference.read_bytes()
+
+
 def test_easy_sum_small_values():
     # j = 0: single term equal to 1
     res = cb.lem_easy_sum(0, 0, 2)
@@ -199,15 +250,7 @@ def _easy_sum_calibration_loop(d, j_max, m_max):
     for j in range(0, j_max + 1):
         for m in range(max(d + 2, 2 * (d + 1)), m_max + 1):
             if j <= cb.EXACT_ELL_LIMIT:
-                value = float(
-                    sum(
-                        Fraction(
-                            min(i + 1, j - i + 1) ** d * (j + 1) ** m,
-                            ((i + 1) ** m) * ((j - i + 1) ** m),
-                        )
-                        for i in range(j + 1)
-                    )
-                )
+                value = float(_easy_sum_oracle(j, d, m))
             else:
                 i = np.arange(j + 1, dtype=np.longdouble)
                 top = np.minimum(i + 1, j - i + 1) ** d * np.longdouble(j + 1) ** m
