@@ -1,6 +1,6 @@
 """Time the conv_pair kernel, the truncated series product, series
 composition, both Morse flattenings, the composition engine's build and
-three of its callers, and the sphere kernel quadrature behind
+two of its callers, and the sphere kernel quadrature behind
 covariant_matrix and bergman_gram_defect.
 
 Each time is the best of five calls after one warm-up call.

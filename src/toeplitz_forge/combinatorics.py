@@ -30,10 +30,11 @@ EXACT_ELL_LIMIT = 60  # rational arithmetic up to here, longdouble beyond
 
 
 class MultiIndex(tuple):
-    """A tuple of non-negative integers with the usual polyindex operations.
+    """A tuple of non-negative integers with the polyindex order and norm.
 
-    The partial order, factorial and binomial are the entrywise ones; the
-    norm is the entry sum. Instances are ordinary tuples, so they hash and
+    The partial order is the entrywise one (``polyindex_binomial`` is the
+    entrywise binomial); the norm is the entry sum. Instances are ordinary
+    tuples, so they hash and
     sort like tuples (use :meth:`leq` for the partial order, not ``<=``).
     """
 
@@ -52,17 +53,6 @@ class MultiIndex(tuple):
         if len(self) != len(other):
             raise ValueError("multi-index dimensions differ")
         return all(a <= b for a, b in zip(self, other))
-
-    def factorial(self) -> int:
-        out = 1
-        for e in self:
-            out *= math.factorial(e)
-        return out
-
-    def sub(self, other: "MultiIndex") -> "MultiIndex":
-        if not other.leq(self):
-            raise ValueError(f"{other} is not entrywise below {self}")
-        return MultiIndex(a - b for a, b in zip(self, other))
 
 
 @dataclass

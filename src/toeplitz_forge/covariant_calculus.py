@@ -59,6 +59,11 @@ _SOLVE_TOL = 1e-9
 # node grids and normal frames
 
 
+def _node_angles(count: int) -> np.ndarray:
+    """Polar angles (j + 1/2) pi / count of the sphere's meridian nodes."""
+    return (np.arange(count) + 0.5) * np.pi / count
+
+
 def node_grid(geometry: ModelGeometry, count: Optional[int] = None) -> np.ndarray:
     """Diagonal base points, as chart coordinates.
 
@@ -70,8 +75,7 @@ def node_grid(geometry: ModelGeometry, count: Optional[int] = None) -> np.ndarra
         return np.zeros(1, dtype=complex)
     if count is None:
         count = SPHERE_NODE_COUNT
-    theta = (np.arange(count) + 0.5) * np.pi / count
-    return np.tan(theta / 2.0).astype(complex)
+    return np.tan(_node_angles(count) / 2.0).astype(complex)
 
 
 def frame_to_chart(geometry: ModelGeometry, node: complex, a):
@@ -108,20 +112,17 @@ class CovariantSymbol:
 
     ``jets[i]`` is an AnalyticSymbol whose coefficient series live in the
     node-i normal frame offsets (delta x, delta zbar); holomorphic
-    dependence rides the first axis, anti-holomorphic the second.
-    ``global_eval(k, x, zbar)``, when present, evaluates coefficient k
-    exactly at arbitrary polarized points (used by quadratures; jets are
-    authoritative for the calculus).  ``constant_coeffs``, when present,
-    holds the values of coefficients 0..K of a symbol whose every
-    coefficient is constant, so quadratures can sum them as scalars.
+    dependence rides the first axis, anti-holomorphic the second.  The
+    jets are authoritative for the calculus.  ``exact(weights, x, zbar)``,
+    when present, evaluates sum_k weights[k] f_k exactly at arbitrary
+    polarized points, and ``value`` prefers it to the jets.
     """
 
     geometry: ModelGeometry
     nodes: np.ndarray
     jets: tuple
     rotation_invariant: bool = False
-    global_eval: Optional[Callable] = None
-    constant_coeffs: Optional[tuple] = None
+    exact: Optional[Callable] = None
 
     @property
     def K(self) -> int:
@@ -143,37 +144,30 @@ class CovariantSymbol:
     def m(self) -> int:
         return self.jets[0].m
 
-    def jet_eval(self, node_index: int, k: int, a, bbar):
-        """Evaluate coefficient k's node jet at frame offsets (vectorized)."""
-        c = np.asarray(self.jets[node_index].coeffs[k].coeffs, dtype=complex)
-        a = np.asarray(a, dtype=complex)
-        bbar = np.asarray(bbar, dtype=complex)
-        pow_a = a[..., None] ** np.arange(c.shape[0])
-        pow_b = bbar[..., None] ** np.arange(c.shape[1])
-        return np.einsum("...p,pq,...q->...", pow_a, c, pow_b)
+    def jet_eval(self, node_index: int, weights: dict, a, bbar):
+        """sum_k weights[k] times coefficient k's node jet at frame offsets
+        (vectorized); the blocks are combined before the powers of the
+        offsets meet them."""
+        coeffs = self.jets[node_index].coeffs
+        c = np.zeros(coeffs[0].coeffs.shape, dtype=complex)
+        for k, w in weights.items():
+            c += w * np.asarray(coeffs[k].coeffs, dtype=complex)
+        pow_a = np.asarray(a, dtype=complex)[..., None] ** np.arange(c.shape[0])
+        pow_b = np.asarray(bbar, dtype=complex)[..., None] ** np.arange(c.shape[1])
+        return np.sum((pow_a @ c) * pow_b, axis=-1)
 
-    def value(self, k: int, x, zbar):
-        """Coefficient k at a polarized point, preferring the exact evaluator."""
-        if self.global_eval is not None:
-            return self.global_eval(k, np.asarray(x, dtype=complex), np.asarray(zbar, dtype=complex))
-        return self._jets_value({k: 1.0}, x, zbar)
-
-    def _jets_value(self, weights: dict, x, zbar) -> np.ndarray:
-        """sum_k weights[k] times coefficient k at polarized points, from the
-        node jets: each point is located once, and each node's blocks are
-        combined before the powers of its offsets meet them."""
+    def value(self, weights: dict, x, zbar):
+        """sum_k weights[k] times coefficient k at polarized points: the
+        exact evaluator when there is one, else the jet of the node each
+        point is located at."""
+        if self.exact is not None:
+            return self.exact(weights, x, zbar)
         idx, a, bbar = frame_pair_offsets(self, x, zbar)
         flat_idx, fa, fb = np.ravel(idx), np.ravel(a), np.ravel(bbar)
         out = np.zeros(flat_idx.shape, dtype=complex)
         for i in sorted(set(flat_idx.tolist())):  # not np.unique: it imports numpy.ma
             sel = flat_idx == i
-            coeffs = self.jets[i].coeffs
-            c = np.zeros(coeffs[0].coeffs.shape, dtype=complex)
-            for k, w in weights.items():
-                c += w * np.asarray(coeffs[k].coeffs, dtype=complex)
-            pow_a = fa[sel, None] ** np.arange(c.shape[0])
-            pow_b = fb[sel, None] ** np.arange(c.shape[1])
-            out[sel] = np.sum((pow_a @ c) * pow_b, axis=1)
+            out[sel] = self.jet_eval(i, weights, fa[sel], fb[sel])
         return out.reshape(np.shape(idx))
 
     def norm_estimate(self, r=None, R=None, m=None) -> float:
@@ -194,23 +188,20 @@ def frame_pair_offsets(symbol: CovariantSymbol, x, zbar):
     zbar = np.asarray(zbar, dtype=complex)
     if not geom.compact:
         x, zbar = np.broadcast_arrays(x, zbar)
-        node = symbol.nodes[0]
-        return np.zeros(x.shape, dtype=int), x - node, zbar - np.conj(node)
-    if symbol.rotation_invariant:
-        # f(e^{ig} x, e^{-ig} zbar) = f(x, zbar): rotate the pair midpoint
-        # onto the positive real meridian before taking offsets
-        phase = np.angle(x + np.conj(zbar) + 1e-300)
-        x = x * np.exp(-1j * phase)
-        zbar = zbar * np.exp(1j * phase)
-    theta_x = 2.0 * np.arctan(np.abs(x))
-    theta_z = 2.0 * np.arctan(np.abs(np.conj(zbar)))
-    theta_mid = 0.5 * (theta_x + theta_z)
-    grid_theta = (np.arange(len(symbol.nodes)) + 0.5) * np.pi / len(symbol.nodes)
-    idx = np.argmin(np.abs(theta_mid[..., None] - grid_theta), axis=-1)
+        idx = np.zeros(x.shape, dtype=int)
+    else:
+        if symbol.rotation_invariant:
+            # f(e^{ig} x, e^{-ig} zbar) = f(x, zbar): rotate the pair midpoint
+            # onto the positive real meridian before taking offsets
+            phase = np.angle(x + np.conj(zbar) + 1e-300)
+            x = x * np.exp(-1j * phase)
+            zbar = zbar * np.exp(1j * phase)
+        theta_x = 2.0 * np.arctan(np.abs(x))
+        theta_z = 2.0 * np.arctan(np.abs(np.conj(zbar)))
+        theta_mid = 0.5 * (theta_x + theta_z)
+        idx = np.argmin(np.abs(theta_mid[..., None] - _node_angles(len(symbol.nodes))), axis=-1)
     nodes = symbol.nodes[idx]
-    a = (x - nodes) / (1.0 + np.conj(nodes) * x)
-    bbar = (zbar - np.conj(nodes)) / (1.0 + nodes * zbar)
-    return idx, a, bbar
+    return idx, chart_to_frame(geom, nodes, x), chart_to_frame_bar(geom, nodes, zbar)
 
 
 def overlap_defect(symbol: CovariantSymbol) -> float:
@@ -224,25 +215,20 @@ def overlap_defect(symbol: CovariantSymbol) -> float:
     if len(symbol.nodes) < 2:
         return 0.0
     worst = 0.0
-    grid_theta = (np.arange(len(symbol.nodes)) + 0.5) * np.pi / len(symbol.nodes)
+    grid_theta = _node_angles(len(symbol.nodes))
     for i in range(len(symbol.nodes) - 1):
         theta_mid = 0.5 * (grid_theta[i] + grid_theta[i + 1])
         z_mid = math.tan(theta_mid / 2.0)
+        offsets = []
         for which in (i, i + 1):
-            a = chart_to_frame(geom, symbol.nodes[which], z_mid)
+            node = symbol.nodes[which]
+            a = chart_to_frame(geom, node, z_mid)
             if abs(a) > JET_DOMAIN_RADIUS:
                 raise ValueError("node spacing exceeds the jet domain")
+            offsets.append((which, a, chart_to_frame_bar(geom, node, np.conj(z_mid))))
         for k in range(symbol.K + 1):
-            vals = [
-                symbol.jet_eval(
-                    which,
-                    k,
-                    chart_to_frame(geom, symbol.nodes[which], z_mid),
-                    chart_to_frame_bar(geom, symbol.nodes[which], np.conj(z_mid)),
-                )
-                for which in (i, i + 1)
-            ]
-            worst = max(worst, abs(complex(vals[0]) - complex(vals[1])))
+            u, v = (complex(symbol.jet_eval(which, {k: 1.0}, a, bbar)) for which, a, bbar in offsets)
+            worst = max(worst, abs(u - v))
     return worst
 
 
@@ -314,14 +300,15 @@ def symbol_from_euclid_poly(
         p1 == 0 and p2 == 0 for terms in terms_per_k for (p1, p2, p3) in terms
     )
 
-    def evaluator(k, x, zbar):
+    def exact(weights, x, zbar):
         u1, u2, u3 = geometry.euclid_polarized(x, zbar)
         acc = np.zeros(np.broadcast(u1, u2, u3).shape, dtype=complex)
-        for (p1, p2, p3), cval in terms_per_k[k].items():
-            acc = acc + complex(cval) * u1**p1 * u2**p2 * u3**p3
+        for k, w in weights.items():
+            for (p1, p2, p3), cval in terms_per_k[k].items():
+                acc = acc + w * complex(cval) * u1**p1 * u2**p2 * u3**p3
         return acc
 
-    return CovariantSymbol(geometry, nodes, tuple(jets), invariant, evaluator)
+    return CovariantSymbol(geometry, nodes, tuple(jets), invariant, exact)
 
 
 def symbol_from_plane_poly(
@@ -331,14 +318,12 @@ def symbol_from_plane_poly(
     r: float = DEFAULT_CLASS[0],
     R: float = DEFAULT_CLASS[1],
     m: int = DEFAULT_CLASS[2],
-    node_count: Optional[int] = None,
 ) -> CovariantSymbol:
     """Plane symbol from polynomials in (x, zbar).
 
     ``terms_per_k[k]`` maps pairs (p, q) to coefficients of x^p zbar^q;
     the single node sits at the origin so jets are the polynomials
-    themselves (``node_count`` is accepted for signature parity and
-    ignored).
+    themselves.
     """
     if geometry.compact:
         raise ValueError("plane-polynomial symbols are a Bargmann construction")
@@ -354,13 +339,14 @@ def symbol_from_plane_poly(
         coeffs.append(acc)
     jets = (make_symbol(coeffs, domain, r, R, m),)
 
-    def evaluator(k, x, zbar):
+    def exact(weights, x, zbar):
         acc = np.zeros(np.broadcast(x, zbar).shape, dtype=complex)
-        for (p, q), cval in terms_per_k[k].items():
-            acc = acc + complex(cval) * x**p * zbar**q
+        for k, w in weights.items():
+            for (p, q), cval in terms_per_k[k].items():
+                acc = acc + w * complex(cval) * x**p * zbar**q
         return acc
 
-    return CovariantSymbol(geometry, nodes, tuple(jets), False, evaluator)
+    return CovariantSymbol(geometry, nodes, tuple(jets), False, exact)
 
 
 def symbol_from_poly(geometry: ModelGeometry, terms_per_k: Sequence[dict], **kw) -> CovariantSymbol:
@@ -373,9 +359,7 @@ def unit_covariant(geometry: ModelGeometry, K: int = 0, **kw) -> CovariantSymbol
     """The constant symbol (1, 0, ..., 0)."""
     key = (0, 0, 0) if geometry.compact else (0, 0)
     terms = [{key: 1.0}] + [{} for _ in range(K)]
-    sym = symbol_from_poly(geometry, terms, **kw)
-    sym.rotation_invariant = True
-    return sym
+    return symbol_from_poly(geometry, terms, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +677,17 @@ def _build_bergman_symbol(geometry, K, order, r, R, m) -> CovariantSymbol:
     one = unit_covariant(geometry, K=0, order=order, r=r, R=R, m=m)
     out = solve_sharp(one, one, K)
     # both models are homogeneous, so the exact symbol is constant: pin its
-    # coefficients from node 0 and attach the matching exact evaluator
+    # coefficients from node 0; a weighted sum of them is one scalar,
+    # broadcast to the points' shape without filling an array
     consts = tuple(complex(out.jets[0].coeffs[k].constant_term()) for k in range(K + 1))
 
-    def evaluator(k, x, zbar):
-        return np.full(np.broadcast(x, zbar).shape, consts[k], dtype=complex)
+    def exact(weights, x, zbar):
+        total = np.zeros((), dtype=complex)
+        for k, w in weights.items():
+            total = total + w * consts[k]
+        return np.broadcast_to(total, np.broadcast(x, zbar).shape)
 
-    out.global_eval = evaluator
-    out.constant_coeffs = consts
+    out.exact = exact
     out.nodes.setflags(write=False)
     for jet in out.jets:
         for series in jet.coeffs:

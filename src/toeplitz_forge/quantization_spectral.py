@@ -375,34 +375,13 @@ def _resolve_truncation(symbol: CovariantSymbol, N: int, K: Optional[int]) -> in
 
 
 def _summed_amplitude(symbol: CovariantSymbol, N: int, K: int) -> Callable:
-    """The level-N kernel amplitude N sum_{k <= K} N^{-k} s_k at polarized points."""
-    weights = {k: float(N) ** (-k) for k in range(min(K, symbol.K) + 1)}
-    if symbol.constant_coeffs is not None:
-        # a constant amplitude is one scalar, whatever the shape of the grid
-        total = np.zeros((), dtype=complex)
-        for k, w in weights.items():
-            total = total + w * symbol.constant_coeffs[k]
-        total = float(N) * total
+    """The level-N kernel amplitude N sum_{k <= K} N^{-k} s_k at polarized points.
 
-        def amp(x, zbar):
-            return np.broadcast_to(total, np.broadcast(x, zbar).shape)
-
-        return amp
-
-    if symbol.global_eval is not None:
-
-        def amp(x, zbar):
-            acc = np.zeros(np.broadcast(x, zbar).shape, dtype=complex)
-            for k, w in weights.items():
-                acc = acc + w * symbol.value(k, x, zbar)
-            return float(N) * acc
-
-        return amp
-
-    def amp(x, zbar):
-        return float(N) * symbol._jets_value(weights, x, zbar)
-
-    return amp
+    N rides the weights, so a constant symbol's amplitude stays one
+    broadcast scalar: no array of the grid's shape is multiplied by N.
+    """
+    weights = {k: float(N) ** (1 - k) for k in range(min(K, symbol.K) + 1)}
+    return lambda x, zbar: symbol.value(weights, x, zbar)
 
 
 # unordered live radial pairs per block of the kernel and mode pass; a
@@ -585,6 +564,12 @@ def _plane_gaussian_entries(blocks: Sequence[np.ndarray], N: int, K: int, dim: i
     return out
 
 
+def _check_cutoff_radius(eps: Optional[float]) -> None:
+    """A cutoff radius is positive (inf keeps every pair); NaN or eps <= 0 raises."""
+    if eps is not None and not eps > 0.0:
+        raise ValueError(f"cutoff radius must be positive, got {eps}")
+
+
 def cutoff_rho(geometry: ModelGeometry, eps: Optional[float] = None) -> float:
     """Threshold of the sphere pair cutoff at geodesic radius ``eps``.
 
@@ -593,11 +578,12 @@ def cutoff_rho(geometry: ModelGeometry, eps: Optional[float] = None) -> float:
     injectivity radius, where rho = (3 + sqrt 5)/8.  Returns 0.0 when
     nothing is cut: the plane, or eps at or beyond the injectivity radius.
     """
+    _check_cutoff_radius(eps)
     if not geometry.compact:
         return 0.0
     if eps is None:
         eps = CUTOFF_FACTOR * geometry.injectivity_radius
-    if math.isfinite(eps) and eps < geometry.injectivity_radius:
+    if eps < geometry.injectivity_radius:
         return math.cos(eps / math.sqrt(2.0)) ** 2
     return 0.0
 
@@ -635,6 +621,7 @@ def covariant_matrix(
     K_used = _resolve_truncation(symbol, N, K)
     basis = basis_norms(geometry, N, cutoff)
     if not geometry.compact:
+        _check_cutoff_radius(eps)
         if eps is not None and math.isfinite(eps):
             raise ValueError("the plane kernel carries no cutoff (infinite injectivity radius)")
         blocks = [np.asarray(symbol.jets[0].coeffs[k].coeffs, dtype=complex) for k in range(symbol.K + 1)]
@@ -685,6 +672,7 @@ def bergman_kernel_error(
     there the approximation is exactly zero and the error is the exact
     kernel's own weighted size.
     """
+    _check_cutoff_radius(eps)
     sym = bergman_symbol(geometry, K=4)
     K = _resolve_truncation(sym, N, K)
     if eps is None:

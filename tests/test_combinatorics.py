@@ -21,10 +21,8 @@ from toeplitz_forge import constants
 def test_multiindex_basics():
     mu = cb.MultiIndex((3, 0, 2))
     assert mu.norm == 5
-    assert mu.factorial() == 12
     assert cb.MultiIndex((1, 0, 2)).leq(mu)
     assert not mu.leq(cb.MultiIndex((1, 0, 2)))
-    assert mu.sub(cb.MultiIndex((1, 0, 1))) == (2, 0, 1)
     with pytest.raises(ValueError):
         cb.MultiIndex((1, -1))
     with pytest.raises(ValueError):

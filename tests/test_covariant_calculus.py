@@ -114,18 +114,18 @@ def test_euclid_jets_match_exact_evaluator():
             x = cc.frame_to_chart(SPHERE, node, a)
             zbar = (bb + np.conj(node)) / (1.0 - node * bb)
             for k in range(2):
-                jet = complex(sym.jet_eval(i, k, a, bb))
-                exact = complex(sym.global_eval(k, x, zbar))
+                jet = complex(sym.jet_eval(i, {k: 1.0}, a, bb))
+                exact = complex(sym.exact({k: 1.0}, x, zbar))
                 assert abs(jet - exact) <= 1e-9
 
 
 def test_jets_value_sums_located_node_jets():
-    # without the exact evaluator, value() and the weighted sum the
-    # quadratures use read the jet of the node each point is located at
-    exact = cc.symbol_from_euclid_poly(
+    # without the exact evaluator, value() (the weighted sum the
+    # quadratures use) reads the jet of the node each point is located at
+    full = cc.symbol_from_euclid_poly(
         SPHERE, [{(1, 0, 1): 0.5, (0, 0, 2): 1.0}, {(0, 1, 0): 1.0j}]
     )
-    sym = dataclasses.replace(exact, global_eval=None)
+    sym = dataclasses.replace(full, exact=None)
     rng = np.random.default_rng(3)
     nodes = sym.nodes[rng.integers(0, 12, 40)]
     a = rng.uniform(-0.05, 0.05, 40) + 1j * rng.uniform(-0.05, 0.05, 40)
@@ -133,20 +133,20 @@ def test_jets_value_sums_located_node_jets():
     x = cc.frame_to_chart(SPHERE, nodes, a).reshape(5, 8)
     zbar = ((bb + np.conj(nodes)) / (1.0 - nodes * bb)).reshape(5, 8)
     idx, fa, fb = cc.frame_pair_offsets(sym, x, zbar)
-    want = [np.array([sym.jet_eval(i, k, u, v) for i, u, v in zip(idx.ravel(), fa.ravel(), fb.ravel())])
+    want = [np.array([sym.jet_eval(i, {k: 1.0}, u, v) for i, u, v in zip(idx.ravel(), fa.ravel(), fb.ravel())])
             .reshape(x.shape) for k in range(2)]
     for k in range(2):
-        got = sym.value(k, x, zbar)
+        got = sym.value({k: 1.0}, x, zbar)
         assert got.shape == x.shape
         assert np.max(np.abs(got - want[k])) <= 1e-13 * np.max(np.abs(want[k]))
-        assert np.max(np.abs(got - exact.value(k, x, zbar))) <= 1e-7
-    mixed = sym._jets_value({0: 1.0, 1: 0.25}, x, zbar)
+        assert np.max(np.abs(got - full.value({k: 1.0}, x, zbar))) <= 1e-7
+    mixed = sym.value({0: 1.0, 1: 0.25}, x, zbar)
     assert np.max(np.abs(mixed - (want[0] + 0.25 * want[1]))) <= 1e-13 * np.max(np.abs(want[0]))
     # plane jets are the polynomials themselves; the points broadcast
     plane = dataclasses.replace(cc.symbol_from_plane_poly(PLANE, [{(1, 1): 1.0, (0, 2): 0.5}]),
-                                global_eval=None)
+                                exact=None)
     x, zbar = np.linspace(-1, 1, 3)[:, None] + 0.5j, np.linspace(-2, 2, 4)[None, :]
-    assert np.max(np.abs(plane.value(0, x, zbar) - (x * zbar + 0.5 * zbar**2))) <= 1e-15
+    assert np.max(np.abs(plane.value({0: 1.0}, x, zbar) - (x * zbar + 0.5 * zbar**2))) <= 1e-15
 
 
 def test_pullback_jets_stay_tame_at_pole_nodes():
@@ -167,6 +167,8 @@ def test_overlap_defect_small():
 def test_plane_poly_degree_guard():
     with pytest.raises(ValueError):
         cc.symbol_from_plane_poly(PLANE, [{(5, 5): 1.0}], order=6)
+    with pytest.raises(TypeError):  # one node at the origin: no grid to refine
+        cc.symbol_from_plane_poly(PLANE, [{(0, 0): 1.0}], node_count=24)
 
 
 def test_rotation_invariant_evaluation():
@@ -175,8 +177,8 @@ def test_rotation_invariant_evaluation():
     x = 0.3 * np.exp(1.1j)
     zbar = np.conj(0.32 * np.exp(1.05j))
     idx, a, bb = cc.frame_pair_offsets(x3, x, zbar)
-    jet = complex(x3.jet_eval(int(idx), 0, a, bb))
-    exact = complex(x3.global_eval(0, x, zbar))
+    jet = complex(x3.jet_eval(int(idx), {0: 1.0}, a, bb))
+    exact = complex(x3.exact({0: 1.0}, x, zbar))
     assert abs(jet - exact) <= 1e-10
 
 
@@ -461,7 +463,7 @@ def test_bergman_sphere_coefficients():
             block[0, 0] -= want[k]
             assert np.max(np.abs(block)) < 1e-10
     assert a.rotation_invariant
-    assert a.global_eval is not None
+    assert a.exact is not None
 
 
 def test_bergman_sphere_constant_terms_through_K6():
@@ -472,7 +474,7 @@ def test_bergman_sphere_constant_terms_through_K6():
         assert np.max(np.abs(node_values(a, k) - want)) <= 1e-12, k
     # the constants are pinned by the model, not by a flatness test
     for K in (5, 6):
-        assert cc.bergman_symbol(SPHERE, K=K, order=8).constant_coeffs is not None, K
+        assert cc.bergman_symbol(SPHERE, K=K, order=8).exact is not None, K
 
 
 def test_bergman_plane_coefficients():
@@ -496,7 +498,7 @@ def test_bergman_symbol_shared_and_read_only():
     a = cc.bergman_symbol(geometry.SphereModel(), K=2, order=6)
     assert cc.bergman_symbol(geometry.model_by_name("sphere"), K=2, order=6) is a
     assert cc.bergman_symbol(SPHERE, K=3, order=6) is not a
-    assert a.constant_coeffs is not None and len(a.constant_coeffs) == 3
+    assert a.exact is not None and a.K == 2
     for array in (a.jets[0].coeffs[0].coeffs, a.jets[-1].coeffs[2].coeffs, a.nodes):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 2.0

@@ -4,10 +4,13 @@ Every public top-level function or class, and every public method, in
 ``src/toeplitz_forge`` must be referenced outside its own definition by the
 package itself, the scripts, the benchmarks or the perfbench harness, or
 be named in ``ORACLES``.  Tests alone do not keep a name alive: a helper
-only a test needs lives in that test.
+only a test needs lives in that test.  Neither does an ``__all__`` entry,
+nor, for a method, a same-named variable, string or standard-library
+function.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +33,7 @@ ORACLES = (
     "sharp_inverse",  # f sharp f^{sharp -1} = the Bergman symbol
     "overlap_defect",  # jet agreement between neighbouring nodes
     "frame_to_chart",  # inverse of chart_to_frame; the frames of non-homogeneous models
+    "schur_norm_bound",  # the Schur-test operator-norm bound C_N sup|amplitude|
 )
 
 
@@ -40,19 +44,40 @@ def _sources():
     return users + sorted((ROOT / "perfbench").glob("*.py"))
 
 
+def _stdlib_aliases(tree: ast.AST) -> set:
+    """Names the module binds to standard-library modules (``import math``)."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] in sys.stdlib_module_names}
+
+
+def _all_entries(tree: ast.AST) -> set:
+    """The string nodes of ``__all__``: listing a name is not running it."""
+    return {id(const) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for const in ast.walk(node.value)}
+
+
 def _references(tree: ast.AST):
-    """(name, line) of every identifier the module mentions."""
+    """(name, line, reaches a method) of every identifier the module mentions.
+
+    Only an attribute reaches a method: a plain variable, an imported name,
+    a string and an attribute of a standard-library module
+    (``math.factorial``) keep top-level names alive, not methods.
+    """
+    stdlib, listed = _stdlib_aliases(tree), _all_entries(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            on_stdlib = isinstance(node.value, ast.Name) and node.value.id in stdlib
+            yield node.attr, node.lineno, not on_stdlib
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
-            yield node.value, node.lineno
+                and node.value.isidentifier() and id(node) not in listed:
+            yield node.value, node.lineno, False
 
 
 def _public_definitions(tree: ast.Module):
@@ -71,13 +96,14 @@ def test_every_public_name_is_run_or_kept_as_an_oracle():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in _sources()}
     seen = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            seen.setdefault(name, []).append((path, line))
+        for name, line, method in _references(tree):
+            seen.setdefault(name, []).append((path, line, method))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for qual, name, first, last in _public_definitions(trees[path]):
             outside = [hit for hit in seen.get(name, ())
-                       if not (hit[0] == path and first <= hit[1] <= last)]
+                       if not (hit[0] == path and first <= hit[1] <= last)
+                       and (hit[2] or "." not in qual)]
             if not outside and name not in ORACLES:
                 unused.append(f"{path.name}: {qual}")
     assert not unused, "public names nothing runs (delete, move into a test, or list in ORACLES): " \

@@ -194,6 +194,22 @@ def test_covariant_rejections():
         qs.covariant_matrix(PLANE, plane_sym, 8, eps=1.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -0.5])
+@pytest.mark.parametrize("call", [
+    lambda eps: qs.cutoff_rho(SPH, eps),
+    lambda eps: qs.covariant_matrix(SPH, cc.bergman_symbol(SPH, K=4), 8, eps=eps),
+    lambda eps: qs.covariant_matrix(PLANE, cc.bergman_symbol(PLANE, K=4), 8, eps=eps),
+    lambda eps: qs.bergman_kernel_error(SPH, 8, eps=eps),
+    lambda eps: qs.bergman_kernel_error(PLANE, 8, eps=eps),
+], ids=["cutoff_rho", "covariant_matrix-sphere", "covariant_matrix-plane",
+        "bergman_kernel_error-sphere", "bergman_kernel_error-plane"])
+def test_cutoff_radius_must_be_positive(call, eps):
+    # a squared cosine would read -eps as eps, NaN as no cutoff, and 0 as
+    # a sliver of the diagonal instead of the zero operator
+    with pytest.raises(ValueError, match="cutoff radius"):
+        call(eps)
+
+
 def _per_mode_diagonal(N, dim, amplitude, rho, n_radial, n_angular):
     """The per-mode loop that _sphere_diagonal_quadrature vectorizes.
 
@@ -330,6 +346,26 @@ def test_multiplier_quadrature_peak_memory():
     # diagonal at a time peaks at 2.6 MB
     gathered = (int(1.5 * qs.MASS_RADIAL) + 1) * (N + 1) ** 2 * 16
     assert peak < 0.25 * gathered
+
+
+def test_bergman_amplitude_stays_one_broadcast_scalar():
+    # the Bergman symbol is constant, so its summed amplitude must reach the
+    # quadrature as one scalar broadcast over the grid: filling an array of
+    # the grid's shape (or converting the quadrature's broadcast radial view
+    # to complex) lifts this peak from 15.85 MB to 17.62 MB
+    N = 64
+    a = cc.bergman_symbol(SPH, K=4)
+    qs.covariant_matrix(SPH, a, N)  # fill the caches
+    tracemalloc.start()
+    try:
+        qs.covariant_matrix(SPH, a, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16.7e6
+    x = np.ones((5, 7), dtype=complex)
+    amp = qs._summed_amplitude(a, N, 4)(x, np.broadcast_to(np.ones((5, 1)), x.shape))
+    assert amp.shape == x.shape and all(stride == 0 for stride in amp.strides)
 
 
 def _live_phase(rho, n_angular):
