@@ -39,10 +39,10 @@ def _workloads():
         c[_degree_grid(2, order) > order] = 0.0
         series[order] = PowerSeries(c, order)
     sph = geometry.sphere()
-    f = cc.symbol_from_euclid_poly(sph, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=12)
-    g = cc.symbol_from_euclid_poly(sph, [{(0, 0, 1): 1.0}], order=12)
+    f = cc.symbol_from_poly(sph, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=12)
+    g = cc.symbol_from_poly(sph, [{(0, 0, 1): 1.0}], order=12)
     berg = cc.bergman_symbol(sph, K=4)
-    c2c = cc.symbol_from_euclid_poly(sph, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=8)
+    c2c = cc.symbol_from_poly(sph, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=8)
     jobs = {
         "conv_pair 17^2x9^2": lambda: _kernels.conv_pair(a, b, 16, 8),
         "conv_pair sphere 11^2x9^2": lambda: _kernels.conv_pair(

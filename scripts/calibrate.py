@@ -54,7 +54,7 @@ def random_sphere_symbol(rng, K=2, order=6):
             if rng.uniform() < 0.7:
                 tk[(0, 0, e3)] = complex(rng.uniform(-1.0, 1.0))
         terms.append(tk or {(0, 0, 0): 0.0})
-    return cc.symbol_from_euclid_poly(SphereModel(), terms, order=order)
+    return cc.symbol_from_poly(SphereModel(), terms, order=order)
 
 
 def calibrate_sharp_class(batch=12, seed=20240502) -> float:

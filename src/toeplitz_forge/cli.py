@@ -220,9 +220,12 @@ def _symbols_coeffs(args):
     if args.coeffs == "factorial":
         return [args.R ** k * math.factorial(k) for k in range(args.K + 1)]
     try:
-        return [float(c) for c in args.coeffs.split(",")]
+        coeffs = [float(c) for c in args.coeffs.split(",")]
     except ValueError:
         raise ValueError(f"coeffs must be comma-separated floats or 'factorial', got {args.coeffs!r}")
+    if len(coeffs) != args.K + 1:
+        raise ValueError(f"coeffs holds {len(coeffs)} values, K = {args.K} needs {args.K + 1}")
+    return coeffs
 
 
 def _cmd_symbols(args) -> tuple:
@@ -392,11 +395,11 @@ def _coefficient_rows(symbol, K: int, reference=None):
     worst = 0.0
     for i, node in enumerate(symbol.nodes):
         for k in range(K + 1):
-            val = complex(symbol.jets[i].coeffs[k].constant_term())
+            val = complex(symbol.coeffs[i, k, 0, 0])
             if reference is None:
                 res = 0.0
             else:
-                res = abs(val - complex(reference.jets[i].coeffs[k].constant_term()))
+                res = abs(val - complex(reference.coeffs[i, k, 0, 0]))
             worst = max(worst, res)
             rows.append((k, f"{node.real:.6g}", val.real, val.imag, res))
     return rows, worst
@@ -431,7 +434,7 @@ def _cmd_bergman(args) -> tuple:
     # residual column: spread of each coefficient across basepoints
     spreads = {}
     for k in range(args.K + 1):
-        vals = [complex(symbol.jets[i].coeffs[k].constant_term()) for i in range(len(symbol.nodes))]
+        vals = [complex(v) for v in symbol.coeffs[:, k, 0, 0]]
         mid = np.mean(vals)
         spreads[k] = max(abs(v - mid) for v in vals)
     rows = [(k, bp, re, im, spreads[k]) for (k, bp, re, im, _) in rows]

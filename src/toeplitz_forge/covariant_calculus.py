@@ -2,13 +2,14 @@
 
 A covariant symbol is a coefficient family f ~ sum_k N^{-k} f_k of
 functions of (x, zbar) near the diagonal.  Each f_k is stored as Taylor
-jets at a grid of diagonal base points, and every jet lives in that
-point's normal frame: the chart is moved (rotation for the sphere,
-translation for the plane) so the base point sits at the origin.  In the
-moved chart the potential changes only by a cocycle that cancels from the
-four-point phase, and the volume density keeps its base form, so a single
-Morse normalization per geometry serves every node, and jets stay O(1)
-even at nodes far out in the affine chart.
+jets at a grid of diagonal base points, one array of blocks indexed by
+(node, k), and every jet lives in that point's normal frame: the chart is
+moved (rotation for the sphere, translation for the plane) so the base
+point sits at the origin.  In the moved chart the potential changes only
+by a cocycle that cancels from the four-point phase, and the volume
+density keeps its base form, so a single Morse normalization per geometry
+serves every node, and jets stay O(1) even at nodes far out in the affine
+chart.
 
 Composition: T(f) T(g) has the kernel
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from . import constants, _kernels
 from .function_spaces import Domain, estimate_symbol_norm, make_symbol
 from .geometry import ModelGeometry
-from .series import PowerSeries, _degree_grid
+from .series import PowerSeries
 from .stationary_phase import MorseFamily, PairFamily, _pair_powers, morse_normalize_family
 
 SPHERE_NODE_COUNT = 12
@@ -69,9 +70,12 @@ def node_grid(geometry: ModelGeometry, count: Optional[int] = None) -> np.ndarra
 
     The sphere grid walks a meridian from pole to pole: polar angles
     (j + 1/2) pi / count, chart points tan(theta/2).  One node at the
-    origin suffices on the plane, where translations act transitively.
+    origin suffices on the plane, where translations act transitively, so
+    a plane ``count`` raises.
     """
     if not geometry.compact:
+        if count is not None:
+            raise ValueError("the plane has one node at the origin: no grid to refine")
         return np.zeros(1, dtype=complex)
     if count is None:
         count = SPHERE_NODE_COUNT
@@ -108,50 +112,44 @@ def chart_to_frame_bar(geometry: ModelGeometry, node: complex, zbar):
 
 @dataclass
 class CovariantSymbol:
-    """Per-node jets of an N^{-1} coefficient family near the diagonal.
+    """Node jets of an N^{-1} coefficient family near the diagonal.
 
-    ``jets[i]`` is an AnalyticSymbol whose coefficient series live in the
-    node-i normal frame offsets (delta x, delta zbar); holomorphic
-    dependence rides the first axis, anti-holomorphic the second.  The
-    jets are authoritative for the calculus.  ``exact(weights, x, zbar)``,
-    when present, evaluates sum_k weights[k] f_k exactly at arbitrary
-    polarized points, and ``value`` prefers it to the jets.
+    ``coeffs[i, k]`` is the jet of f_k at node i: an (order+1, order+1)
+    complex block in the node-i normal frame offsets (delta x, delta zbar),
+    holomorphic degree on the first axis, anti-holomorphic on the second,
+    zero above total degree ``order``.  So ``coeffs`` has shape
+    (nodes, K+1, order+1, order+1), and K and order are read off it.  The
+    jets are authoritative for the calculus; (r, R, m) is the symbol class
+    ``norm_estimate`` measures them in.  ``exact(weights, x, zbar)``, when
+    present, evaluates sum_k weights[k] f_k exactly at arbitrary polarized
+    points, and ``value`` prefers it to the jets.
     """
 
     geometry: ModelGeometry
     nodes: np.ndarray
-    jets: tuple
+    coeffs: np.ndarray
+    r: float
+    R: float
+    m: int
     rotation_invariant: bool = False
     exact: Optional[Callable] = None
 
     @property
     def K(self) -> int:
-        return self.jets[0].K
+        return self.coeffs.shape[1] - 1
 
     @property
     def order(self) -> int:
-        return self.jets[0].order
-
-    @property
-    def r(self) -> float:
-        return self.jets[0].r
-
-    @property
-    def R(self) -> float:
-        return self.jets[0].R
-
-    @property
-    def m(self) -> int:
-        return self.jets[0].m
+        return self.coeffs.shape[2] - 1
 
     def jet_eval(self, node_index: int, weights: dict, a, bbar):
         """sum_k weights[k] times coefficient k's node jet at frame offsets
         (vectorized); the blocks are combined before the powers of the
         offsets meet them."""
-        coeffs = self.jets[node_index].coeffs
-        c = np.zeros(coeffs[0].coeffs.shape, dtype=complex)
+        blocks = self.coeffs[node_index]
+        c = np.zeros(blocks.shape[1:], dtype=complex)
         for k, w in weights.items():
-            c += w * np.asarray(coeffs[k].coeffs, dtype=complex)
+            c += w * blocks[k]
         pow_a = np.asarray(a, dtype=complex)[..., None] ** np.arange(c.shape[0])
         pow_b = np.asarray(bbar, dtype=complex)[..., None] ** np.arange(c.shape[1])
         return np.sum((pow_a @ c) * pow_b, axis=-1)
@@ -171,8 +169,15 @@ class CovariantSymbol:
         return out.reshape(np.shape(idx))
 
     def norm_estimate(self, r=None, R=None, m=None) -> float:
-        """Symbol-class norm: worst node-jet estimate."""
-        return max(estimate_symbol_norm(j, r=r, R=R, m=m) for j in self.jets)
+        """Symbol-class norm: worst node-jet estimate, each node's jets
+        measured as an AnalyticSymbol of the symbol's class."""
+        domain = _jet_domain()
+        return max(
+            estimate_symbol_norm(
+                make_symbol([PowerSeries(b, self.order) for b in blocks], domain,
+                            self.r, self.R, self.m),
+                r=r, R=R, m=m)
+            for blocks in self.coeffs)
 
 
 def frame_pair_offsets(symbol: CovariantSymbol, x, zbar):
@@ -240,28 +245,32 @@ def _jet_domain() -> Domain:
     return Domain.disk(JET_DOMAIN_RADIUS) * Domain.disk(JET_DOMAIN_RADIUS)
 
 
-def _frame_euclid_series(geometry: ModelGeometry, node: complex, order: int):
-    """Jets of the polarized sphere coordinates (x1, x2, x3) in the normal
-    frame of a meridian node.
+def _frame_coordinates(geometry: ModelGeometry, node: complex, order: int) -> tuple:
+    """Jets, in a node's normal frame, of the coordinates symbol polynomials
+    are written in.
 
-    Building them through the global chart would multiply series with
+    On the plane these are the offsets (dx, dzbar) at its single node.  On
+    the sphere they are the polarized ambient coordinates (x1, x2, x3):
+    building them through the global chart would multiply series with
     coefficients ~ node^p and cancel catastrophically near the pole, so
-    the frame jets are the base-point jets of ``euclid_polarized`` carried
-    by the rigid rotation that takes the node to the origin:
-    x2 is fixed and (x1, x3) rotate by the node's polar angle.
+    they are the base-point jets of ``euclid_polarized`` carried by the
+    rigid rotation that takes the node to the origin: x2 is fixed and
+    (x1, x3) rotate by the node's polar angle.
     """
+    dx, dzbar = PowerSeries.variable(0, 2, order), PowerSeries.variable(1, 2, order)
+    if not geometry.compact:
+        return dx, dzbar
     lam = complex(node)
     if abs(lam.imag) > 1e-14:
         raise ValueError("sphere nodes sit on the real meridian")
     lam = lam.real
-    base1, base2, base3 = geometry.euclid_polarized(
-        PowerSeries.variable(0, 2, order), PowerSeries.variable(1, 2, order))
+    base1, base2, base3 = geometry.euclid_polarized(dx, dzbar)
     c = (1.0 - lam * lam) / (1.0 + lam * lam)
     s = 2.0 * lam / (1.0 + lam * lam)
     return (base1 * c + base3 * s, base2, base1 * (-s) + base3 * c)
 
 
-def symbol_from_euclid_poly(
+def symbol_from_poly(
     geometry: ModelGeometry,
     terms_per_k: Sequence[dict],
     order: int = DEFAULT_ORDER,
@@ -270,89 +279,56 @@ def symbol_from_euclid_poly(
     m: int = DEFAULT_CLASS[2],
     node_count: Optional[int] = None,
 ) -> CovariantSymbol:
-    """Sphere symbol from polynomials in the ambient coordinates.
+    """Symbol whose coefficient f_k is a polynomial.
 
-    ``terms_per_k[k]`` maps exponent triples (e1, e2, e3) to coefficients;
-    coefficient k of the symbol is the polarized extension of
-    sum c * x1^e1 x2^e2 x3^e3.  The exact polarized evaluator is attached
-    for quadrature use.  ``node_count`` refines the meridian grid when jets
-    of a derived symbol will be read far from the diagonal.
+    ``terms_per_k[k]`` maps exponent tuples to coefficients: triples
+    (e1, e2, e3) of the polarized ambient coordinates x1^e1 x2^e2 x3^e3 on
+    the sphere, pairs (p, q) of x^p zbar^q on the plane.  Each node's jets
+    are the same monomials in its ``_frame_coordinates``, multiplied in the
+    truncated jet ring; the plane's single node sits at the origin, so its
+    jets are the polynomials themselves and a term above the jet order
+    raises.  The attached ``exact`` evaluates the monomials at arbitrary
+    polarized points, for quadrature use.  ``node_count`` refines the
+    sphere's meridian grid when jets of a derived symbol will be read far
+    from the diagonal.
     """
-    if not geometry.compact:
-        raise ValueError("ambient-polynomial symbols are a sphere construction")
+    arity = 3 if geometry.compact else 2
+    for terms in terms_per_k:
+        for expo in terms:
+            if len(expo) != arity:
+                raise ValueError(f"exponents {expo} need {arity} entries on this model")
+            if not geometry.compact and sum(expo) > order:
+                raise ValueError("polynomial degree exceeds the jet order")
     nodes = node_grid(geometry, node_count)
-    domain = _jet_domain()
-    jets = []
-    for node in nodes:
-        e1, e2, e3 = _frame_euclid_series(geometry, node, order)
-        coeffs = []
-        for terms in terms_per_k:
+    coeffs = np.zeros((len(nodes), len(terms_per_k), order + 1, order + 1), dtype=complex)
+    for i, node in enumerate(nodes):
+        frame = _frame_coordinates(geometry, node, order)
+        for k, terms in enumerate(terms_per_k):
             acc = PowerSeries.zero(2, order)
-            for (p1, p2, p3), cval in sorted(terms.items()):
+            for expo, cval in sorted(terms.items()):
                 mono = PowerSeries.constant(complex(cval), 2, order)
-                for fac, p in ((e1, p1), (e2, p2), (e3, p3)):
+                for fac, p in zip(frame, expo):
                     for _ in range(p):
                         mono = mono * fac
                 acc = acc + mono
-            coeffs.append(acc)
-        jets.append(make_symbol(coeffs, domain, r, R, m))
-    invariant = all(
-        p1 == 0 and p2 == 0 for terms in terms_per_k for (p1, p2, p3) in terms
+            coeffs[i, k] = acc.coeffs
+    # rotation about the polar axis fixes x3 alone
+    invariant = geometry.compact and all(
+        expo[0] == 0 and expo[1] == 0 for terms in terms_per_k for expo in terms
     )
 
     def exact(weights, x, zbar):
-        u1, u2, u3 = geometry.euclid_polarized(x, zbar)
-        acc = np.zeros(np.broadcast(u1, u2, u3).shape, dtype=complex)
+        coords = geometry.euclid_polarized(x, zbar) if geometry.compact else (x, zbar)
+        acc = np.zeros(np.broadcast(*coords).shape, dtype=complex)
         for k, w in weights.items():
-            for (p1, p2, p3), cval in terms_per_k[k].items():
-                acc = acc + w * complex(cval) * u1**p1 * u2**p2 * u3**p3
+            for expo, cval in terms_per_k[k].items():
+                term = w * complex(cval)
+                for u, p in zip(coords, expo):
+                    term = term * u**p
+                acc = acc + term
         return acc
 
-    return CovariantSymbol(geometry, nodes, tuple(jets), invariant, exact)
-
-
-def symbol_from_plane_poly(
-    geometry: ModelGeometry,
-    terms_per_k: Sequence[dict],
-    order: int = DEFAULT_ORDER,
-    r: float = DEFAULT_CLASS[0],
-    R: float = DEFAULT_CLASS[1],
-    m: int = DEFAULT_CLASS[2],
-) -> CovariantSymbol:
-    """Plane symbol from polynomials in (x, zbar).
-
-    ``terms_per_k[k]`` maps pairs (p, q) to coefficients of x^p zbar^q;
-    the single node sits at the origin so jets are the polynomials
-    themselves.
-    """
-    if geometry.compact:
-        raise ValueError("plane-polynomial symbols are a Bargmann construction")
-    nodes = node_grid(geometry)
-    domain = _jet_domain()
-    coeffs = []
-    for terms in terms_per_k:
-        acc = PowerSeries.zero(2, order)
-        for (p, q), cval in sorted(terms.items()):
-            if p + q > order:
-                raise ValueError("polynomial degree exceeds the jet order")
-            acc.coeffs[p, q] += complex(cval)
-        coeffs.append(acc)
-    jets = (make_symbol(coeffs, domain, r, R, m),)
-
-    def exact(weights, x, zbar):
-        acc = np.zeros(np.broadcast(x, zbar).shape, dtype=complex)
-        for k, w in weights.items():
-            for (p, q), cval in terms_per_k[k].items():
-                acc = acc + w * complex(cval) * x**p * zbar**q
-        return acc
-
-    return CovariantSymbol(geometry, nodes, tuple(jets), False, exact)
-
-
-def symbol_from_poly(geometry: ModelGeometry, terms_per_k: Sequence[dict], **kw) -> CovariantSymbol:
-    if geometry.compact:
-        return symbol_from_euclid_poly(geometry, terms_per_k, **kw)
-    return symbol_from_plane_poly(geometry, terms_per_k, **kw)
+    return CovariantSymbol(geometry, nodes, coeffs, float(r), float(R), int(m), invariant, exact)
 
 
 def unit_covariant(geometry: ModelGeometry, K: int = 0, **kw) -> CovariantSymbol:
@@ -414,21 +390,12 @@ def _pair_cap(K: int, pair_cap: Optional[int]) -> int:
     return P
 
 
-def _block_from_jet(jet: PowerSeries, cap: int) -> np.ndarray:
-    """Jet coefficients as a (cap+1, cap+1) total-degree-masked block."""
-    out = np.zeros((cap + 1, cap + 1), dtype=np.complex128)
-    take = min(cap + 1, jet.coeffs.shape[0])
-    out[:take, :take] = np.asarray(jet.coeffs, dtype=np.complex128)[:take, :take]
-    out[_degree_grid(2, cap) > cap] = 0.0
-    return out
-
-
-def _substitute(jet: PowerSeries, eng: _Engine, left: bool) -> PairFamily:
+def _substitute(c: np.ndarray, eng: _Engine, left: bool) -> PairFamily:
     """The left factor f(dx, dzbar + iota_vbar) or the right factor
-    g(dx + iota_v, dzbar): the slot that is not integrated over stays a
-    parameter, the other takes the Morse substitution power by power."""
+    g(dx + iota_v, dzbar) of a jet block c: the slot that is not integrated
+    over stays a parameter, the other takes the Morse substitution power by
+    power."""
     M = eng.param_cap
-    c = _block_from_jet(jet, M)
     powers = eng.z_powers if left else eng.x_powers
     acc = PairFamily.zeros(eng.pair_cap, M)
     for s in range(M + 1):
@@ -444,10 +411,10 @@ def _substitute(jet: PowerSeries, eng: _Engine, left: bool) -> PairFamily:
     return acc
 
 
-def _substitute_middle(jet: PowerSeries, eng: _Engine) -> PairFamily:
-    """f(dx + iota_v, dzbar + iota_vbar): both slots integrated over."""
+def _substitute_middle(c: np.ndarray, eng: _Engine) -> PairFamily:
+    """f(dx + iota_v, dzbar + iota_vbar) of a jet block c: both slots
+    integrated over."""
     M = eng.param_cap
-    c = _block_from_jet(jet, M)
     acc = PairFamily.zeros(eng.pair_cap, M)
     for t in range(M + 1):
         inner = PairFamily.zeros(eng.pair_cap, M)
@@ -483,26 +450,25 @@ def _check_pair(f: CovariantSymbol, g: CovariantSymbol) -> None:
         raise ValueError("symbols live on different node grids")
 
 
-def _node_key(sym: CovariantSymbol, i: int) -> bytes:
-    return b"".join(np.ascontiguousarray(c.coeffs).tobytes() for c in sym.jets[i].coeffs)
-
-
-def _jet_list(sym: CovariantSymbol, i: int, K: int) -> list:
-    """Coefficient jets at node i, padded with zero beyond the stored K."""
-    zero = PowerSeries.zero(2, sym.order)
-    stored = sym.jets[i].coeffs
-    return [stored[k] if k <= sym.K else zero for k in range(K + 1)]
+def _coeffs_to(sym: CovariantSymbol, K: int) -> np.ndarray:
+    """sym.coeffs cut, or padded with zero blocks, to coefficients 0..K."""
+    out = np.zeros((len(sym.nodes), K + 1) + sym.coeffs.shape[2:], dtype=complex)
+    top = min(K, sym.K) + 1
+    out[:, :top] = sym.coeffs[:, :top]
+    return out
 
 
 def _per_node(syms: Sequence[CovariantSymbol], K: int, solve: Callable) -> list:
-    """solve(jets of syms[0], jets of syms[1], ...) at every node; nodes
-    whose jets are byte-identical in every symbol share one call."""
+    """solve(jets of syms[0], jets of syms[1], ...) at every node, each a
+    (K+1)-stack of blocks; nodes whose jets are byte-identical in every
+    symbol share one call."""
+    jets = [_coeffs_to(s, K) for s in syms]
     per_node: list = []
     cache: dict = {}
     for i in range(len(syms[0].nodes)):
-        key = tuple(_node_key(s, i) for s in syms)
+        key = tuple(c[i].tobytes() for c in jets)
         if key not in cache:
-            cache[key] = solve(*(_jet_list(s, i, K) for s in syms))
+            cache[key] = solve(*(c[i] for c in jets))
         per_node.append(cache[key])
     return per_node
 
@@ -524,39 +490,21 @@ def _wick_sum(eng: _Engine, F: list, G: list, K: int) -> list:
     return out
 
 
-def _sharp_node(eng: _Engine, fjets: list, gjets: list, K: int) -> list:
+def _sharp_node(eng: _Engine, fjets: np.ndarray, gjets: np.ndarray, K: int) -> list:
     """(f sharp g)_k as param blocks at one node, k = 0..K."""
-    F = [_substitute(jet, eng, left=True) for jet in fjets]
-    G = [_substitute(jet, eng, left=False) for jet in gjets]
+    F = [_substitute(c, eng, left=True) for c in fjets]
+    G = [_substitute(c, eng, left=False) for c in gjets]
     return _wick_sum(eng, F, G, K)
 
 
 def _assemble(
-    template: CovariantSymbol,
-    per_node_blocks: list,
-    K: int,
-    rotation_invariant: bool,
-    r=None,
-    R=None,
-    m=None,
+    template: CovariantSymbol, per_node_blocks: list, rotation_invariant: bool, **fields
 ) -> CovariantSymbol:
-    order = template.order
-    domain = template.jets[0].domain
-    jets = []
-    for blocks in per_node_blocks:
-        coeffs = [PowerSeries(np.array(b), order) for b in blocks]
-        jets.append(
-            make_symbol(
-                coeffs,
-                domain,
-                template.r if r is None else r,
-                template.R if R is None else R,
-                template.m if m is None else m,
-            )
-        )
-    return CovariantSymbol(
-        template.geometry, template.nodes.copy(), tuple(jets), rotation_invariant, None
-    )
+    """The per-node blocks as a symbol on the template's grid, in its class
+    unless ``fields`` sets (r, R, m)."""
+    return replace(template, nodes=template.nodes.copy(),
+                   coeffs=np.array(per_node_blocks, dtype=complex),
+                   rotation_invariant=rotation_invariant, exact=None, **fields)
 
 
 def sharp_product(
@@ -578,15 +526,7 @@ def sharp_product(
     # so summation cutoffs keep their natural scale; class-stability
     # checks pass explicit (2r, 2R) to norm_estimate instead
     invariant = f.rotation_invariant and g.rotation_invariant
-    return _assemble(
-        f,
-        per_node,
-        K,
-        invariant,
-        r=min(f.r, g.r),
-        R=max(f.R, g.R),
-        m=min(f.m, g.m),
-    )
+    return _assemble(f, per_node, invariant, r=min(f.r, g.r), R=max(f.R, g.R), m=min(f.m, g.m))
 
 
 def solve_sharp(
@@ -605,27 +545,26 @@ def solve_sharp(
     eng = _engine(f.geometry, P, f.order)
     per_node = _per_node((f, h), K, lambda fj, hj: _solve_node(eng, fj, hj, K))
     invariant = f.rotation_invariant and h.rotation_invariant
-    return _assemble(h, per_node, K, invariant)
+    return _assemble(h, per_node, invariant)
 
 
-def _solve_node(eng: _Engine, fjets: list, hjets: list, K: int) -> list:
+def _solve_node(eng: _Engine, fjets: np.ndarray, hjets: np.ndarray, K: int) -> list:
     M = eng.param_cap
-    f0 = PowerSeries(_block_from_jet(fjets[0], M), M)
+    f0 = PowerSeries(fjets[0], M)
     if abs(f0.constant_term()) < 1e-12:
         raise ArithmeticError("leading coefficient f_0 vanishes at a node")
     Dinv = (f0 * PowerSeries(eng.w0, M)).reciprocal()
-    F = [_substitute(jet, eng, left=True) for jet in fjets]
-    hb = [_block_from_jet(hjets[k], M) for k in range(K + 1)]
+    F = [_substitute(c, eng, left=True) for c in fjets]
     # rem[k] is h_k minus every bracket W_n[f_l, g_j] with l + j + n = k
     # found so far, subtracted as soon as g_j is solved.  When step k is
     # reached only g_{<k} have entered, so rem[k] is the right-hand side of
     # W_0[f_0, g_k]; after the last step it is minus the assembled residual
-    rem = [b.copy() for b in hb]
+    rem = hjets.copy()
     g_blocks: list = []
     for k in range(K + 1):
         gk = PowerSeries(rem[k], M) * Dinv
         g_blocks.append(gk.coeffs)
-        Gk = _substitute(gk, eng, left=False)
+        Gk = _substitute(gk.coeffs, eng, left=False)
         for l in range(K + 1 - k):
             if np.any(F[l].coeffs):
                 for n, block in enumerate(_bracket_tower(F[l], Gk, eng, K - l - k)):
@@ -633,9 +572,8 @@ def _solve_node(eng: _Engine, fjets: list, hjets: list, K: int) -> list:
     # the recursion is division in an exact ring, so a residual beyond
     # float noise (relative to the solved coefficients, which grow like
     # powers of 1/f_0) means the caps were violated
-    worst = max(float(np.max(np.abs(r))) for r in rem)
-    scale = max(1.0, max(float(np.max(np.abs(b))) for b in hb),
-                max(float(np.max(np.abs(b))) for b in g_blocks))
+    worst = float(np.max(np.abs(rem)))
+    scale = max(1.0, float(np.max(np.abs(hjets))), float(np.max(np.abs(g_blocks))))
     if worst > _SOLVE_TOL * scale:
         raise ArithmeticError(
             f"sharp recursion residual {worst:.3e} exceeds {_SOLVE_TOL} x {scale:.3e}")
@@ -677,9 +615,13 @@ def _build_bergman_symbol(geometry, K, order, r, R, m) -> CovariantSymbol:
     one = unit_covariant(geometry, K=0, order=order, r=r, R=R, m=m)
     out = solve_sharp(one, one, K)
     # both models are homogeneous, so the exact symbol is constant: pin its
-    # coefficients from node 0; a weighted sum of them is one scalar,
-    # broadcast to the points' shape without filling an array
-    consts = tuple(complex(out.jets[0].coeffs[k].constant_term()) for k in range(K + 1))
+    # coefficients from node 0, and every node's jets to them, which drops
+    # the solve's rounding from the non-constant entries; a weighted sum of
+    # the constants is one scalar, broadcast to the points' shape without
+    # filling an array
+    consts = tuple(complex(c) for c in out.coeffs[0, :, 0, 0])
+    out.coeffs[:] = 0.0
+    out.coeffs[:, :, 0, 0] = consts
 
     def exact(weights, x, zbar):
         total = np.zeros((), dtype=complex)
@@ -689,9 +631,7 @@ def _build_bergman_symbol(geometry, K, order, r, R, m) -> CovariantSymbol:
 
     out.exact = exact
     out.nodes.setflags(write=False)
-    for jet in out.jets:
-        for series in jet.coeffs:
-            series.coeffs.setflags(write=False)
+    out.coeffs.setflags(write=False)
     return out
 
 
@@ -721,12 +661,11 @@ def contravariant_to_covariant(
     eng = _engine(f.geometry, P, f.order)
     # the Bergman symbol is constant and its node jets are byte-identical,
     # so its substitutions serve every node
-    ajets = _jet_list(a, 0, K)
-    A_left = [_substitute(jet, eng, left=True) for jet in ajets]
-    A_right = [_substitute(jet, eng, left=False) for jet in ajets]
+    A_left = [_substitute(c, eng, left=True) for c in a.coeffs[0]]
+    A_right = [_substitute(c, eng, left=False) for c in a.coeffs[0]]
 
-    def node(fjets: list) -> list:
-        mids = [_substitute_middle(jet, eng) for jet in fjets]
+    def node(fjets: np.ndarray) -> list:
+        mids = [_substitute_middle(c, eng) for c in fjets]
         L = []
         for k in range(K + 1):
             terms = [A_left[l] * mids[k - l] for l in range(k + 1)
@@ -734,7 +673,7 @@ def contravariant_to_covariant(
             L.append(sum(terms, PairFamily.zeros(eng.pair_cap, eng.param_cap)))
         return _wick_sum(eng, L, A_right, K)
 
-    return _assemble(f, _per_node((f,), K, node), K, f.rotation_invariant)
+    return _assemble(f, _per_node((f,), K, node), f.rotation_invariant)
 
 
 def wick_degree_check(
@@ -751,20 +690,16 @@ def wick_degree_check(
     if k + 1 > f.order:
         raise ValueError("jet order too small for the requested degree")
     eng = _engine(f.geometry, 2 * k + 2, f.order)
-    fjets = _jet_list(f, basepoint, k)
-    gjets = _jet_list(g, basepoint, k)
+    fjets = _coeffs_to(f, k)[basepoint]
+    gjets = _coeffs_to(g, k)[basepoint]
     base = _sharp_node(eng, fjets, gjets, k)[k][0, 0]
 
-    bump = PowerSeries.zero(2, f.order)
-    bump.coeffs[0, k + 1] = 1.0
-    fj2 = list(fjets)
-    fj2[0] = fj2[0] + bump
+    fj2 = fjets.copy()
+    fj2[0, 0, k + 1] += 1.0
     left = abs(_sharp_node(eng, fj2, gjets, k)[k][0, 0] - base) < tol
 
-    bump = PowerSeries.zero(2, g.order)
-    bump.coeffs[k + 1, 0] = 1.0
-    gj2 = list(gjets)
-    gj2[0] = gj2[0] + bump
+    gj2 = gjets.copy()
+    gj2[0, k + 1, 0] += 1.0
     right = abs(_sharp_node(eng, fjets, gj2, k)[k][0, 0] - base) < tol
     return left and right
 
@@ -783,22 +718,22 @@ def bargmann_wick_product(f: CovariantSymbol, g: CovariantSymbol, K: int) -> Cov
     if f.geometry.compact:
         raise ValueError("the closed Wick form is the flat-model product")
     _check_pair(f, g)
-    fjets = _jet_list(f, 0, K)
-    gjets = _jet_list(g, 0, K)
+    fjets = _coeffs_to(f, K)[0]
+    gjets = _coeffs_to(g, K)[0]
     blocks = []
     for k in range(K + 1):
         acc = PowerSeries.zero(2, f.order)
         for n in range(k + 1):
             for l in range(k - n + 1):
                 j = k - n - l
-                df = fjets[l]
-                dg = gjets[j]
+                df = PowerSeries(fjets[l], f.order)
+                dg = PowerSeries(gjets[j], g.order)
                 for _ in range(n):
                     df = df.diff(1)
                     dg = dg.diff(0)
                 acc = acc + (df * dg) * (1.0 / math.factorial(n))
         blocks.append(acc.coeffs)
-    return _assemble(f, [blocks], K, False)
+    return _assemble(f, [blocks], False)
 
 
 # ---------------------------------------------------------------------------

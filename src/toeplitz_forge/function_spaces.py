@@ -187,9 +187,6 @@ class AnalyticSymbol:
     def constant(self) -> float:
         return estimate_symbol_norm(self)
 
-    def coeff(self, k: int) -> PowerSeries:
-        return self.coeffs[k]
-
     @property
     def nvars(self) -> int:
         return self.coeffs[0].nvars

@@ -106,7 +106,6 @@ class OperatorMatrix:
 
     entries: np.ndarray
     N: int
-    label: str = ""
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -325,7 +324,7 @@ def contravariant_matrix(
     basis = basis_norms(geometry, N, cutoff)
     if callable(f):
         ent = _quadrature_entries(geometry, f, N, basis.dim)
-        return OperatorMatrix(ent, N, label="multiplier[quadrature]")
+        return OperatorMatrix(ent, N)
     terms = dict(f)
     width = 3 if geometry.compact else 2
     for key in terms:
@@ -335,7 +334,7 @@ def contravariant_matrix(
         ent = _sphere_moment_entries(terms, basis.norms)
     else:
         ent = _plane_moment_entries(terms, N, basis.dim)
-    return OperatorMatrix(ent, N, label="multiplier")
+    return OperatorMatrix(ent, N)
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +623,8 @@ def covariant_matrix(
         _check_cutoff_radius(eps)
         if eps is not None and math.isfinite(eps):
             raise ValueError("the plane kernel carries no cutoff (infinite injectivity radius)")
-        blocks = [np.asarray(symbol.jets[0].coeffs[k].coeffs, dtype=complex) for k in range(symbol.K + 1)]
-        ent = _plane_gaussian_entries(blocks, N, K_used, basis.dim)
-        return OperatorMatrix(ent, N, label=f"kernel[K={K_used}]")
+        ent = _plane_gaussian_entries(list(symbol.coeffs[0]), N, K_used, basis.dim)
+        return OperatorMatrix(ent, N)
     if not symbol.rotation_invariant:
         raise ValueError(
             "sphere kernel matrices need a rotation-invariant symbol; "
@@ -636,7 +634,7 @@ def covariant_matrix(
     n_angular = max(64, N + 40) if rho > 0.0 else max(64, 2 * N + 8)
     amp = _summed_amplitude(symbol, N, K_used)
     diag = _sphere_diagonal_quadrature(N, basis.dim, amp, rho, n_radial, n_angular)
-    return OperatorMatrix(np.diag(diag), N, label=f"kernel[K={K_used}]")
+    return OperatorMatrix(np.diag(diag), N)
 
 
 def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:

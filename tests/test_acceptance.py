@@ -234,7 +234,7 @@ def test_criterion_06_bargmann_star_product():
             (p, q): float(np.round(rng.uniform(-1, 1), 6))
             for p in range(deg + 1) for q in range(deg + 1 - p)
         }
-        return cc.symbol_from_plane_poly(PLANE, [terms], order=order)
+        return cc.symbol_from_poly(PLANE, [terms], order=order)
 
     worst = 0.0
     for _ in range(3):
@@ -243,9 +243,7 @@ def test_criterion_06_bargmann_star_product():
         engine = cc.sharp_product(f, g, K=6)
         closed = cc.bargmann_wick_product(f, g, K=6)
         for k in range(7):
-            d = np.asarray(engine.jets[0].coeffs[k].coeffs) - np.asarray(
-                closed.jets[0].coeffs[k].coeffs
-            )
+            d = engine.coeffs[0, k] - closed.coeffs[0, k]
             worst = max(worst, float(np.max(np.abs(d))))
     _verdict(6, "flat Wick product", worst < 1e-10, f"worst coefficient gap {worst:.2e}")
 
@@ -255,7 +253,7 @@ def test_criterion_06_bargmann_star_product():
 
 def test_criterion_07_kernel_expansion():
     symbol = cc.bergman_symbol(SPHERE, K=4)
-    lead = [complex(symbol.jets[0].coeffs[k].constant_term()) for k in range(3)]
+    lead = [complex(symbol.coeffs[0, k, 0, 0]) for k in range(3)]
     coeff_err = max(abs(lead[0] - 1.0), abs(lead[1] - 1.0), abs(lead[2]))
     levels = list(range(8, 65, 8))
     errors = []
@@ -272,10 +270,10 @@ def test_criterion_07_kernel_expansion():
 
 
 def test_criterion_08_operator_composition():
-    f = cc.symbol_from_euclid_poly(
+    f = cc.symbol_from_poly(
         SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=16, node_count=24
     )
-    g = cc.symbol_from_euclid_poly(
+    g = cc.symbol_from_poly(
         SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): -1.0 / 3.0}], order=16, node_count=24
     )
     levels = [8, 16, 24, 32, 48, 64]
@@ -303,10 +301,10 @@ def test_criterion_08_operator_composition():
 
 
 def test_criterion_09_wick_degree():
-    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.4}], order=10)
-    g = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}, {(0, 0, 2): -0.3}], order=10)
-    fp = cc.symbol_from_plane_poly(PLANE, [{(0, 0): 1.0, (1, 1): 0.5}], order=10)
-    gp = cc.symbol_from_plane_poly(PLANE, [{(2, 1): 1.0}], order=10)
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.4}], order=10)
+    g = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}, {(0, 0, 2): -0.3}], order=10)
+    fp = cc.symbol_from_poly(PLANE, [{(0, 0): 1.0, (1, 1): 0.5}], order=10)
+    gp = cc.symbol_from_poly(PLANE, [{(2, 1): 1.0}], order=10)
     ok = True
     for k in range(4):
         ok = ok and cc.wick_degree_check(f, g, k, basepoint=4, tol=1e-8)

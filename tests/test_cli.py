@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment runner."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -15,6 +16,23 @@ import toeplitz_forge
 from toeplitz_forge import cli
 from toeplitz_forge import geometry
 from toeplitz_forge import quantization_spectral as qs
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _reference_jobs():
+    """perfbench's (job, arguments, artifact stem) triples that have a
+    reference CSV: every CLI job but phase-expand, whose amplitude the seed
+    draws."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    jobs = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "CLI_JOBS" for t in node.targets))
+    return [job for job in jobs if job[0] != "phase-expand"]
+
+
+REFERENCE_JOBS = _reference_jobs()
 
 
 def run(args):
@@ -77,17 +95,35 @@ def test_symbols_norm_and_inverse(tmp_path):
     header, rows = read_csv(tmp_path / "symbols.csv")
     assert header == ["k", "j", "ratio", "constant"]
     assert all(float(r[2]) <= 1.0 + 1e-12 for r in rows)
-    assert run(["symbols", "inverse", "--coeffs", "2.0,0.5,0.25",
+    assert run(["symbols", "inverse", "--K", "2", "--coeffs", "2.0,0.5,0.25",
                 "--out", str(tmp_path)]) == 0
     doc = read_json(tmp_path / "symbols.json")
     assert doc["passed"] is True
     assert float(doc["min_abs_a0"]) > 0
 
 
+def test_symbols_coeffs_must_match_K(tmp_path, capsys):
+    # a list of the wrong length would be a K = 1 run recorded as K = 6
+    assert run(["symbols", "norm", "--K", "6", "--coeffs", "1,2", "--out", str(tmp_path)]) == 2
+    assert "K = 6 needs 7" in capsys.readouterr().err
+    assert not (tmp_path / "symbols.csv").exists()
+    assert run(["symbols", "norm", "--K", "1", "--coeffs", "1,2", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "symbols.csv")
+    assert [r[0] for r in rows] == ["0", "1"]
+    assert read_json(tmp_path / "symbols.json")["settings"]["K"] == "1"
+
+
 def test_symbols_sum(tmp_path):
     assert run(["symbols", "sum", "--N", "40", "--out", str(tmp_path)]) == 0
     doc = read_json(tmp_path / "symbols.json")
     assert float(doc["sup_abs"]) <= float(doc["uniform_bound"])
+
+
+@pytest.mark.parametrize("job, args, stem", REFERENCE_JOBS, ids=[job for job, _, _ in REFERENCE_JOBS])
+def test_defaults_write_reference_csv_bytes(tmp_path, job, args, stem):
+    # each subcommand at its defaults passes and prints the reference bytes
+    assert run([*args, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"{stem}.csv").read_bytes() == (PERFBENCH / "reference" / f"{job}.csv").read_bytes()
 
 
 def test_compose_residuals(tmp_path):

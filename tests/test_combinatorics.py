@@ -7,13 +7,11 @@ not tolerances.
 import itertools
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplitz_forge import cli
 from toeplitz_forge import combinatorics as cb
 from toeplitz_forge import constants
 
@@ -222,13 +220,6 @@ def test_easy_sum_common_denominator_matches_termwise_oracle():
                 want = _easy_sum_oracle(j, d, m)
                 assert isinstance(got, Fraction) and got == want, (d, j, m)
                 assert float(got) == float(want), (d, j, m)
-
-
-def test_lemmas_verify_defaults_match_reference_csv(tmp_path):
-    # the CLI's exact sums print the reference bytes at every default row
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "lemmas-verify.csv"
-    assert cli.main(["lemmas", "verify", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "lemmas.csv").read_bytes() == reference.read_bytes()
 
 
 def test_easy_sum_small_values():

@@ -22,9 +22,7 @@ SPHERE = geometry.SphereModel()
 
 def node_values(symbol, k):
     """Coefficient k restricted to the diagonal grid."""
-    return np.array(
-        [complex(symbol.jets[i].coeffs[k].constant_term()) for i in range(len(symbol.nodes))]
-    )
+    return symbol.coeffs[:, k, 0, 0]
 
 
 def masked(block, deg):
@@ -91,18 +89,18 @@ def test_phase_cocycle_invariance():
 
 
 def test_euclid_symbol_node_values():
-    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}])
+    x3 = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}])
     r2 = np.abs(x3.nodes) ** 2
     want = (1.0 - r2) / (1.0 + r2)  # x3 of the unit-sphere embedding
     assert np.max(np.abs(node_values(x3, 0) - want)) == 0.0
     assert x3.rotation_invariant
-    x2 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 1, 0): 1.0}])
+    x2 = cc.symbol_from_poly(SPHERE, [{(0, 1, 0): 1.0}])
     assert not x2.rotation_invariant
     assert np.max(np.abs(node_values(x2, 0))) <= 1e-15  # x2 = 0 on the meridian
 
 
 def test_euclid_jets_match_exact_evaluator():
-    sym = cc.symbol_from_euclid_poly(
+    sym = cc.symbol_from_poly(
         SPHERE, [{(1, 0, 1): 0.5, (0, 0, 2): 1.0}, {(0, 1, 0): 1.0j}]
     )
     rng = np.random.default_rng(2)
@@ -122,7 +120,7 @@ def test_euclid_jets_match_exact_evaluator():
 def test_jets_value_sums_located_node_jets():
     # without the exact evaluator, value() (the weighted sum the
     # quadratures use) reads the jet of the node each point is located at
-    full = cc.symbol_from_euclid_poly(
+    full = cc.symbol_from_poly(
         SPHERE, [{(1, 0, 1): 0.5, (0, 0, 2): 1.0}, {(0, 1, 0): 1.0j}]
     )
     sym = dataclasses.replace(full, exact=None)
@@ -143,7 +141,7 @@ def test_jets_value_sums_located_node_jets():
     mixed = sym.value({0: 1.0, 1: 0.25}, x, zbar)
     assert np.max(np.abs(mixed - (want[0] + 0.25 * want[1]))) <= 1e-13 * np.max(np.abs(want[0]))
     # plane jets are the polynomials themselves; the points broadcast
-    plane = dataclasses.replace(cc.symbol_from_plane_poly(PLANE, [{(1, 1): 1.0, (0, 2): 0.5}]),
+    plane = dataclasses.replace(cc.symbol_from_poly(PLANE, [{(1, 1): 1.0, (0, 2): 0.5}]),
                                 exact=None)
     x, zbar = np.linspace(-1, 1, 3)[:, None] + 0.5j, np.linspace(-2, 2, 4)[None, :]
     assert np.max(np.abs(plane.value({0: 1.0}, x, zbar) - (x * zbar + 0.5 * zbar**2))) <= 1e-15
@@ -152,13 +150,13 @@ def test_jets_value_sums_located_node_jets():
 def test_pullback_jets_stay_tame_at_pole_nodes():
     # normal frames keep unit convergence radius even where the affine
     # chart coordinate is ~15; coefficients must stay O(1)
-    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}])
-    top = np.max(np.abs(np.asarray(x3.jets[11].coeffs[0].coeffs)))
+    x3 = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}])
+    top = np.max(np.abs(x3.coeffs[11, 0]))
     assert top <= 2.5
 
 
 def test_overlap_defect_small():
-    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}])
+    x3 = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}])
     assert cc.overlap_defect(x3) < 1e-9
     one = cc.unit_covariant(PLANE)
     assert cc.overlap_defect(one) == 0.0
@@ -166,13 +164,15 @@ def test_overlap_defect_small():
 
 def test_plane_poly_degree_guard():
     with pytest.raises(ValueError):
-        cc.symbol_from_plane_poly(PLANE, [{(5, 5): 1.0}], order=6)
-    with pytest.raises(TypeError):  # one node at the origin: no grid to refine
-        cc.symbol_from_plane_poly(PLANE, [{(0, 0): 1.0}], node_count=24)
+        cc.symbol_from_poly(PLANE, [{(5, 5): 1.0}], order=6)
+    with pytest.raises(ValueError):  # one node at the origin: no grid to refine
+        cc.symbol_from_poly(PLANE, [{(0, 0): 1.0}], node_count=24)
+    with pytest.raises(ValueError, match="need 2 entries"):
+        cc.symbol_from_poly(PLANE, [{(0, 0, 1): 1.0}])
 
 
 def test_rotation_invariant_evaluation():
-    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 2): 1.0}])
+    x3 = cc.symbol_from_poly(SPHERE, [{(0, 0, 2): 1.0}])
     # invariance lets the locator derotate: values off the meridian match
     x = 0.3 * np.exp(1.1j)
     zbar = np.conj(0.32 * np.exp(1.05j))
@@ -186,35 +186,35 @@ def test_rotation_invariant_evaluation():
 
 
 def test_bargmann_wbar_sharp_y():
-    f = cc.symbol_from_plane_poly(PLANE, [{(0, 1): 1.0}])
-    g = cc.symbol_from_plane_poly(PLANE, [{(1, 0): 1.0}])
+    f = cc.symbol_from_poly(PLANE, [{(0, 1): 1.0}])
+    g = cc.symbol_from_poly(PLANE, [{(1, 0): 1.0}])
     p = cc.sharp_product(f, g, K=3)
-    b0 = np.asarray(p.jets[0].coeffs[0].coeffs)
+    b0 = p.coeffs[0, 0]
     assert abs(b0[1, 1] - 1.0) <= 1e-12
     b0[1, 1] = 0.0
     assert np.max(np.abs(b0)) <= 1e-12
-    b1 = np.asarray(p.jets[0].coeffs[1].coeffs)
+    b1 = p.coeffs[0, 1]
     assert abs(b1[0, 0] - 1.0) <= 1e-12
     b1[0, 0] = 0.0
     assert np.max(np.abs(b1)) <= 1e-12
     for k in (2, 3):
-        assert np.max(np.abs(np.asarray(p.jets[0].coeffs[k].coeffs))) <= 1e-12
+        assert np.max(np.abs(p.coeffs[0, k])) <= 1e-12
 
 
 def test_bargmann_x_sharp_zbar_has_no_corrections():
-    f = cc.symbol_from_plane_poly(PLANE, [{(1, 0): 1.0}])
-    g = cc.symbol_from_plane_poly(PLANE, [{(0, 1): 1.0}])
+    f = cc.symbol_from_poly(PLANE, [{(1, 0): 1.0}])
+    g = cc.symbol_from_poly(PLANE, [{(0, 1): 1.0}])
     p = cc.sharp_product(f, g, K=3)
-    b0 = np.asarray(p.jets[0].coeffs[0].coeffs)
+    b0 = p.coeffs[0, 0]
     assert abs(b0[1, 1] - 1.0) <= 1e-12
     for k in (1, 2, 3):
-        assert np.max(np.abs(np.asarray(p.jets[0].coeffs[k].coeffs))) <= 1e-12
+        assert np.max(np.abs(p.coeffs[0, k])) <= 1e-12
 
 
 def test_bargmann_unit_sharp_unit():
     one = cc.unit_covariant(PLANE)
     p = cc.sharp_product(one, one, K=4)
-    vals = [complex(p.jets[0].coeffs[k].constant_term()) for k in range(5)]
+    vals = [complex(p.coeffs[0, k, 0, 0]) for k in range(5)]
     assert abs(vals[0] - 1.0) <= 1e-14
     assert max(abs(v) for v in vals[1:]) <= 1e-14
 
@@ -228,7 +228,7 @@ def test_bargmann_sharp_matches_closed_wick_form():
         for p in range(deg + 1):
             for q in range(deg + 1 - p):
                 terms[(p, q)] = complex(rng.standard_normal(), rng.standard_normal())
-        return cc.symbol_from_plane_poly(PLANE, [terms], order=order)
+        return cc.symbol_from_poly(PLANE, [terms], order=order)
 
     for _ in range(3):
         f = rand_poly(4, 8)
@@ -236,14 +236,12 @@ def test_bargmann_sharp_matches_closed_wick_form():
         engine = cc.sharp_product(f, g, K=6)
         closed = cc.bargmann_wick_product(f, g, K=6)
         for k in range(7):
-            d = np.asarray(engine.jets[0].coeffs[k].coeffs) - np.asarray(
-                closed.jets[0].coeffs[k].coeffs
-            )
+            d = engine.coeffs[0, k] - closed.coeffs[0, k]
             assert np.max(np.abs(d)) < 1e-10
 
 
 def test_closed_wick_rejects_sphere():
-    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}])
+    x3 = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}])
     with pytest.raises(ValueError):
         cc.bargmann_wick_product(x3, x3, K=2)
 
@@ -258,7 +256,7 @@ def test_sphere_unit_sharp_unit_alternating():
     p = cc.sharp_product(one, one, K=3)
     for i in range(12):
         for k in range(4):
-            block = np.array(p.jets[i].coeffs[k].coeffs, dtype=complex)
+            block = p.coeffs[i, k].copy()
             block[0, 0] -= (-1.0) ** k
             assert np.max(np.abs(block)) < 1e-10
 
@@ -266,7 +264,7 @@ def test_sphere_unit_sharp_unit_alternating():
 def _sphere_coordinate(axis, order=8):
     expo = [0, 0, 0]
     expo[axis] = 1
-    return cc.symbol_from_euclid_poly(SPHERE, [{tuple(expo): 1.0}], order=order)
+    return cc.symbol_from_poly(SPHERE, [{tuple(expo): 1.0}], order=order)
 
 
 def test_sphere_x3_sharp_x3_closed_form():
@@ -293,22 +291,20 @@ def test_sphere_spin_commutator_closed_form():
 
 
 def test_sharp_preserves_rotation_invariance():
-    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
-    g = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 2): 1.0}], order=6)
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
+    g = cc.symbol_from_poly(SPHERE, [{(0, 0, 2): 1.0}], order=6)
     assert cc.sharp_product(f, g, K=2).rotation_invariant
-    h = cc.symbol_from_euclid_poly(SPHERE, [{(1, 0, 0): 1.0}], order=6)
+    h = cc.symbol_from_poly(SPHERE, [{(1, 0, 0): 1.0}], order=6)
     assert not cc.sharp_product(f, h, K=2).rotation_invariant
 
 
 def test_sharp_zeroth_coefficient_is_pointwise_product():
-    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0, (0, 0, 0): 0.2}], order=6)
-    g = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 2): 0.7}], order=6)
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0, (0, 0, 0): 0.2}], order=6)
+    g = cc.symbol_from_poly(SPHERE, [{(0, 0, 2): 0.7}], order=6)
     p = cc.sharp_product(f, g, K=2)
     for i in (0, 4, 10):
-        want = complex(f.jets[i].coeffs[0].constant_term()) * complex(
-            g.jets[i].coeffs[0].constant_term()
-        )
-        assert abs(complex(p.jets[i].coeffs[0].constant_term()) - want) < 1e-12
+        want = complex(f.coeffs[i, 0, 0, 0]) * complex(g.coeffs[i, 0, 0, 0])
+        assert abs(complex(p.coeffs[i, 0, 0, 0]) - want) < 1e-12
 
 
 def test_dual_route_against_scalar_wick():
@@ -318,20 +314,20 @@ def test_dual_route_against_scalar_wick():
     cases = [
         (
             SPHERE,
-            cc.symbol_from_euclid_poly(
+            cc.symbol_from_poly(
                 SPHERE, [{(0, 0, 0): 0.7, (0, 0, 1): 0.4}, {(0, 0, 2): 0.2}], order=8
             ),
-            cc.symbol_from_euclid_poly(
+            cc.symbol_from_poly(
                 SPHERE, [{(0, 0, 1): 1.0, (0, 0, 0): -0.1}], order=8
             ),
             5,
         ),
         (
             PLANE,
-            cc.symbol_from_plane_poly(
+            cc.symbol_from_poly(
                 PLANE, [{(0, 0): 1.0, (1, 1): 0.5, (2, 0): 0.3j}], order=8
             ),
-            cc.symbol_from_plane_poly(PLANE, [{(1, 0): 1.0, (0, 2): -0.25}], order=8),
+            cc.symbol_from_poly(PLANE, [{(1, 0): 1.0, (0, 2): -0.25}], order=8),
             0,
         ),
     ]
@@ -347,21 +343,21 @@ def test_dual_route_against_scalar_wick():
             np.ascontiguousarray(model.density_rho_series(0.0, 0.0, order).coeffs[:, :, 0, 0]),
             order,
         )
-        fj = cc._jet_list(f, node, K)
-        gj = cc._jet_list(g, node, K)
+        fj = cc._coeffs_to(f, K)[node]
+        gj = cc._coeffs_to(g, K)[node]
         for k in range(K + 1):
             acc = 0j
             for n in range(k + 1):
                 for l in range(k - n + 1):
                     j = k - n - l
                     fl = PowerSeries.zero(2, order)
-                    m = min(order, fj[l].order)
-                    fl.coeffs[0, : m + 1] = np.asarray(fj[l].coeffs)[0, : m + 1]
+                    m = min(order, f.order)
+                    fl.coeffs[0, : m + 1] = fj[l, 0, : m + 1]
                     gl = PowerSeries.zero(2, order)
-                    gl.coeffs[: m + 1, 0] = np.asarray(gj[j].coeffs)[: m + 1, 0]
+                    gl.coeffs[: m + 1, 0] = gj[j, : m + 1, 0]
                     amp = fl * gl * rho2
                     acc += wick_expand(phase2, amp, n).coeffs[n]
-            got = complex(prod.jets[node].coeffs[k].constant_term())
+            got = complex(prod.coeffs[node, k, 0, 0])
             assert abs(got - acc) < 1e-10
 
 
@@ -370,7 +366,7 @@ def test_associativity_both_geometries():
     # so a double product is exact only through degree order - K; compare
     # there
     rng = np.random.default_rng(11)
-    for model, mk in ((PLANE, cc.symbol_from_plane_poly), (SPHERE, cc.symbol_from_euclid_poly)):
+    for model in (PLANE, SPHERE):
         syms = []
         for _ in range(3):
             if model.compact:
@@ -385,32 +381,30 @@ def test_associativity_both_geometries():
                     (1, 1): complex(rng.standard_normal()) * 0.5,
                     (2, 1): complex(rng.standard_normal()) * 0.2,
                 }
-            syms.append(mk(model, [terms], order=6))
+            syms.append(cc.symbol_from_poly(model, [terms], order=6))
         f, g, h = syms
         K, deg = 2, 2
         left = cc.sharp_product(cc.sharp_product(f, g, K), h, K)
         right = cc.sharp_product(f, cc.sharp_product(g, h, K), K)
         for i in range(len(f.nodes)):
             for k in range(K + 1):
-                d = masked(left.jets[i].coeffs[k].coeffs, deg) - masked(
-                    right.jets[i].coeffs[k].coeffs, deg
-                )
+                d = masked(left.coeffs[i, k], deg) - masked(right.coeffs[i, k], deg)
                 assert np.max(np.abs(d)) < 1e-8
 
 
 def test_bergman_symbol_is_two_sided_unit():
-    for model, mk in ((SPHERE, cc.symbol_from_euclid_poly), (PLANE, cc.symbol_from_plane_poly)):
+    for model in (SPHERE, PLANE):
         key = (0, 0, 1) if model.compact else (1, 1)
         ckey = (0, 0, 0) if model.compact else (0, 0)
         a = cc.bergman_symbol(model, K=2, order=6)
         K, deg = 2, 4
         # a itself is one of the f: the projector is idempotent, a sharp a = a
-        for f in (mk(model, [{key: 1.0, ckey: 0.5}], order=6), a):
+        for f in (cc.symbol_from_poly(model, [{key: 1.0, ckey: 0.5}], order=6), a):
             for prod in (cc.sharp_product(a, f, K), cc.sharp_product(f, a, K)):
                 for i in range(len(f.nodes)):
                     for k in range(K + 1):
-                        want = masked(cc._jet_list(f, i, K)[k].coeffs, deg)
-                        got = masked(prod.jets[i].coeffs[k].coeffs, deg)
+                        want = masked(cc._coeffs_to(f, K)[i, k], deg)
+                        got = masked(prod.coeffs[i, k], deg)
                         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -432,8 +426,8 @@ def test_pair_cap_guard():
 
 
 def test_composition_reads_no_certificate(monkeypatch):
-    # jets certify themselves only when .constant is read, and sharp_product
-    # never reads it
+    # the node jets are measured only when norm_estimate is called, and
+    # sharp_product never calls it
     calls = []
 
     def counting(a, *args, **kw):
@@ -447,8 +441,9 @@ def test_composition_reads_no_certificate(monkeypatch):
     g = cc.symbol_from_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): -0.333}])
     product = cc.sharp_product(f, g, K=2)
     assert calls == []
-    jet = product.jets[3]
-    assert jet.constant == estimate(jet) and len(calls) == 1
+    norm = product.norm_estimate()
+    assert len(calls) == len(product.nodes)
+    assert norm == max(estimate(a) for a in calls)
 
 
 # -- bergman symbol -----------------------------------------------------------
@@ -459,7 +454,7 @@ def test_bergman_sphere_coefficients():
     want = [1.0, 1.0, 0.0, 0.0, 0.0]
     for i in range(12):
         for k in range(5):
-            block = np.array(a.jets[i].coeffs[k].coeffs, dtype=complex)
+            block = a.coeffs[i, k].copy()
             block[0, 0] -= want[k]
             assert np.max(np.abs(block)) < 1e-10
     assert a.rotation_invariant
@@ -479,9 +474,9 @@ def test_bergman_sphere_constant_terms_through_K6():
 
 def test_bergman_plane_coefficients():
     a = cc.bergman_symbol(PLANE, K=4, order=6)
-    assert abs(complex(a.jets[0].coeffs[0].constant_term()) - 1.0) < 1e-14
+    assert abs(complex(a.coeffs[0, 0, 0, 0]) - 1.0) < 1e-14
     for k in range(1, 5):
-        assert np.max(np.abs(np.asarray(a.jets[0].coeffs[k].coeffs))) < 1e-12
+        assert np.max(np.abs(a.coeffs[0, k])) < 1e-12
 
 
 def test_bergman_sphere_summation_at_N3():
@@ -489,7 +484,7 @@ def test_bergman_sphere_summation_at_N3():
     a = cc.bergman_symbol(SPHERE, K=4, order=6)
     N = 3
     total = N * sum(
-        complex(a.jets[0].coeffs[k].constant_term()) * N ** (-k) for k in range(5)
+        complex(a.coeffs[0, k, 0, 0]) * N ** (-k) for k in range(5)
     )
     assert abs(total - 4.0) < 1e-12
 
@@ -499,9 +494,22 @@ def test_bergman_symbol_shared_and_read_only():
     assert cc.bergman_symbol(geometry.model_by_name("sphere"), K=2, order=6) is a
     assert cc.bergman_symbol(SPHERE, K=3, order=6) is not a
     assert a.exact is not None and a.K == 2
-    for array in (a.jets[0].coeffs[0].coeffs, a.jets[-1].coeffs[2].coeffs, a.nodes):
+    for array in (a.coeffs[0, 0], a.coeffs[-1, 2], a.nodes):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 2.0
+
+
+@pytest.mark.parametrize("model", [SPHERE, PLANE], ids=["sphere", "plane"])
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_bergman_symbol_jets_are_its_constants(model, K):
+    # the exact symbol is constant, so every non-constant jet entry is 0,
+    # not the solve's rounding, and each constant is what exact returns
+    a = cc.bergman_symbol(model, K)
+    rest = a.coeffs.copy()
+    rest[:, :, 0, 0] = 0.0
+    assert not np.any(rest)
+    for k in range(K + 1):
+        assert np.all(a.coeffs[:, k, 0, 0] == a.exact({k: 1.0}, 0.3, 0.2))
 
 
 def test_engine_built_once_under_threads(monkeypatch):
@@ -550,13 +558,11 @@ def test_engine_density_stable_under_pair_cap(P):
 def test_bergman_uniqueness_via_second_symbol():
     # solve_sharp(f, f) recovers the same unit for any invertible f
     a = cc.bergman_symbol(SPHERE, K=3, order=6)
-    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.3}], order=6)
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.3}], order=6)
     g = cc.solve_sharp(f, f, K=3)
     for i in range(12):
         for k in range(4):
-            d = np.asarray(g.jets[i].coeffs[k].coeffs) - np.asarray(
-                a.jets[i].coeffs[k].coeffs
-            )
+            d = g.coeffs[i, k] - a.coeffs[i, k]
             assert np.max(np.abs(d)) < 1e-9
 
 
@@ -564,8 +570,8 @@ def test_bergman_uniqueness_via_second_symbol():
 
 
 def test_solve_round_trip_recovers_factor():
-    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.3}], order=6)
-    g0 = cc.symbol_from_euclid_poly(
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.3}], order=6)
+    g0 = cc.symbol_from_poly(
         SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): -0.2}, {(0, 0, 2): 0.1}], order=6
     )
     h = cc.sharp_product(f, g0, K=3)
@@ -573,16 +579,14 @@ def test_solve_round_trip_recovers_factor():
     # k <= 1 coefficients are fully represented in g0's stored jets
     for i in range(12):
         for k in range(2):
-            d = np.asarray(g.jets[i].coeffs[k].coeffs) - np.asarray(
-                cc._jet_list(g0, i, 3)[k].coeffs
-            )
+            d = g.coeffs[i, k] - cc._coeffs_to(g0, 3)[i, k]
             assert np.max(np.abs(d)) < 1e-10
 
 
 def test_solve_trivial_scalars():
-    f = cc.symbol_from_plane_poly(PLANE, [{(0, 0): 2.0}])
+    f = cc.symbol_from_poly(PLANE, [{(0, 0): 2.0}])
     g = cc.solve_sharp(f, f, K=3)
-    vals = [complex(g.jets[0].coeffs[k].constant_term()) for k in range(4)]
+    vals = [complex(g.coeffs[0, k, 0, 0]) for k in range(4)]
     assert abs(vals[0] - 1.0) < 1e-14 and max(abs(v) for v in vals[1:]) < 1e-14
 
 
@@ -590,38 +594,38 @@ def test_sharp_inverse_of_bergman_is_bergman():
     a = cc.bergman_symbol(SPHERE, K=3, order=6)
     inv = cc.sharp_inverse(a, K=3)
     for k in range(4):
-        d = np.asarray(inv.jets[0].coeffs[k].coeffs) - np.asarray(a.jets[0].coeffs[k].coeffs)
+        d = inv.coeffs[0, k] - a.coeffs[0, k]
         assert np.max(np.abs(d)) < 1e-10
 
 
 def test_sharp_inverse_plane_constant():
-    f = cc.symbol_from_plane_poly(PLANE, [{(0, 0): 2.0}])
+    f = cc.symbol_from_poly(PLANE, [{(0, 0): 2.0}])
     inv = cc.sharp_inverse(f, K=3)
-    vals = [complex(inv.jets[0].coeffs[k].constant_term()) for k in range(4)]
+    vals = [complex(inv.coeffs[0, k, 0, 0]) for k in range(4)]
     assert abs(vals[0] - 0.5) < 1e-14 and max(abs(v) for v in vals[1:]) < 1e-14
 
 
 def test_sharp_inverse_perturbative_consistency():
     # f = a + eps b: f^{-1} = a - eps (a#b#a-ish) + O(eps^2); the finite
     # difference (inv(eps) - a)/eps must be eps-stable to first order
-    b = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
+    b = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
     a = cc.bergman_symbol(SPHERE, K=2, order=6)
 
     def inv_at(eps):
         terms = [{(0, 0, 0): 1.0, (0, 0, 1): eps}, {(0, 0, 0): 1.0}]
-        f = cc.symbol_from_euclid_poly(SPHERE, terms, order=6)
+        f = cc.symbol_from_poly(SPHERE, terms, order=6)
         return cc.sharp_inverse(f, K=2)
 
     slopes = []
     for eps in (1e-3, 1e-4):
         inv = inv_at(eps)
-        d = (np.asarray(inv.jets[3].coeffs[0].coeffs) - np.asarray(a.jets[3].coeffs[0].coeffs)) / eps
+        d = (inv.coeffs[3, 0] - a.coeffs[3, 0]) / eps
         slopes.append(d)
     assert np.max(np.abs(slopes[0] - slopes[1])) < 1e-2
 
 
 def test_sharp_inverse_vanishing_leading_term():
-    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 0): 0.0}], order=6)
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 0): 0.0}], order=6)
     with pytest.raises(ArithmeticError):
         cc.sharp_inverse(f, K=1)
 
@@ -629,7 +633,7 @@ def test_sharp_inverse_vanishing_leading_term():
 def test_solve_sharp_residual_guard(monkeypatch):
     # a W_0 weight 1% off solves every g_k 1% wrong; only the assembled
     # residual can see it, since the recursion itself divides exactly
-    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.4}], order=6)
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.4}], order=6)
     h = cc.unit_covariant(SPHERE, order=6)
     cc.solve_sharp(f, h, K=2)
     true_w0 = cc._Engine.w0.fget
@@ -647,15 +651,15 @@ def test_contravariant_of_one_is_bergman():
     a = cc.bergman_symbol(SPHERE, K=3, order=6)
     for i in range(12):
         for k in range(4):
-            d = np.asarray(t.jets[i].coeffs[k].coeffs) - np.asarray(a.jets[i].coeffs[k].coeffs)
+            d = t.coeffs[i, k] - a.coeffs[i, k]
             assert np.max(np.abs(d)) < 1e-10
 
 
 def test_contravariant_x3_leading_jet_is_x3():
-    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
+    x3 = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
     t = cc.contravariant_to_covariant(x3, K=2)
     for i in range(12):
-        d = masked(t.jets[i].coeffs[0].coeffs, 6) - masked(x3.jets[i].coeffs[0].coeffs, 6)
+        d = masked(t.coeffs[i, 0], 6) - masked(x3.coeffs[i, 0], 6)
         assert np.max(np.abs(d)) < 1e-12
 
 
@@ -663,7 +667,7 @@ def test_contravariant_x3_full_expansion():
     # exact finite-rank check: the contravariant matrix of x3 is
     # diag (N-2j)/(N+2) while the covariant matrix of x3 is (N-2j)/(N+1),
     # so the transform multiplies x3 by (N+1)/(N+2) = 1 - 1/N + 2/N^2 - ...
-    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
+    x3 = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
     t = cc.contravariant_to_covariant(x3, K=3)
     gamma = [1.0, -1.0, 2.0, -4.0]
     base = node_values(x3, 0)
@@ -679,10 +683,10 @@ def _triple_loop_contravariant(f, K):
     M = eng.param_cap
     per_node = []
     for i in range(len(f.nodes)):
-        ajets = cc._jet_list(a, min(i, len(a.nodes) - 1), K)
-        A_left = [cc._substitute(j, eng, left=True) for j in ajets]
-        A_right = [cc._substitute(j, eng, left=False) for j in ajets]
-        mids = [cc._substitute_middle(j, eng) for j in cc._jet_list(f, i, K)]
+        ajets = a.coeffs[min(i, len(a.nodes) - 1)]
+        A_left = [cc._substitute(c, eng, left=True) for c in ajets]
+        A_right = [cc._substitute(c, eng, left=False) for c in ajets]
+        mids = [cc._substitute_middle(c, eng) for c in cc._coeffs_to(f, K)[i]]
         out = [np.zeros((M + 1, M + 1), dtype=np.complex128) for _ in range(K + 1)]
         for l in range(K + 1):
             if not np.any(A_left[l].coeffs):
@@ -704,7 +708,7 @@ def _triple_loop_contravariant(f, K):
 def test_contravariant_cauchy_combination_matches_triple_loop():
     # three stored coefficients, so L_k = sum_{l+i=k} a_l f_i has two terms
     # from k = 1 on (the sphere's a_0 = a_1 = 1)
-    f = cc.symbol_from_euclid_poly(
+    f = cc.symbol_from_poly(
         SPHERE,
         [{(0, 0, 1): 1.0}, {(0, 0, 2): 0.5, (1, 0, 0): 0.3}, {(0, 0, 0): -0.2, (0, 0, 1): 0.7}],
         order=6,
@@ -715,15 +719,15 @@ def test_contravariant_cauchy_combination_matches_triple_loop():
     for k in range(K + 1):
         scale = max(np.max(np.abs(blocks[k])) for blocks in want)
         for i, blocks in enumerate(want):
-            diff = np.max(np.abs(np.asarray(got.jets[i].coeffs[k].coeffs) - blocks[k]))
+            diff = np.max(np.abs(got.coeffs[i, k] - blocks[k]))
             assert diff <= 1e-14 * scale, (i, k, diff / scale)
 
 
 def test_contravariant_substitutes_bergman_once(monkeypatch):
     # the Bergman symbol's substitutions serve every node: one left and one
     # right family per order for the call, although x3 has 12 distinct jets
-    x3 = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
-    assert len({cc._node_key(x3, i) for i in range(len(x3.nodes))}) == 12
+    x3 = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}], order=6)
+    assert len({x3.coeffs[i].tobytes() for i in range(len(x3.nodes))}) == 12
     K = 2
     cc.bergman_symbol(SPHERE, K, order=6)
     sides = []
@@ -739,26 +743,26 @@ def test_contravariant_substitutes_bergman_once(monkeypatch):
 
 
 def test_contravariant_plane_abs_x_squared():
-    f = cc.symbol_from_plane_poly(PLANE, [{(1, 1): 1.0}], order=6)
+    f = cc.symbol_from_poly(PLANE, [{(1, 1): 1.0}], order=6)
     t = cc.contravariant_to_covariant(f, K=3)
-    b0 = np.asarray(t.jets[0].coeffs[0].coeffs)
+    b0 = t.coeffs[0, 0]
     assert abs(b0[1, 1] - 1.0) < 1e-12
-    b1 = np.asarray(t.jets[0].coeffs[1].coeffs)
+    b1 = t.coeffs[0, 1]
     assert abs(b1[0, 0] - 1.0) < 1e-12
     for k in (2, 3):
-        assert np.max(np.abs(np.asarray(t.jets[0].coeffs[k].coeffs))) < 1e-12
+        assert np.max(np.abs(t.coeffs[0, k])) < 1e-12
 
 
 # -- degree invariance (the bracket sees only low jets) -----------------------
 
 
 def test_wick_degree_check_both_geometries():
-    f = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.4}], order=6)
-    g = cc.symbol_from_euclid_poly(SPHERE, [{(0, 0, 1): 1.0}, {(0, 0, 2): -0.3}], order=6)
+    f = cc.symbol_from_poly(SPHERE, [{(0, 0, 0): 1.0, (0, 0, 1): 0.4}], order=6)
+    g = cc.symbol_from_poly(SPHERE, [{(0, 0, 1): 1.0}, {(0, 0, 2): -0.3}], order=6)
     for k in range(4):
         assert cc.wick_degree_check(f, g, k, basepoint=4)
-    fp = cc.symbol_from_plane_poly(PLANE, [{(0, 0): 1.0, (1, 1): 0.5}], order=6)
-    gp = cc.symbol_from_plane_poly(PLANE, [{(2, 1): 1.0}], order=6)
+    fp = cc.symbol_from_poly(PLANE, [{(0, 0): 1.0, (1, 1): 0.5}], order=6)
+    gp = cc.symbol_from_poly(PLANE, [{(2, 1): 1.0}], order=6)
     for k in range(4):
         assert cc.wick_degree_check(fp, gp, k)
 
@@ -784,7 +788,7 @@ def test_class_stability_frozen_constant():
                 if rng.uniform() < 0.7:
                     tk[(0, 0, e3)] = complex(rng.uniform(-1.0, 1.0))
             terms.append(tk or {(0, 0, 0): 0.0})
-        return cc.symbol_from_euclid_poly(SPHERE, terms, order=6)
+        return cc.symbol_from_poly(SPHERE, terms, order=6)
 
     checked = 0
     for _ in range(6):

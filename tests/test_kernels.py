@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from toeplitz_forge import _kernels, covariant_calculus as cc, geometry
-from toeplitz_forge.series import PowerSeries
 
 
 def _loop_conv_pair(a, b, pair_cap, param_cap, diag_only):
@@ -111,12 +110,12 @@ def test_conv_pair_matches_loop(cases):
 
 
 def _jet(rng, order):
-    """A two-variable jet whose coefficients fall off like 1/(i+j)!."""
+    """A two-variable jet block whose coefficients fall off like 1/(i+j)!."""
     c = np.zeros((order + 1, order + 1), dtype=complex)
     for i in range(order + 1):
         for j in range(order + 1 - i):
             c[i, j] = rng.standard_normal() / math.factorial(i + j)
-    return PowerSeries(c, order)
+    return c
 
 
 def test_conv_pair_diag_only_is_masked_full_product():

@@ -137,21 +137,21 @@ def test_covariant_unit_plane_is_identity():
 
 
 def test_covariant_zero_symbol():
-    sym = cc.symbol_from_euclid_poly(SPH, [{(0, 0, 0): 0.0}], order=4)
+    sym = cc.symbol_from_poly(SPH, [{(0, 0, 0): 0.0}], order=4)
     m = qs.covariant_matrix(SPH, sym, 8)
     assert np.max(np.abs(m.entries)) < 1e-14
 
 
 def test_covariant_full_support_unit_sphere():
     # without a cutoff the unit amplitude integrates exactly to N/(N+1)
-    sym = cc.symbol_from_euclid_poly(SPH, [{(0, 0, 0): 1.0}], order=4)
+    sym = cc.symbol_from_poly(SPH, [{(0, 0, 0): 1.0}], order=4)
     m = qs.covariant_matrix(SPH, sym, 8, eps=np.inf)
     diag = np.diag(m.entries).real
     assert np.max(np.abs(diag - 8.0 / 9.0)) < 1e-12
 
 
 def test_covariant_scaled_unit_min_singular():
-    sym = cc.symbol_from_euclid_poly(SPH, [{(0, 0, 0): 2.0}], order=6)
+    sym = cc.symbol_from_poly(SPH, [{(0, 0, 0): 2.0}], order=6)
     m = qs.covariant_matrix(SPH, sym, 16)
     assert qs.invertibility_check(m) == pytest.approx(2 * 16 / 17, abs=5e-3)
 
@@ -186,7 +186,7 @@ def test_covariant_rejections():
         qs.covariant_matrix(PLANE, sph_sym, 8)
     with pytest.raises(ValueError):
         qs.covariant_matrix(SPH, sph_sym, 8, K=5)  # above floor(eN/(3R)) = 3
-    tilted = cc.symbol_from_euclid_poly(SPH, [{(1, 0, 0): 1.0}], order=4)
+    tilted = cc.symbol_from_poly(SPH, [{(1, 0, 0): 1.0}], order=4)
     with pytest.raises(ValueError):
         qs.covariant_matrix(SPH, tilted, 8)
     plane_sym = cc.unit_covariant(PLANE)
