@@ -1,7 +1,8 @@
 """Time the conv_pair kernel, the truncated series product, series
 composition, both Morse flattenings, the composition engine's build and
-two of its callers, and the sphere kernel quadrature behind
-covariant_matrix and bergman_gram_defect.
+two of its callers, the sphere kernel quadrature behind
+covariant_matrix and bergman_gram_defect, and the exact moment path of
+contravariant_matrix.
 
 Each time is the best of five calls after one warm-up call.
 
@@ -43,6 +44,9 @@ def _workloads():
     g = cc.symbol_from_poly(sph, [{(0, 0, 1): 1.0}], order=12)
     berg = cc.bergman_symbol(sph, K=4)
     c2c = cc.symbol_from_poly(sph, [{(0, 0, 0): 1.0, (0, 0, 1): 0.5}], order=8)
+    # a multiplier of the spectral sweep's shape: a lead coordinate, its
+    # square and the other two coordinates
+    mult = {(1, 0, 0): 1.0, (2, 0, 0): 0.3, (0, 1, 0): -0.2, (0, 0, 1): 0.4}
     jobs = {
         "conv_pair 17^2x9^2": lambda: _kernels.conv_pair(a, b, 16, 8),
         "conv_pair sphere 11^2x9^2": lambda: _kernels.conv_pair(
@@ -85,13 +89,14 @@ def _workloads():
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),
         "contravariant_to_covariant K=2 order 8": lambda: cc.contravariant_to_covariant(c2c, 2),
         # at N = 8 the quadrature's fixed cost (node set-up, the amplitude
-        # over every live pair, the scatter) dominates; at N = 64 the kernel
-        # power and the mode recurrence
+        # over every live pair) dominates; at N = 64 the kernel power and
+        # the mode recurrence
         "covariant_matrix N=8": lambda: qs.covariant_matrix(sph, berg, 8),
         "covariant_matrix N=32": lambda: qs.covariant_matrix(sph, berg, 32),
         "covariant_matrix N=64": lambda: qs.covariant_matrix(sph, berg, 64),
         "bergman_gram_defect N=8": lambda: qs.bergman_gram_defect(sph, 8),
         "bergman_gram_defect N=64": lambda: qs.bergman_gram_defect(sph, 64),
+        "contravariant_matrix sphere N=64": lambda: qs.contravariant_matrix(sph, mult, 64),
     })
     return jobs
 

@@ -23,6 +23,7 @@ general regions), and least-squares exponential decay fits.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,26 +79,29 @@ class HardyBasis:
         return len(self.norms)
 
 
+def _basis_dim(geometry: ModelGeometry, N: int, cutoff: Optional[int] = None) -> int:
+    """Dimension of the level-N basis of :func:`basis_norms`, with its checks."""
+    if N < 1 or N != int(N):
+        raise ValueError("N must be a positive integer")
+    if geometry.compact:
+        if cutoff is not None:
+            raise ValueError("the sphere basis is already finite; cutoff applies to the plane")
+        return int(N) + 1
+    top = int(N) if cutoff is None else int(cutoff)
+    if top < 0:
+        raise ValueError("cutoff must be nonnegative")
+    return top + 1
+
+
 def basis_norms(geometry: ModelGeometry, N: int, cutoff: Optional[int] = None) -> HardyBasis:
     """Exact squared norms of the monomials z^j at level N.
 
     The sphere space is finite (degree <= N); the plane space is
     truncated at degree ``cutoff`` (default N) for matrix work.
     """
-    if N < 1 or N != int(N):
-        raise ValueError("N must be a positive integer")
+    dim = _basis_dim(geometry, N, cutoff)
     N = int(N)
-    if geometry.compact:
-        if cutoff is not None:
-            raise ValueError("the sphere basis is already finite; cutoff applies to the plane")
-        degrees = range(N + 1)
-    else:
-        top = N if cutoff is None else int(cutoff)
-        if top < 0:
-            raise ValueError("cutoff must be nonnegative")
-        degrees = range(top + 1)
-    norms = tuple(geometry.norm_sq_monomial(N, j) for j in degrees)
-    return HardyBasis(geometry, N, norms)
+    return HardyBasis(geometry, N, tuple(geometry.norm_sq_monomial(N, j) for j in range(dim)))
 
 
 @dataclass
@@ -137,36 +141,29 @@ def _as_matrix(m) -> np.ndarray:
 def _euclid_monomial_expansion(e1: int, e2: int, e3: int):
     """Expand x1^e1 x2^e2 x3^e3 = (1+z zbar)^{-s} sum c_pq z^p zbar^q.
 
-    Returns (s, {(p, q): (re, im)}) with exact rational coefficient parts.
+    Returns (s, {(p, q): (re, im)}) with integer coefficient parts.
     """
-    terms = {(0, 0): (Fraction(1), Fraction(0))}
+    terms = {(0, 0): (1, 0)}
 
     def mul(table, pieces):
         out = {}
         for (p, q), (re, im) in table.items():
             for (dp, dq), c in pieces:
                 key = (p + dp, q + dq)
-                ore, oim = out.get(key, (Fraction(0), Fraction(0)))
+                ore, oim = out.get(key, (0, 0))
                 out[key] = (ore + re * c, oim + im * c)
         return out
 
     for _ in range(e1):
-        terms = mul(terms, [((1, 0), Fraction(1)), ((0, 1), Fraction(1))])
+        terms = mul(terms, [((1, 0), 1), ((0, 1), 1)])
     for _ in range(e2):
-        terms = mul(terms, [((1, 0), Fraction(1)), ((0, 1), Fraction(-1))])
+        terms = mul(terms, [((1, 0), 1), ((0, 1), -1)])
     for _ in range(e3):
-        terms = mul(terms, [((0, 0), Fraction(1)), ((1, 1), Fraction(-1))])
+        terms = mul(terms, [((0, 0), 1), ((1, 1), -1)])
     # each x2 factor contributes -i; apply the quarter turns at the end
     for _ in range(e2):
         terms = {k: (im, -re) for k, (re, im) in terms.items()}
     return e1 + e2 + e3, terms
-
-
-def _beta_full(m: int, M: int) -> Fraction:
-    """Exact ∫_0^∞ t^m (1+t)^{-(M+2)} dt for 0 <= m <= M."""
-    if not 0 <= m <= M:
-        raise ValueError("moment outside the convergent range")
-    return Fraction(math.factorial(m) * math.factorial(M - m), math.factorial(M + 1))
 
 
 def _split_coefficient(c) -> tuple:
@@ -179,41 +176,54 @@ def _sphere_moment_entries(terms: dict, norms: Sequence[Fraction]) -> np.ndarray
 
     The coefficient table maps exponent triples to (complex) coefficients;
     ``norms`` are the exact squared monomial norms at level N = len - 1.
-    Each monomial expands into z^p zbar^q / (1+t)^s terms whose weighted
-    moments are rational; only the final orthonormalization square root
+    A monomial of total degree s expands into integer multiples of
+    z^p zbar^q / (1+t)^s, and such a term reaches only the band
+    k = j + q - p, with the Beta moment (j+q)! (N+s-j-q)! / (N+s+1)!.
+    Every entry is held as a Python-int numerator over one denominator
+    den (N+S+1)!: den is the lcm of the coefficients' dyadic denominators
+    and S the top s, so each moment is lifted by (N+S+1)!/(N+s+1)!.  Int
+    true division rounds correctly, so each float is the one
+    float(Fraction) gives; only the final orthonormalization square root
     leaves exact arithmetic.
     """
     dim = len(norms)
     N = dim - 1
-    acc_re = [[Fraction(0)] * dim for _ in range(dim)]
-    acc_im = [[Fraction(0)] * dim for _ in range(dim)]
-    for (e1, e2, e3), cval in sorted(terms.items()):
+    parts = []
+    for (e1, e2, e3), cval in terms.items():
         cre, cim = _split_coefficient(cval)
-        if cre == 0 and cim == 0:
-            continue
-        s, expansion = _euclid_monomial_expansion(e1, e2, e3)
+        if cre or cim:
+            parts.append((cre, cim) + _euclid_monomial_expansion(e1, e2, e3))
+    if not parts:
+        return np.zeros((dim, dim), dtype=complex)
+    den = math.lcm(*(c.denominator for cre, cim, _, _ in parts for c in (cre, cim)))
+    top_s = max(s for _, _, s, _ in parts)
+    fact = list(accumulate(range(1, N + top_s + 2), operator.mul, initial=1))
+    acc = {}  # (j, k) -> [re, im] numerators over den (N+S+1)!
+    for cre, cim, s, expansion in parts:
+        lift = fact[N + top_s + 1] // fact[N + s + 1]
+        are = cre.numerator * (den // cre.denominator) * lift
+        aim = cim.numerator * (den // cim.denominator) * lift
         for (p, q), (xre, xim) in expansion.items():
-            # angular selection: j + q = k + p
-            tre = cre * xre - cim * xim
-            tim = cre * xim + cim * xre
-            for j in range(dim):
-                k = j + q - p
-                if not 0 <= k < dim:
-                    continue
-                moment = _beta_full(j + q, N + s)
-                acc_re[j][k] += tre * moment
-                acc_im[j][k] += tim * moment
+            tre = are * xre - aim * xim
+            tim = are * xim + aim * xre
+            for j in range(max(0, p - q), min(dim, dim + p - q)):
+                moment = fact[j + q] * fact[N + s - j - q]
+                entry = acc.setdefault((j, j + q - p), [0, 0])
+                entry[0] += tre * moment
+                entry[1] += tim * moment
+    common = den * fact[N + top_s + 1]
     out = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            re, im = acc_re[j][k], acc_im[j][k]
-            if re == 0 and im == 0:
-                continue
-            if j == k:
-                out[j, k] = complex(float(re / norms[j]), float(im / norms[j]))
-            else:
-                den = math.sqrt(float(norms[j] * norms[k]))
-                out[j, k] = complex(float(re), float(im)) / den
+    for (j, k), (re, im) in acc.items():
+        if re == 0 and im == 0:
+            continue
+        nj = norms[j]
+        if j == k:
+            scale = common * nj.numerator
+            out[j, k] = complex(re * nj.denominator / scale, im * nj.denominator / scale)
+        else:
+            nk = norms[k]
+            root = math.sqrt(nj.numerator * nk.numerator / (nj.denominator * nk.denominator))
+            out[j, k] = complex(re / common, im / common) / root
     return out
 
 
@@ -384,23 +394,20 @@ def _summed_amplitude(symbol: CovariantSymbol, N: int, K: int) -> Callable:
 
 
 # unordered live radial pairs per block of the kernel and mode pass; a
-# block's rows, their mirrors and its phase (about 1.3 MB at 104 angular
-# nodes) stay in L2 through every mode of the cutoff recurrence
+# block's folded rows and its phase (about 0.85 MB at 104 angular nodes)
+# stay in L2 through every mode of the cutoff recurrence
 _PAIR_BLOCK = 256
 
 
 def _pair_blocks(n_un: int, n_diag: int):
-    """Blocks of the unordered live pairs, as ``(own, mirror, off)``.
+    """Blocks of the unordered live pairs, as ``(own, off)``.
 
-    ``own`` slices the block's rows of the ordered-pair arrays.  Unordered
-    pair i >= n_diag (off the diagonal) has its mirror (b, a) at ordered
-    row n_un + i - n_diag; ``mirror`` slices those rows, and they pair
-    with the block's rows ``off:``.
+    ``own`` slices the block's pairs.  Pairs from n_diag on lie off the
+    diagonal, so the block's rows ``off:`` are the ones with a mirror.
     """
     for lo in range(0, n_un, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, n_un)
-        first = max(lo, n_diag)
-        yield slice(lo, hi), slice(n_un + first - n_diag, n_un + hi - n_diag), first - lo
+        yield slice(lo, hi), min(max(n_diag - lo, 0), hi - lo)
 
 
 def _int_power(base: np.ndarray, n: int) -> np.ndarray:
@@ -428,6 +435,28 @@ def _pair_kernel(t_a: np.ndarray, t_b: np.ndarray, phase: np.ndarray, N: int) ->
     q += 1.0
     q *= (1.0 / np.sqrt((1.0 + t_a) * (1.0 + t_b)))[:, None]
     return _int_power(q, N)
+
+
+def _folded_rows(amplitude: Callable, r, t, a, b, off: int, phase, weight, N: int) -> np.ndarray:
+    """Weighted kernel times amplitude at the pairs (a, b), mirrors folded in.
+
+    The rows ``off:`` lie off the diagonal.  Their mirrors (b, a) share the
+    angular nodes and weights, the kernel and the radial weight w_a w_b,
+    so only the amplitude is evaluated at them, and it is added into the
+    pair's own before the kernel multiplies both.
+    """
+    n = a.size
+    x = np.empty((2 * n - off, phase.shape[1]), dtype=complex)
+    np.multiply(r[a, None], phase, out=x[:n])
+    np.multiply(r[b[off:], None], phase[off:], out=x[n:])
+    amp = amplitude(x, np.broadcast_to(r[np.concatenate([b, a[off:]]), None], x.shape))
+    summed = x[:n]  # x is dead once the amplitude returns
+    summed[...] = amp[:n]
+    summed[off:] += amp[n:]
+    vals = _pair_kernel(t[a], t[b], phase, N)
+    vals *= weight
+    vals *= summed
+    return vals
 
 
 def _mode_sums(vals: np.ndarray, phase: np.ndarray, out: np.ndarray) -> None:
@@ -459,20 +488,25 @@ def _sphere_diagonal_quadrature(
 
     Only live radial pairs are integrated: a pair whose cutoff arc is
     empty (c0 >= 1) adds exactly zero and is skipped.  The ordered pairs
-    (a, b) and (b, a) share the arc, the angular nodes and weights and the
-    kernel bit for bit, so those are formed once per unordered live pair;
-    the amplitude is evaluated at every ordered pair, since a jets-only
-    symbol is swap-symmetric only up to its truncation.
+    (a, b) and (b, a) share the arc, the angular nodes and weights, the
+    kernel and the radial weight w_a w_b, so everything but the amplitude
+    is formed once per unordered live pair.  The amplitude is evaluated
+    at every ordered pair, since a jets-only symbol is swap-symmetric only
+    up to its truncation; each mirror's amplitude is added into its
+    unordered pair's before the shared kernel multiplies them
+    (``_folded_rows``), so the modes are projected once per unordered pair.
 
     The kernel is an integer power q^N with |q| <= 1 (``_pair_kernel``),
     so it takes about 2 log2(N) complex multiplies and no transcendental.
     One pass walks the unordered live pairs in blocks of ``_PAIR_BLOCK``:
-    each block forms its kernel and multiplies it into its rows and their
+    each block forms its phase, amplitude and kernel and folds its
     mirrors.  Mode j of the angular integral is then projected out for
     all j at once: on the per-pair cutoff grids by the phase recurrence
     vals *= e^{-i beta}, run over all modes while the block is in cache;
     on the shared uniform grid by one matmul against e^{-i j beta} after
-    the pass.
+    the pass.  One contraction with w_a w_b over the unordered pairs,
+    also after the pass, gives the diagonal, so the result does not
+    depend on the block size.
     """
     t, tw = _radial_nodes(n_radial)
     logt = np.log(t)
@@ -484,53 +518,39 @@ def _sphere_diagonal_quadrature(
         live = c0 < 1.0
     else:
         live = np.ones(rr.shape, dtype=bool)
-    # live pairs in three blocks: the diagonal, the strict upper triangle,
-    # and its mirror image in the same order, so every per-pair array over
-    # the first two blocks (the unordered pairs) reaches the ordered ones
-    # through two slices
+    # the unordered live pairs: the diagonal first, then the strict upper
+    # triangle, so a block's off-diagonal pairs are its last rows
     diag = np.flatnonzero(np.diag(live))
     up_a, up_b = np.nonzero(np.triu(live, 1))
     ua, ub = np.concatenate([diag, up_a]), np.concatenate([diag, up_b])
-    oa, ob = np.concatenate([ua, up_b]), np.concatenate([ub, up_a])
-    n_un, n_diag = ua.size, diag.size
+    n_un = ua.size
     if rho > 0.0:
         beta0 = np.arccos(np.clip(c0, -1.0, 1.0))[ua, ub]
         gx, gw = _gauss_legendre(n_angular)
-        phase = np.exp(1j * (beta0[:, None] * gx))
+        inner = np.empty((n_un, dim), dtype=complex)
     else:
         grid = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular - np.pi
-        phase = np.broadcast_to(np.exp(1j * grid), (n_un, n_angular))
-    # the ordered-pair arrays set the peak memory: x is dead once the
-    # amplitude returns, so its buffer takes the amplitude and then the
-    # kernel, one block at a time
-    x = np.empty((oa.size, n_angular), dtype=complex)
-    np.multiply(r[ua, None], phase, out=x[:n_un])
-    np.multiply(r[up_b, None], phase[n_diag:], out=x[n_un:])
-    vals = x
-    vals[...] = amplitude(x, np.broadcast_to(r[ob, None], x.shape))
-    del x
-    live_inner = np.empty((oa.size, dim), dtype=complex) if rho > 0.0 else None
-    for own, mirror, off in _pair_blocks(n_un, n_diag):
-        kern = _pair_kernel(t[ua[own]], t[ub[own]], phase[own], N)
-        kern *= beta0[own, None] * gw if rho > 0.0 else 2.0 * np.pi / n_angular
-        vals[own] *= kern
-        vals[mirror] *= kern[off:]
-        del kern
+        circle = np.exp(1j * grid)
+        folded = np.empty((n_un, n_angular), dtype=complex)
+    for own, off in _pair_blocks(n_un, diag.size):
         if rho > 0.0:
-            np.conjugate(phase[own], out=phase[own])
-            _mode_sums(vals[own], phase[own], live_inner[own])
-            _mode_sums(vals[mirror], phase[own][off:], live_inner[mirror])
+            phase = np.exp(1j * (beta0[own, None] * gx))
+            vals = _folded_rows(amplitude, r, t, ua[own], ub[own], off, phase,
+                                beta0[own, None] * gw, N)
+            _mode_sums(vals, np.conjugate(phase, out=phase), inner[own])
+        else:
+            phase = np.broadcast_to(circle, (own.stop - own.start, n_angular))
+            folded[own] = _folded_rows(amplitude, r, t, ua[own], ub[own], off, phase,
+                                       2.0 * np.pi / n_angular, N)
     if rho <= 0.0:
-        live_inner = vals @ np.exp(-1j * np.outer(grid, np.arange(dim)))
-    del vals, phase
-    inner = np.zeros(rr.shape + (dim,), dtype=complex)
-    inner[oa, ob] = live_inner
+        inner = folded @ np.exp(-1j * np.outer(grid, np.arange(dim)))
+        del folded
     j = np.arange(dim)
     lognj = _log_norm_inv(True, N, dim)
     w = tw[:, None] * np.exp(
         0.5 * j[None, :] * logt[:, None] - (0.5 * N + 2.0) * l1p[:, None] + 0.5 * lognj[None, :]
     )
-    return np.einsum("aj,abj,bj->j", w, inner, w) / (2.0 * np.pi)
+    return np.einsum("pj,pj,pj->j", w[ua], w[ub], inner) / (2.0 * np.pi)
 
 
 def _plane_gaussian_entries(blocks: Sequence[np.ndarray], N: int, K: int, dim: int) -> np.ndarray:
@@ -618,12 +638,12 @@ def covariant_matrix(
     if symbol.geometry.name != geometry.name:
         raise ValueError("symbol was built for a different geometry")
     K_used = _resolve_truncation(symbol, N, K)
-    basis = basis_norms(geometry, N, cutoff)
+    dim = _basis_dim(geometry, N, cutoff)
     if not geometry.compact:
         _check_cutoff_radius(eps)
         if eps is not None and math.isfinite(eps):
             raise ValueError("the plane kernel carries no cutoff (infinite injectivity radius)")
-        ent = _plane_gaussian_entries(list(symbol.coeffs[0]), N, K_used, basis.dim)
+        ent = _plane_gaussian_entries(list(symbol.coeffs[0]), N, K_used, dim)
         return OperatorMatrix(ent, N)
     if not symbol.rotation_invariant:
         raise ValueError(
@@ -633,7 +653,7 @@ def covariant_matrix(
     rho = cutoff_rho(geometry, eps)
     n_angular = max(64, N + 40) if rho > 0.0 else max(64, 2 * N + 8)
     amp = _summed_amplitude(symbol, N, K_used)
-    diag = _sphere_diagonal_quadrature(N, basis.dim, amp, rho, n_radial, n_angular)
+    diag = _sphere_diagonal_quadrature(N, dim, amp, rho, n_radial, n_angular)
     return OperatorMatrix(np.diag(diag), N)
 
 
@@ -847,10 +867,10 @@ def forbidden_mass(
     The quadrature path recomputes the total mass and raises when it
     strays from 1 by more than 1e-8.
     """
-    basis = basis_norms(geometry, N, cutoff)
+    dim = _basis_dim(geometry, N, cutoff)
     u = np.asarray(u, dtype=complex)
-    if u.shape != (basis.dim,):
-        raise ValueError(f"coefficient vector must have length {basis.dim}")
+    if u.shape != (dim,):
+        raise ValueError(f"coefficient vector must have length {dim}")
     if isinstance(region, str):
         region = parse_region(region)
     total = float(np.sum(np.abs(u) ** 2))
@@ -868,10 +888,10 @@ def forbidden_mass(
     if not callable(region):
         raise ValueError("region must be None, a string, an (x3, op, value) triple, or a predicate")
     # the plane's Gaussian weight needs enough radial nodes for the top degree
-    n_rad = MASS_RADIAL if geometry.compact else max(MASS_RADIAL, 2 * basis.dim + 8)
-    n_angular = max(64, 2 * basis.dim + 16)
-    vol, theta, coords, moduli = _section_grid(geometry, N, basis.dim, n_rad, n_angular)
-    section = (moduli * u) @ np.exp(1j * np.outer(np.arange(basis.dim), theta))
+    n_rad = MASS_RADIAL if geometry.compact else max(MASS_RADIAL, 2 * dim + 8)
+    n_angular = max(64, 2 * dim + 16)
+    vol, theta, coords, moduli = _section_grid(geometry, N, dim, n_rad, n_angular)
+    section = (moduli * u) @ np.exp(1j * np.outer(np.arange(dim), theta))
     density = np.abs(section) ** 2 * vol[:, None] / n_angular
     quad_total = float(np.sum(density))
     if abs(quad_total - 1.0) > 1e-8:

@@ -1,5 +1,6 @@
 """Tests for finite-level operator matrices, norms, and decay reports."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -124,6 +125,64 @@ def test_multiplier_rejects_bad_exponents():
         qs.contravariant_matrix(PLANE, {(1, 0, 0): 1.0}, 4)
     with pytest.raises(ValueError):
         qs.contravariant_matrix(SPH, {(1, 0, -1): 1.0}, 4)
+
+
+def _fraction_moment_entries(terms, N):
+    """The per-entry Fraction loop that _sphere_moment_entries replaces.
+
+    Every entry of the matrix accumulates Fraction products of the
+    coefficient, the expansion coefficient and the Beta moment
+    (j+q)! (N+s-j-q)! / (N+s+1)!, and is rounded once by float(Fraction).
+    """
+    dim = N + 1
+    norms = qs.basis_norms(SPH, N).norms
+    acc_re = [[Fraction(0)] * dim for _ in range(dim)]
+    acc_im = [[Fraction(0)] * dim for _ in range(dim)]
+    for (e1, e2, e3), cval in sorted(terms.items()):
+        c = complex(cval)
+        cre, cim = Fraction(c.real), Fraction(c.imag)
+        if cre == 0 and cim == 0:
+            continue
+        s, expansion = qs._euclid_monomial_expansion(e1, e2, e3)
+        for (p, q), (xre, xim) in expansion.items():
+            tre = cre * xre - cim * xim
+            tim = cre * xim + cim * xre
+            for j in range(dim):
+                k = j + q - p
+                if not 0 <= k < dim:
+                    continue
+                moment = Fraction(math.factorial(j + q) * math.factorial(N + s - j - q),
+                                  math.factorial(N + s + 1))
+                acc_re[j][k] += tre * moment
+                acc_im[j][k] += tim * moment
+    out = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        for k in range(dim):
+            re, im = acc_re[j][k], acc_im[j][k]
+            if re == 0 and im == 0:
+                continue
+            if j == k:
+                out[j, k] = complex(float(re / norms[j]), float(im / norms[j]))
+            else:
+                out[j, k] = complex(float(re), float(im)) / math.sqrt(float(norms[j] * norms[k]))
+    return out
+
+
+def test_multiplier_moments_match_fraction_loop():
+    # the exact path holds every entry over one integer denominator; it
+    # must round each entry as float(Fraction) does.  Terms of degrees 0-3
+    # together exercise the lift of each moment to the top degree
+    monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+    rng = np.random.default_rng(20)
+    for N in range(1, 71):
+        terms = {}
+        for i in rng.choice(len(monomials), size=5, replace=False):
+            re, im = rng.uniform(-1.0, 1.0, 2)
+            terms[monomials[i]] = complex(re, im) if rng.random() < 0.5 else float(re)
+        terms[(0, 1, 0)] = complex(*rng.uniform(-1.0, 1.0, 2))  # an x2 term
+        terms[(0, 0, 1)] = 0.0  # a zero coefficient
+        got = qs.contravariant_matrix(SPH, terms, N).entries
+        assert np.array_equal(got, _fraction_moment_entries(terms, N)), (N, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +384,13 @@ def test_sphere_quadrature_peak_memory(cut):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a full complex (n_radial, n_radial, n_angular) tensor; the all-pairs
-    # quadrature peaked at 3.16 of them with the cutoff and 2.52 without
+    # a full complex (n_radial, n_radial, n_angular) tensor.  The all-pairs
+    # quadrature peaked at 3.16 of them with the cutoff and 2.52 without,
+    # the ordered-pair one at 1.49 and 1.52, the unordered-pair blocks at
+    # 0.53 and 0.77.  An ordered-pair buffer would add 0.65 and 1.0, an
+    # (n_radial, n_radial, dim) tensor 0.63 with the cutoff
     full = qs.DEFAULT_RADIAL**2 * n_angular * 16
-    assert peak < 2.0 * full
+    assert peak < (0.7 if cut else 1.0) * full
 
 
 def test_multiplier_quadrature_peak_memory():
@@ -350,9 +412,9 @@ def test_multiplier_quadrature_peak_memory():
 
 def test_bergman_amplitude_stays_one_broadcast_scalar():
     # the Bergman symbol is constant, so its summed amplitude must reach the
-    # quadrature as one scalar broadcast over the grid: filling an array of
-    # the grid's shape (or converting the quadrature's broadcast radial view
-    # to complex) lifts this peak from 15.85 MB to 17.62 MB
+    # quadrature as one scalar broadcast over the grid (the strides below).
+    # The peak is 5.2 MB; an ordered-pair buffer (6.9 MB) or an
+    # (n_radial, n_radial, dim) tensor (6.7 MB) would lift it past the bound
     N = 64
     a = cc.bergman_symbol(SPH, K=4)
     qs.covariant_matrix(SPH, a, N)  # fill the caches
@@ -362,7 +424,7 @@ def test_bergman_amplitude_stays_one_broadcast_scalar():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16.7e6
+    assert peak < 7.5e6
     x = np.ones((5, 7), dtype=complex)
     amp = qs._summed_amplitude(a, N, 4)(x, np.broadcast_to(np.ones((5, 1)), x.shape))
     assert amp.shape == x.shape and all(stride == 0 for stride in amp.strides)
@@ -410,7 +472,7 @@ def test_pair_kernel_matches_exp_log_form(N):
         t, ua, ub, n_diag, phase = _live_phase(rho, n_angular)
         rr = np.sqrt(t[ua]) * np.sqrt(t[ub])
         l1p = np.log1p(t.astype(np.longdouble))
-        for own, _, _ in qs._pair_blocks(ua.size, n_diag):
+        for own, _ in qs._pair_blocks(ua.size, n_diag):
             got = qs._pair_kernel(t[ua[own]], t[ub[own]], phase[own], N)
             z = 1 + rr[own, None].astype(np.longdouble) * phase[own].astype(np.clongdouble)
             want = np.exp(N * np.log(z) - 0.5 * N * (l1p[ua[own]] + l1p[ub[own]])[:, None])
@@ -418,18 +480,15 @@ def test_pair_kernel_matches_exp_log_form(N):
             assert np.max(np.abs(got - want)) <= 1e-13 * top, (rho, own)
 
 
-def _whole_buffer_modes(vals, phase, n_diag, dim):
-    """The mode recurrence over the whole ordered-pair buffer, unblocked.
+def _whole_buffer_modes(vals, phase, dim):
+    """The mode recurrence over the whole unordered-pair buffer, unblocked.
 
-    Rows [0, n_un) are the unordered pairs and rows n_un: the mirrors of
-    pairs n_diag:; every mode streams the whole buffer once.
+    Every mode streams the whole buffer once.
     """
-    n_un = phase.shape[0]
     out = np.empty((vals.shape[0], dim), dtype=complex)
     for j in range(dim):
         if j:
-            vals[:n_un] *= phase
-            vals[n_un:] *= phase[n_diag:]
+            vals *= phase
         np.sum(vals, axis=-1, out=out[:, j])
     return out
 
@@ -437,21 +496,21 @@ def _whole_buffer_modes(vals, phase, n_diag, dim):
 @pytest.mark.parametrize("block", [None, 37])
 def test_blocked_mode_recurrence_is_bit_identical(block, monkeypatch):
     if block is not None:
-        # blocks that hold only diagonal pairs, whose mirror slices are empty
+        # blocks that hold only diagonal pairs, with no mirrored rows
         monkeypatch.setattr(qs, "_PAIR_BLOCK", block)
     N, n_angular = 64, 104
-    _, ua, _, n_diag, phase = _live_phase(qs.cutoff_rho(SPH), n_angular)
+    _, ua, ub, n_diag, phase = _live_phase(qs.cutoff_rho(SPH), n_angular)
     n_un = ua.size
     assert n_un > qs._PAIR_BLOCK and n_un % qs._PAIR_BLOCK != 0
     phase = np.conjugate(phase)
     rng = np.random.default_rng(5)
-    shape = (2 * n_un - n_diag, n_angular)
-    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = _whole_buffer_modes(vals.copy(), phase, n_diag, N + 1)
+    vals = rng.standard_normal((n_un, n_angular)) + 1j * rng.standard_normal((n_un, n_angular))
+    want = _whole_buffer_modes(vals.copy(), phase, N + 1)
     got = np.empty_like(want)
-    for own, mirror, off in qs._pair_blocks(n_un, n_diag):
+    for own, off in qs._pair_blocks(n_un, n_diag):
+        # the rows off: of each block are exactly its off-diagonal pairs
+        assert np.all(ua[own][:off] == ub[own][:off]) and np.all(ua[own][off:] < ub[own][off:])
         qs._mode_sums(vals[own], phase[own], got[own])
-        qs._mode_sums(vals[mirror], phase[own][off:], got[mirror])
     assert np.array_equal(got, want)
     # and the whole quadrature does not depend on where the blocks fall
     amp = lambda x, zbar: 1 + 0.3 * x + 0.1 * zbar**2
