@@ -1,8 +1,8 @@
-"""Time the conv_pair kernel, the truncated series product, series
-composition, both Morse flattenings, the composition engine's build and
-two of its callers, the sphere kernel quadrature behind
-covariant_matrix and bergman_gram_defect, and the exact moment path of
-contravariant_matrix.
+"""Time the conv_pair kernel, the truncated series product (dense and
+dense times sparse), series composition, both Morse flattenings, the
+Wick contraction, the composition engine's build and two of its
+callers, the sphere kernel quadrature behind covariant_matrix and
+bergman_gram_defect, and the exact moment path of contravariant_matrix.
 
 Each time is the best of five calls after one warm-up call.
 
@@ -79,6 +79,14 @@ def _workloads():
     amp[_degree_grid(2, 14) > 12] = 0.0
     amplitude = PowerSeries(amp, 14)
     jobs["morse_expand sphere K=6"] = lambda: sp.morse_expand(sphere_phase, amplitude, 6)
+    jobs["wick_expand sphere K=6"] = lambda: sp.wick_expand(sphere_phase, amplitude, 6)
+    # the product wick_expand takes at K = 6: a dense order-36 term times
+    # the sphere remainder, six nonzeros, on the right
+    dense36 = rng.standard_normal((37, 37)) + 1j * rng.standard_normal((37, 37))
+    dense36[_degree_grid(2, 36) > 36] = 0.0
+    term36 = PowerSeries(dense36, 36)
+    rem36 = sp._pad_to_order(sphere_phase.remainder, 36)
+    jobs["PowerSeries 2-var order 36 dense x sparse"] = lambda: term36 * rem36
     # the phase family of the K=4 sphere engine (pair cap 10, param cap 8)
     pu, pubar, dx, dzb = sp.PairFamily.variables(10, 8)
     family = sph.phase_phi1(dx, dx + pu, dzb + pubar, dzb)

@@ -38,10 +38,8 @@ from .function_spaces import summation_cutoff
 from .geometry import ModelGeometry
 
 __all__ = [
-    "HardyBasis",
     "OperatorMatrix",
     "DecayReport",
-    "basis_norms",
     "contravariant_matrix",
     "cutoff_rho",
     "covariant_matrix",
@@ -66,21 +64,13 @@ MASS_RADIAL = 160
 # bases and matrices
 
 
-@dataclass(frozen=True)
-class HardyBasis:
-    """Monomial basis z^j of the level-N space with exact squared norms."""
-
-    geometry: ModelGeometry
-    N: int
-    norms: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.norms)
-
-
 def _basis_dim(geometry: ModelGeometry, N: int, cutoff: Optional[int] = None) -> int:
-    """Dimension of the level-N basis of :func:`basis_norms`, with its checks."""
+    """Dimension of the level-N monomial basis z^j, with its checks.
+
+    The sphere space is finite (degree <= N); the plane space is
+    truncated at degree ``cutoff`` (default N) for matrix work.  The
+    exact squared norms are ``geometry.norm_sq_monomial``.
+    """
     if N < 1 or N != int(N):
         raise ValueError("N must be a positive integer")
     if geometry.compact:
@@ -91,17 +81,6 @@ def _basis_dim(geometry: ModelGeometry, N: int, cutoff: Optional[int] = None) ->
     if top < 0:
         raise ValueError("cutoff must be nonnegative")
     return top + 1
-
-
-def basis_norms(geometry: ModelGeometry, N: int, cutoff: Optional[int] = None) -> HardyBasis:
-    """Exact squared norms of the monomials z^j at level N.
-
-    The sphere space is finite (degree <= N); the plane space is
-    truncated at degree ``cutoff`` (default N) for matrix work.
-    """
-    dim = _basis_dim(geometry, N, cutoff)
-    N = int(N)
-    return HardyBasis(geometry, N, tuple(geometry.norm_sq_monomial(N, j) for j in range(dim)))
 
 
 @dataclass
@@ -171,12 +150,13 @@ def _split_coefficient(c) -> tuple:
     return Fraction(c.real), Fraction(c.imag)
 
 
-def _sphere_moment_entries(terms: dict, norms: Sequence[Fraction]) -> np.ndarray:
+def _sphere_moment_entries(terms: dict, N: int, dim: int) -> np.ndarray:
     """Entries <e_j, f e_k> for f a polynomial in (x1, x2, x3), exactly.
 
     The coefficient table maps exponent triples to (complex) coefficients;
-    ``norms`` are the exact squared monomial norms at level N = len - 1.
-    A monomial of total degree s expands into integer multiples of
+    the level-N basis has ``dim = N + 1`` monomials, whose squared norms
+    j! (N-j)! / (N+1)! are read from the same factorial table.  A
+    monomial of total degree s expands into integer multiples of
     z^p zbar^q / (1+t)^s, and such a term reaches only the band
     k = j + q - p, with the Beta moment (j+q)! (N+s-j-q)! / (N+s+1)!.
     Every entry is held as a Python-int numerator over one denominator
@@ -186,8 +166,6 @@ def _sphere_moment_entries(terms: dict, norms: Sequence[Fraction]) -> np.ndarray
     float(Fraction) gives; only the final orthonormalization square root
     leaves exact arithmetic.
     """
-    dim = len(norms)
-    N = dim - 1
     parts = []
     for (e1, e2, e3), cval in terms.items():
         cre, cim = _split_coefficient(cval)
@@ -216,13 +194,12 @@ def _sphere_moment_entries(terms: dict, norms: Sequence[Fraction]) -> np.ndarray
     for (j, k), (re, im) in acc.items():
         if re == 0 and im == 0:
             continue
-        nj = norms[j]
+        nj = fact[j] * fact[N - j]  # ||z^j||^2 (N+1)!
         if j == k:
-            scale = common * nj.numerator
-            out[j, k] = complex(re * nj.denominator / scale, im * nj.denominator / scale)
+            scale = common * nj
+            out[j, k] = complex(re * fact[N + 1] / scale, im * fact[N + 1] / scale)
         else:
-            nk = norms[k]
-            root = math.sqrt(nj.numerator * nk.numerator / (nj.denominator * nk.denominator))
+            root = math.sqrt(nj * fact[k] * fact[N - k] / fact[N + 1] ** 2)
             out[j, k] = complex(re / common, im / common) / root
     return out
 
@@ -331,9 +308,9 @@ def contravariant_matrix(
     rational moment path; a callable f falls back to quadrature
     (``f(x1, x2, x3)`` on the sphere, ``f(re, im)`` on the plane).
     """
-    basis = basis_norms(geometry, N, cutoff)
+    dim = _basis_dim(geometry, N, cutoff)
     if callable(f):
-        ent = _quadrature_entries(geometry, f, N, basis.dim)
+        ent = _quadrature_entries(geometry, f, N, dim)
         return OperatorMatrix(ent, N)
     terms = dict(f)
     width = 3 if geometry.compact else 2
@@ -341,9 +318,9 @@ def contravariant_matrix(
         if len(key) != width or any(int(e) != e or e < 0 for e in key):
             raise ValueError(f"exponent tuples must be length {width} and nonnegative")
     if geometry.compact:
-        ent = _sphere_moment_entries(terms, basis.norms)
+        ent = _sphere_moment_entries(terms, int(N), dim)
     else:
-        ent = _plane_moment_entries(terms, N, basis.dim)
+        ent = _plane_moment_entries(terms, N, dim)
     return OperatorMatrix(ent, N)
 
 

@@ -9,12 +9,15 @@ indexed by exponent tuples, with every entry of total degree above
   oracles and property tests.
 
 Both domains and every number of variables share one product,
-``_truncated_product``: each nonzero coefficient of the left operand adds
-one shifted slice of the right operand, cut to the entries that can land
+``_truncated_product``: each nonzero coefficient of the sparser operand
+adds one shifted slice of the other, cut to the entries that can land
 inside the cap, and the few above it are zeroed through one cached,
-read-only degree grid.  When the right operand has more axes than the
-left, the left one multiplies its trailing axes; that is how a parameter
-polynomial scales a ``stationary_phase.PairFamily``.  Truncation at a
+read-only degree grid.  A sparse factor times a dense one, such as a
+phase remainder times a running product, so costs one slice per nonzero
+of the sparse factor whichever side it is on.  When the right operand
+has more axes than the left, the left one is walked and multiplies its
+trailing axes; that is how a parameter polynomial scales a
+``stationary_phase.PairFamily``.  Truncation at a
 fixed total degree is a ring quotient, so ring identities hold exactly,
 not just approximately, for equal-order operands.
 
@@ -51,19 +54,27 @@ def _degree_grid(nvars: int, order: int) -> np.ndarray:
 def _truncated_product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Total-degree truncated product of two dense coefficient boxes.
 
-    Walks the nonzeros of ``a`` in row-major order and adds, for each
-    exponent of degree s, the first ``order + 1 - s`` entries of ``b`` along
-    every axis, shifted by that exponent: every entry that can land inside
-    the cap, and a few above it, which are zeroed at the end.  When ``b``
-    has more axes than ``a``, ``a`` multiplies the trailing ones and the
+    Walks the nonzeros of the sparser operand (``a`` on a tie) in
+    row-major order and adds, for each exponent of degree s, the first
+    ``order + 1 - s`` entries of the other along every axis, shifted by
+    that exponent: every entry that can land inside the cap, and a few
+    above it, which are zeroed at the end.  The ring is commutative and
+    each elementwise product is the same either way, so the choice moves
+    complex results by the rounding of the sums only.  When ``b`` has more
+    axes than ``a``, ``a`` is walked and multiplies the trailing ones; the
     leading axes of ``b`` pass through.
     """
+    live = a != 0
+    if a.ndim == b.ndim:
+        live_b = b != 0
+        if np.count_nonzero(live_b) < np.count_nonzero(live):
+            a, b, live = b, a, live_b
     if a.dtype == object:
         out = np.full(b.shape, Fraction(0), dtype=object)
     else:
         out = np.zeros(b.shape, dtype=np.complex128)
     lead = (slice(None),) * (b.ndim - a.ndim)
-    for expo in np.argwhere(a != 0).tolist():
+    for expo in np.argwhere(live).tolist():
         room = order + 1 - sum(expo)
         if room <= 0:
             continue

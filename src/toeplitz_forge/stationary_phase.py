@@ -236,6 +236,10 @@ def wick_expand(phase, amplitude: PowerSeries, K: int) -> ExpansionResult:
     A term of a R^p / p! with balanced monomial degrees (|alpha| each
     side) lands at order N^{-(|alpha| - p)}; since R has valuation 3,
     p <= 2K exhausts every contribution with k <= K (asserted below).
+    At each p only the balanced monomials with |alpha| <= K + p are
+    contracted: the v and vbar degree grids are built once, and the rest
+    of the term is never visited.  The running product term * R walks the
+    sparse remainder (``series._truncated_product``).
     """
     data = _as_phase(phase)
     if K < 0:
@@ -254,21 +258,20 @@ def wick_expand(phase, amplitude: PowerSeries, K: int) -> ExpansionResult:
     amp = _pad_to_order(amp.truncate(min(amp.order, 2 * K)), work)
     rem = _pad_to_order(data.remainder.truncate(min(data.remainder.order, 2 * K + 2)), work)
 
+    grids = np.indices(amp.coeffs.shape, sparse=True)
+    v_degree = sum(grids[0::2])
+    balanced = v_degree == sum(grids[1::2])
     T = [0j] * (K + 1)
     memo: dict = {}
     term = amp
     inv_pfact = 1.0
     for p in range(0, 2 * K + 1):
-        for expo in np.argwhere(term.coeffs != 0):
-            alpha = tuple(int(e) for e in expo[0::2])
-            beta = tuple(int(e) for e in expo[1::2])
-            if sum(alpha) != sum(beta):
-                continue
+        usable = balanced & (v_degree <= K + p) & (term.coeffs != 0)
+        for expo in np.argwhere(usable).tolist():
+            alpha, beta = tuple(expo[0::2]), tuple(expo[1::2])
             assert 2 * sum(alpha) >= 3 * p  # each remainder factor has degree >= 3
-            k = sum(alpha) - p
-            if k <= K:
-                c = complex(term.coeffs[tuple(expo)]) * inv_pfact
-                T[k] += c * _moment(alpha, beta, data.pairing_inverse, memo)
+            c = complex(term.coeffs[tuple(expo)]) * inv_pfact
+            T[sum(alpha) - p] += c * _moment(alpha, beta, data.pairing_inverse, memo)
         if p == 2 * K:
             break
         term = term * rem

@@ -24,27 +24,25 @@ PLANE = geometry.bargmann()
 
 
 def test_basis_norms_sphere_exact():
-    basis = qs.basis_norms(SPH, 2)
-    assert basis.dim == 3
-    assert basis.norms == (Fraction(1, 3), Fraction(1, 6), Fraction(1, 3))
+    assert qs._basis_dim(SPH, 2) == 3
+    norms = [SPH.norm_sq_monomial(2, j) for j in range(3)]
+    assert norms == [Fraction(1, 3), Fraction(1, 6), Fraction(1, 3)]
 
 
 def test_basis_norms_plane_default_and_cutoff():
-    basis = qs.basis_norms(PLANE, 4)
-    assert basis.dim == 5
-    assert basis.norms[0] == Fraction(1, 4)
-    assert basis.norms[2] == Fraction(2, 64)
-    wide = qs.basis_norms(PLANE, 4, cutoff=7)
-    assert wide.dim == 8
+    assert qs._basis_dim(PLANE, 4) == 5
+    assert PLANE.norm_sq_monomial(4, 0) == Fraction(1, 4)
+    assert PLANE.norm_sq_monomial(4, 2) == Fraction(2, 64)
+    assert qs._basis_dim(PLANE, 4, cutoff=7) == 8
 
 
 def test_basis_norms_rejections():
     with pytest.raises(ValueError):
-        qs.basis_norms(SPH, 0)
+        qs._basis_dim(SPH, 0)
     with pytest.raises(ValueError):
-        qs.basis_norms(SPH, 4, cutoff=6)
+        qs._basis_dim(SPH, 4, cutoff=6)
     with pytest.raises(ValueError):
-        qs.basis_norms(PLANE, 4, cutoff=-1)
+        qs._basis_dim(PLANE, 4, cutoff=-1)
 
 
 def test_operator_matrix_container():
@@ -135,7 +133,7 @@ def _fraction_moment_entries(terms, N):
     (j+q)! (N+s-j-q)! / (N+s+1)!, and is rounded once by float(Fraction).
     """
     dim = N + 1
-    norms = qs.basis_norms(SPH, N).norms
+    norms = [SPH.norm_sq_monomial(N, j) for j in range(dim)]
     acc_re = [[Fraction(0)] * dim for _ in range(dim)]
     acc_im = [[Fraction(0)] * dim for _ in range(dim)]
     for (e1, e2, e3), cval in sorted(terms.items()):

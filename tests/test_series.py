@@ -112,6 +112,88 @@ def test_truncated_product_in_cap_slices(nvars, order):
         assert np.all(_truncated_product(fa, fb, order) == _full_box_product(fa, fb, order))
 
 
+def _left_walk_product(a, b, order):
+    """The product before it walked the sparser operand: always the left one."""
+    if a.dtype == object:
+        out = np.full(b.shape, Fraction(0), dtype=object)
+    else:
+        out = np.zeros(b.shape, dtype=np.complex128)
+    lead = (slice(None),) * (b.ndim - a.ndim)
+    for expo in np.argwhere(a != 0).tolist():
+        room = order + 1 - sum(expo)
+        if room <= 0:
+            continue
+        dst = lead + tuple(slice(e, e + room) for e in expo)
+        src = lead + (slice(0, room),) * len(expo)
+        out[dst] += a[tuple(expo)] * b[src]
+    out[lead + (_degree_grid(a.ndim, order) > order,)] = 0
+    return out
+
+
+# complex128 has eps 2.2e-16; two summation orders of the same products
+# differ by a few dozen ulps of the sum of |a_i| |b_j| at these sizes
+SUM_ORDER_TOL = 1e-14
+
+
+def _operand(rng, nvars, order, n_live, exact):
+    """A seeded box with n_live nonzeros inside the cap (all of them if None)."""
+    inside = np.flatnonzero(_degree_grid(nvars, order) <= order)
+    keep = inside if n_live is None else rng.choice(inside, min(n_live, inside.size), replace=False)
+    shape = (order + 1,) * nvars
+    if exact:
+        out = np.full(shape, Fraction(0), dtype=object)
+        out.flat[keep] = [Fraction(int(v), int(d)) for v, d in
+                          zip(rng.integers(1, 9, keep.size) * rng.choice([-1, 1], keep.size),
+                              rng.integers(1, 5, keep.size))]
+    else:
+        out = np.zeros(shape, dtype=np.complex128)
+        out.flat[keep] = rng.standard_normal(keep.size) + 1j * rng.standard_normal(keep.size)
+    return out
+
+
+# (nvars, order, exact): Fraction boxes stop where a dense Fraction walk
+# takes seconds
+_PRODUCT_CASES = (
+    [(n, o, False) for n in (1, 2, 3, 4) for o in range(9)]
+    + [(1, 36, False), (2, 36, False)]
+    + [(n, o, True) for n in (1, 2, 3) for o in range(0, 9, 2)]
+    + [(1, 36, True), (4, 4, True)]
+)
+
+
+@pytest.mark.parametrize("nvars, order, exact", _PRODUCT_CASES)
+def test_sparser_operand_walk_matches_left_walk(nvars, order, exact):
+    rng = np.random.default_rng([nvars, order, int(exact)])
+    dense = _operand(rng, nvars, order, None, exact)
+    sparse = _operand(rng, nvars, order, 3, exact)
+    zero = _operand(rng, nvars, order, 0, exact)
+    same = _operand(rng, nvars, order, int(np.count_nonzero(sparse != 0)), exact)
+    pairs = [(sparse, dense), (dense, sparse), (sparse, same), (zero, dense), (dense, zero)]
+    for a, b in pairs:
+        got = _truncated_product(a, b, order)
+        want = _left_walk_product(a, b, order)
+        if exact:
+            assert got.dtype == object and np.all(got == want)
+        elif np.count_nonzero(b) >= np.count_nonzero(a):
+            # the left operand is walked, as before: the same sums in the same order
+            assert got.tobytes() == want.tobytes()
+        else:
+            scale = _left_walk_product(np.abs(a), np.abs(b), order).real
+            assert np.all(np.abs(got - want) <= SUM_ORDER_TOL * scale)
+
+
+@pytest.mark.parametrize("n_live", [0, 1, 4, None])
+def test_param_scale_walks_the_block(n_live):
+    # a parameter block times a family: the block is walked whatever its
+    # count, so the product stays the one it was
+    rng = np.random.default_rng(n_live or 0)
+    P, M = 3, 4
+    fam = PairFamily.variables(P, M)[0] * 0.5 + PairFamily.constant(1.0, P, M)
+    for block in (_operand(rng, 2, M, n_live, False), _operand(rng, 2, M, 2, False)):
+        got = fam.param_scale(block).coeffs
+        assert np.array_equal(got, _left_walk_product(block, fam.coeffs, M))
+
+
 def _ring(kind):
     """(constant of a value, an element of degree one) in one truncated ring."""
     if kind == "family":

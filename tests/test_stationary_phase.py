@@ -132,6 +132,63 @@ def test_wick_two_pair_remainder():
     assert res.coeffs == pytest.approx((1, 1), abs=1e-13)
 
 
+def _wick_by_filter(phase, amplitude, K):
+    """The contraction before it masked its monomials: every nonzero of
+    each term a R^p / p!, then the balance and k <= K filters."""
+    data = PhaseData.from_series(phase)
+    work = max(6 * K, 2 * K + 2)
+    amp = sp._pad_to_order(amplitude.truncate(2 * K), work)
+    rem = sp._pad_to_order(data.remainder.truncate(2 * K + 2), work)
+    T = [0j] * (K + 1)
+    memo = {}
+    term, inv_pfact = amp, 1.0
+    for p in range(2 * K + 1):
+        for expo in np.argwhere(term.coeffs != 0):
+            alpha = tuple(int(e) for e in expo[0::2])
+            beta = tuple(int(e) for e in expo[1::2])
+            if sum(alpha) != sum(beta):
+                continue
+            k = sum(alpha) - p
+            if k <= K:
+                c = complex(term.coeffs[tuple(expo)]) * inv_pfact
+                T[k] += c * sp._moment(alpha, beta, data.pairing_inverse, memo)
+        term = term * rem
+        inv_pfact /= p + 1
+    return np.array(T)
+
+
+def _dense_amplitude(rng, nvars, order):
+    c = rng.standard_normal((order + 1,) * nvars) + 1j * rng.standard_normal((order + 1,) * nvars)
+    c[_degree_grid(nvars, order) > order] = 0.0
+    return PowerSeries(c, order)
+
+
+@pytest.mark.parametrize("K", range(7))
+def test_wick_contracts_what_the_filter_kept(K):
+    # the masked contraction visits the same balanced monomials with
+    # |alpha| <= K + p, in the same order, as the filtered walk over every
+    # nonzero; the cubic phase has unbalanced u^3, ubar^3 and u^2 ubar terms
+    rng = np.random.default_rng(K)
+    amp = _dense_amplitude(rng, 2, 2 * K)
+    cubic = pair_phase({(1, 1): -1.0, (3, 0): 0.2 - 0.1j, (0, 3): 0.1, (2, 1): 0.3,
+                        (2, 2): 0.05, (4, 1): -0.07j}, 2 * K + 2)
+    for phase in (gauss_phase(2 * K + 2), sphere_phase(2 * K + 2), cubic):
+        got = np.array(wick_expand(phase, amp, K).coeffs)
+        want = _wick_by_filter(phase, amp, K)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_wick_contracts_what_the_filter_kept_two_pairs():
+    rng = np.random.default_rng(4)
+    amp = _dense_amplitude(rng, 4, 4)
+    phase = PowerSeries.from_terms(
+        {(1, 1, 0, 0): -1.0, (0, 0, 1, 1): -2.0, (1, 1, 1, 1): 0.5, (2, 1, 0, 0): 0.3,
+         (0, 1, 2, 0): -0.2j, (1, 0, 0, 2): 0.1}, 4, 6)
+    got = np.array(wick_expand(phase, amp, 2).coeffs)
+    want = _wick_by_filter(phase, amp, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_wick_reports_required_amplitude_order():
     with pytest.raises(ValueError, match="need >= 6"):
         wick_expand(gauss_phase(10), PowerSeries.constant(1.0, 2, 5), K=3)
