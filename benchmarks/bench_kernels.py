@@ -2,13 +2,16 @@
 dense times sparse), series composition, both Morse flattenings, the
 Wick contraction, the composition engine's build and two of its
 callers, the sphere kernel quadrature behind covariant_matrix and
-bergman_gram_defect, and the exact moment path of contravariant_matrix.
+bergman_gram_defect, the exact moment path of contravariant_matrix,
+and the symbol class: a symbol-norm certificate, a covariant symbol's
+norm_estimate, and the Cauchy product and star inverse at K = 6.
 
 Each time is the best of five calls after one warm-up call.
 
     python3 benchmarks/bench_kernels.py
 """
 
+import math
 import sys
 import timeit
 from pathlib import Path
@@ -21,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 def _workloads():
     from toeplitz_forge import _kernels, covariant_calculus as cc
+    from toeplitz_forge import function_spaces as fs
     from toeplitz_forge import geometry, quantization_spectral as qs
     from toeplitz_forge import stationary_phase as sp
     from toeplitz_forge.series import PowerSeries, _degree_grid
@@ -105,6 +109,23 @@ def _workloads():
         "bergman_gram_defect N=8": lambda: qs.bergman_gram_defect(sph, 8),
         "bergman_gram_defect N=64": lambda: qs.bergman_gram_defect(sph, 64),
         "contravariant_matrix sphere N=64": lambda: qs.contravariant_matrix(sph, mult, 64),
+    })
+    # one-variable order-8 symbols at K = 6 on [-1/2, 1/2], a_k of size
+    # R^k k!, as the exact-symbolic workload builds them
+    half = fs.Domain.interval(-0.5, 0.5)
+    syms = []
+    for _ in range(2):
+        coeffs = []
+        for k in range(7):
+            terms = {(i,): float(rng.uniform(-0.1, 0.1)) for i in range(1, 9)}
+            terms[(0,)] = float(rng.uniform(0.5, 1.0))
+            coeffs.append(PowerSeries.from_terms(terms, 1, 8) * (2.0**k * math.factorial(k)))
+        syms.append(fs.make_symbol(coeffs, half, r=2.0, R=2.0, m=4))
+    jobs.update({
+        "estimate_symbol_norm 1-var order 8 K=6": lambda: fs.estimate_symbol_norm(syms[0]),
+        "norm_estimate sphere Bergman K=4": lambda: berg.norm_estimate(),
+        "cauchy_product 1-var order 8 K=6": lambda: fs.cauchy_product(*syms),
+        "star_inverse 1-var order 8 K=6": lambda: fs.star_inverse(syms[0]),
     })
     return jobs
 

@@ -15,6 +15,14 @@ Truncated summation evaluates f(N) = sum_{k <= K_used} N^{-k} a_k with
 K_used = floor(e N / (3R)); with the norm convention above consecutive
 terms then shrink by at least e/3, giving the uniform bound
 3/(3-e) * ||a|| and exponentially small tails.
+
+Small series arithmetic here costs per coefficient, not per call: a
+certificate stacks every partial of every a_k into one table and
+evaluates it with one Vandermonde matmul per mesh axis (``_eval_stack``,
+of which ``_eval_mesh`` is the stack of one), and the Cauchy product and
+star inverse multiply one series against a stack of coefficient rows.
+Every sum keeps the order of the one-series loops, so values only move
+where a product walks the other operand.
 """
 
 from __future__ import annotations
@@ -23,13 +31,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import constants
-from .series import PowerSeries
+from .series import PowerSeries, _truncated_product
 
 E_THIRD = math.e / 3.0
 
@@ -95,31 +103,91 @@ class HNormCertificate:
     grid_resolution: int
 
 
-def _eval_mesh(series: PowerSeries, grids: list) -> np.ndarray:
-    """Evaluate on the product mesh by tensor contraction per axis."""
-    coeffs = series.coeffs
-    if series.is_exact:
-        coeffs = coeffs.astype(np.complex128)
+def _eval_stack(coeffs: np.ndarray, grids: list) -> np.ndarray:
+    """Evaluate a stack of coefficient boxes on the product mesh.
+
+    ``coeffs`` has the stack on its first axis; the result has shape
+    ``(len(coeffs),) + mesh shape``.  Each axis is one matmul of its
+    Vandermonde matrix against the whole stack, batched over the stack,
+    so every row is computed exactly as it would be alone.
+    """
     vals = coeffs
+    if vals.dtype == object:
+        vals = vals.astype(np.complex128)
+    stack = vals.shape[0]
     for axis_pts in grids:
-        powers = axis_pts[:, None] ** np.arange(vals.shape[0])[None, :]
-        vals = np.tensordot(powers, vals, axes=([1], [0]))
-        vals = np.moveaxis(vals, 0, -1)
+        n, rest = vals.shape[1], vals.shape[2:]
+        powers = axis_pts[:, None] ** np.arange(n)[None, :]
+        vals = powers @ vals.reshape(stack, n, -1)
+        vals = np.moveaxis(vals.reshape((stack, len(axis_pts)) + rest), 1, -1)
     return vals
 
 
-def _all_partials(f: PowerSeries, j_max: int) -> dict:
-    """Every partial derivative up to total order j_max, memoized bottom-up."""
-    out = {(0,) * f.nvars: f}
-    for j in range(1, j_max + 1):
-        for alpha in itertools.product(range(j + 1), repeat=f.nvars):
+def _eval_mesh(series: PowerSeries, grids: list) -> np.ndarray:
+    """Evaluate one series on the product mesh: a stack of one."""
+    return _eval_stack(series.coeffs[None], grids)[0]
+
+
+@lru_cache(maxsize=None)
+def _partials_plan(nvars: int, j_top: int) -> tuple:
+    """Derivation steps of every partial up to total order ``j_top``.
+
+    Partials are numbered level by level (total order j), and within a
+    level in ``itertools.product`` order.  Each is the derivative of the
+    partial one order lower along its first nonzero axis.  Returns
+    ``(steps, bounds)``: for each level j >= 1 the ``(axis, sources,
+    targets)`` rows it differentiates along each axis, and the first row
+    of every level followed by the number of partials.  Shared, so the
+    index arrays are read-only.
+    """
+    index = {(0,) * nvars: 0}
+    steps, bounds = [], [0, 1]
+    for j in range(1, j_top + 1):
+        by_axis: dict = {}
+        for alpha in itertools.product(range(j + 1), repeat=nvars):
             if sum(alpha) != j:
                 continue
-            axis = next(i for i, a in enumerate(alpha) if a > 0)
+            axis = next(i for i, e in enumerate(alpha) if e > 0)
             prev = list(alpha)
             prev[axis] -= 1
-            out[alpha] = out[tuple(prev)].diff(axis)
-    return out
+            src, dst = by_axis.setdefault(axis, ([], []))
+            src.append(index[tuple(prev)])
+            dst.append(len(index))
+            index[alpha] = len(index)
+        level = []
+        for axis, rows in sorted(by_axis.items()):
+            src, dst = (np.array(r) for r in rows)
+            src.setflags(write=False)
+            dst.setflags(write=False)
+            level.append((axis, src, dst))
+        steps.append(tuple(level))
+        bounds.append(len(index))
+    return tuple(steps), tuple(bounds)
+
+
+def _partials_table(f: PowerSeries, j_top: int) -> tuple:
+    """Every partial of ``f`` up to total order ``j_top``, stacked in the
+    order of ``_partials_plan``, and the plan's level bounds.
+
+    Each row takes the products ``PowerSeries.diff`` takes on its source
+    row, one array operation per level and axis.
+    """
+    steps, bounds = _partials_plan(f.nvars, j_top)
+    shape = (bounds[-1],) + f.coeffs.shape
+    if f.is_exact:
+        table = np.full(shape, Fraction(0), dtype=object)
+    else:
+        table = np.zeros(shape, dtype=f.coeffs.dtype)
+    table[0] = f.coeffs
+    n = f.order + 1
+    for level in steps:
+        for axis, src, dst in level:
+            mult_shape = [1] * (f.nvars + 1)
+            mult_shape[axis + 1] = n - 1
+            mult = np.arange(1, n).reshape(mult_shape)
+            cut = (slice(None),) * axis
+            table[(dst,) + cut + (slice(0, n - 1),)] = table[(src,) + cut + (slice(1, None),)] * mult
+    return table, bounds
 
 
 def _check_reliable(f: PowerSeries, domain: Domain) -> None:
@@ -261,56 +329,52 @@ def estimate_symbol_norm(
 
 def _weighted_sup(coeffs: Sequence, grids: list, r: float, R: float, m: int, j_max: int) -> float:
     """Mesh sup over k and j <= j_max of sum_{|alpha| = j} |partial^alpha
-    a_k| (j+k+1)^m / (r^j R^k (j+k)!); the h-norm is the k = 0 row."""
+    a_k| (j+k+1)^m / (r^j R^k (j+k)!); the h-norm is the k = 0 row.
+
+    The partials of every a_k are stacked into one table, evaluated in one
+    contraction per axis; each group sum adds its partials in table order.
+    """
+    tables, starts, groups = [], [], []
+    row = 0
+    for k, coeff in enumerate(coeffs):
+        # partials above the total degree vanish identically
+        table, bounds = _partials_table(coeff, min(j_max, coeff.order))
+        for j in range(len(bounds) - 1):
+            lo, hi = bounds[j], bounds[j + 1]
+            log_scale = _rescale_exact(table[lo:hi]) if coeff.is_exact else 0.0
+            starts.append(row + lo)
+            groups.append((k, j, log_scale))
+        tables.append(table.astype(np.complex128, copy=False))
+        row += len(table)
+    l1 = np.add.reduceat(np.abs(_eval_stack(np.concatenate(tables), grids)), starts, axis=0)
+    sups = l1.reshape(len(groups), -1).max(axis=1).tolist()
     # weights in log space: (j+k)! overflows float64 near j+k = 171 and exact
     # Fraction coefficients can be larger still
     best_log = -math.inf
-    for k, coeff in enumerate(coeffs):
-        # partials above the total degree vanish identically
-        j_top = min(j_max, coeff.order)
-        partials = _all_partials(coeff, j_top)
-        for j in range(j_top + 1):
-            group = [s for alpha, s in partials.items() if sum(alpha) == j]
-            log_scale, l1 = _scaled_l1_sup(group, grids)
-            if l1 == 0.0:
-                continue
-            log_weight = (
-                m * math.log(j + k + 1)
-                - j * math.log(r)
-                - k * math.log(R)
-                - math.lgamma(j + k + 1)
-            )
-            best_log = max(best_log, log_scale + math.log(l1) + log_weight)
+    for (k, j, log_scale), sup in zip(groups, sups):
+        if sup == 0.0:
+            continue
+        log_weight = (
+            m * math.log(j + k + 1)
+            - j * math.log(r)
+            - k * math.log(R)
+            - math.lgamma(j + k + 1)
+        )
+        best_log = max(best_log, log_scale + math.log(sup) + log_weight)
     return 0.0 if best_log == -math.inf else math.exp(best_log)
 
 
-def _scaled_l1_sup(group: list, grids: list) -> tuple:
-    """Mesh sup of sum |s| over a group of series, as (log_scale, sup/scale).
-
-    Exact coefficients are divided by their largest magnitude before the
-    complex conversion so values far outside float64 range survive.
-    """
-    scale_log = 0.0
-    if group and group[0].is_exact:
-        peak = Fraction(0)
-        for s in group:
-            for c in s.coeffs.flat:
-                if abs(c) > peak:
-                    peak = abs(c)
-        if peak > 0 and (peak.numerator.bit_length() > 500
-                         or peak.denominator.bit_length() > 500):
-            scale_log = math.log(peak.numerator) - math.log(peak.denominator)
-            scaled = []
-            for s in group:
-                t = s.truncate(s.order)
-                t.coeffs = t.coeffs / peak
-                scaled.append(t)
-            group = scaled
-    l1 = None
-    for series in group:
-        vals = np.abs(_eval_mesh(series, grids))
-        l1 = vals if l1 is None else l1 + vals
-    return scale_log, float(np.max(l1)) if l1 is not None else 0.0
+def _rescale_exact(group: np.ndarray) -> float:
+    """Divide a group of exact partials in place by its largest magnitude
+    when that has more than 500 bits, so values far outside float64 range
+    survive the complex conversion; returns the log of the divisor (0 if
+    none)."""
+    peak = max((abs(c) for c in group.flat), default=0)
+    if peak > 0 and (peak.numerator.bit_length() > 500
+                     or peak.denominator.bit_length() > 500):
+        group[...] = group / peak
+        return math.log(peak.numerator) - math.log(peak.denominator)
+    return 0.0
 
 
 def unit_symbol(template: AnalyticSymbol) -> AnalyticSymbol:
@@ -324,22 +388,40 @@ def unit_symbol(template: AnalyticSymbol) -> AnalyticSymbol:
                           template.domain, template.j_max, template.grid_resolution)
 
 
+# the fields of a symbol's class besides its domain and coefficient shape;
+# a Cauchy product keeps them, so both factors must agree on all of them
+_CLASS_FIELDS = ("r", "R", "m", "j_max", "grid_resolution")
+
+
+def _check_one_kind(coeffs: Sequence) -> None:
+    """Products take exact or complex coefficient series, never both."""
+    if len({c.is_exact for c in coeffs}) > 1:
+        raise ValueError("cannot mix exact and complex series; convert first")
+
+
 def cauchy_product(a: AnalyticSymbol, b: AnalyticSymbol) -> AnalyticSymbol:
-    """Coefficientwise convolution (a*b)_k = sum_{i<=k} a_i b_{k-i}."""
+    """Coefficientwise convolution (a*b)_k = sum_{i<=k} a_i b_{k-i}.
+
+    Both symbols must share one class: domain, coefficient shape and
+    ``r, R, m, j_max, grid_resolution``.  Each a_i multiplies the stacked
+    rows b_0 .. b_{K-i} in one product, and the rows are added with i
+    ascending, the order of the sum above.
+    """
     if a.domain != b.domain:
         raise ValueError("symbols live on different domains")
     if a.nvars != b.nvars or a.order != b.order:
         raise ValueError("coefficient series shapes differ")
+    for name in _CLASS_FIELDS:
+        if getattr(a, name) != getattr(b, name):
+            raise ValueError(f"symbols differ in {name}: {getattr(a, name)} and {getattr(b, name)}")
     K = min(a.K, b.K)
-    coeffs = []
-    for k in range(K + 1):
-        acc = None
-        for i in range(k + 1):
-            term = a.coeffs[i] * b.coeffs[k - i]
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return AnalyticSymbol(tuple(coeffs), K, a.r, a.R, a.m, a.domain,
-                          a.j_max, a.grid_resolution)
+    _check_one_kind(a.coeffs[: K + 1] + b.coeffs[: K + 1])
+    rows = np.stack([c.coeffs for c in b.coeffs[: K + 1]])
+    out = _truncated_product(a.coeffs[0].coeffs, rows, a.order)
+    for i in range(1, K + 1):
+        out[i:] += _truncated_product(a.coeffs[i].coeffs, rows[: K + 1 - i], a.order)
+    return AnalyticSymbol(tuple(PowerSeries(c, a.order) for c in out), K, a.r, a.R, a.m,
+                          a.domain, a.j_max, a.grid_resolution)
 
 
 def product_bound_check(a: AnalyticSymbol, b: AnalyticSymbol) -> dict:
@@ -356,24 +438,41 @@ def product_bound_check(a: AnalyticSymbol, b: AnalyticSymbol) -> dict:
     }
 
 
+def _min_abs_a0(a: AnalyticSymbol) -> float:
+    """min |a_0| on the symbol's grid; raises if a_0 vanishes there."""
+    a0_abs = np.abs(_eval_mesh(a.coeffs[0], a.domain.grids(a.grid_resolution)))
+    if float(np.min(a0_abs)) <= 0.0 or not np.isfinite(a0_abs).all():
+        raise ValueError("a_0 vanishes on the domain grid")
+    return float(np.min(a0_abs))
+
+
 def star_inverse(a: AnalyticSymbol) -> AnalyticSymbol:
     """Inverse for the Cauchy product: a * b = (1, 0, ..., 0) to order K.
 
     Recursion: b_0 = 1/a_0, then b_k = -b_0 * sum_{i=1}^k a_i b_{k-i}.
     Requires a_0 bounded away from zero on the grid.
     """
-    grids = a.domain.grids(a.grid_resolution)
-    a0_abs = np.abs(_eval_mesh(a.coeffs[0], grids))
-    if float(np.min(a0_abs)) <= 0.0 or not np.isfinite(a0_abs).all():
-        raise ValueError("a_0 vanishes on the domain grid")
+    _min_abs_a0(a)
+    return _solve_inverse(a)
+
+
+def _solve_inverse(a: AnalyticSymbol) -> AnalyticSymbol:
+    """``star_inverse`` past its grid check.
+
+    Each solved b_j multiplies the stacked rows a_1 .. a_{K-j} in one
+    product, giving a_i b_j for every later k = i + j; each b_k then sums
+    its terms with i ascending, the order of the sum above.
+    """
     b0 = a.coeffs[0].reciprocal()
-    bs = [b0]
+    _check_one_kind(a.coeffs)
+    rows = np.stack([c.coeffs for c in a.coeffs])[1:]
+    bs, terms = [b0], []
     for k in range(1, a.K + 1):
-        acc = None
-        for i in range(1, k + 1):
-            term = a.coeffs[i] * bs[k - i]
-            acc = term if acc is None else acc + term
-        bs.append(-(b0 * acc))
+        terms.append(_truncated_product(bs[-1].coeffs, rows[: a.K + 1 - k], a.order))
+        acc = terms[k - 1][0]
+        for i in range(2, k + 1):
+            acc = acc + terms[k - i][i - 1]
+        bs.append(-(b0 * PowerSeries(acc, a.order)))
     return AnalyticSymbol(tuple(bs), a.K, a.r, a.R, a.m, a.domain,
                           a.j_max, a.grid_resolution)
 
@@ -389,9 +488,8 @@ class InversionReport:
 
 def star_inverse_report(a: AnalyticSymbol) -> InversionReport:
     """Invert and compare the certificate against 2 min|a_0|^-4 ||a||^3."""
-    grids = a.domain.grids(a.grid_resolution)
-    min_abs = float(np.min(np.abs(_eval_mesh(a.coeffs[0], grids))))
-    inv = star_inverse(a)
+    min_abs = _min_abs_a0(a)
+    inv = _solve_inverse(a)
     bound = 2.0 * min_abs ** (-4) * a.constant**3
     return InversionReport(inv, min_abs, inv.constant, bound, inv.constant <= bound)
 
@@ -453,8 +551,8 @@ def summation(a: AnalyticSymbol, N: int, c1: Optional[float] = None) -> Summatio
             if tail_start is not None and k >= tail_start:
                 tail_acc = tail_acc + term
         values = acc
-        grids = a.domain.grids(a.grid_resolution)
-        sup_abs = float(np.max(np.abs(_eval_mesh(acc, grids))))
-        tail_estimate = float(np.max(np.abs(_eval_mesh(tail_acc, grids))))
+        vals = _eval_stack(np.stack([acc.coeffs, tail_acc.coeffs]),
+                           a.domain.grids(a.grid_resolution))
+        sup_abs, tail_estimate = np.abs(vals).reshape(2, -1).max(axis=1).tolist()
     uniform_bound = a.constant * 3.0 / (3.0 - math.e)
     return SummationResult(N, K_used, values, tail_estimate, uniform_bound, sup_abs)

@@ -11,8 +11,10 @@ indexed by exponent tuples, with every entry of total degree above
 Both domains and every number of variables share one product,
 ``_truncated_product``: each nonzero coefficient of the sparser operand
 adds one shifted slice of the other, cut to the entries that can land
-inside the cap, and the few above it are zeroed through one cached,
-read-only degree grid.  A sparse factor times a dense one, such as a
+inside the cap, and the few above it are zeroed.  The slices and the
+entries above the cap are one walk plan per ``(nvars, order)``, built on
+the first product at that shape and kept read-only, so a call pays per
+nonzero, not for rebuilding them.  A sparse factor times a dense one, such as a
 phase remainder times a running product, so costs one slice per nonzero
 of the sparse factor whichever side it is on.  When the right operand
 has more axes than the left, the left one is walked and multiplies its
@@ -51,6 +53,32 @@ def _degree_grid(nvars: int, order: int) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=None)
+def _product_plan(nvars: int, order: int) -> tuple:
+    """Walk plan of the truncated product in ``nvars`` variables at ``order``.
+
+    Returns ``(under, slices, above)``: the flat indices of the exponents
+    of degree at most ``order`` in row-major order; for each of them, the
+    (destination, source) index that adds the first ``order + 1 - s``
+    entries of the other operand along every axis, shifted by the
+    exponent of degree s; and the flat indices of degree above ``order``.
+    Only exponents under the cap get slices.  Built on the first product
+    at that shape and shared, so the arrays are read-only.
+    """
+    grid = _degree_grid(nvars, order).reshape(-1)
+    under = np.flatnonzero(grid <= order)
+    above = np.flatnonzero(grid > order)
+    src_of_room = {room: (slice(0, room),) * nvars for room in range(1, order + 2)}
+    slices = []
+    for expo in zip(*np.unravel_index(under, (order + 1,) * nvars)):
+        expo = [int(e) for e in expo]
+        room = order + 1 - sum(expo)
+        slices.append((tuple(slice(e, e + room) for e in expo), src_of_room[room]))
+    under.setflags(write=False)
+    above.setflags(write=False)
+    return under, tuple(slices), above
+
+
 def _truncated_product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Total-degree truncated product of two dense coefficient boxes.
 
@@ -58,30 +86,30 @@ def _truncated_product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     row-major order and adds, for each exponent of degree s, the first
     ``order + 1 - s`` entries of the other along every axis, shifted by
     that exponent: every entry that can land inside the cap, and a few
-    above it, which are zeroed at the end.  The ring is commutative and
-    each elementwise product is the same either way, so the choice moves
-    complex results by the rounding of the sums only.  When ``b`` has more
-    axes than ``a``, ``a`` is walked and multiplies the trailing ones; the
-    leading axes of ``b`` pass through.
+    above it, which are zeroed at the end.  The slices and the entries
+    above the cap come from ``_product_plan``.  The ring is commutative
+    and each elementwise product is the same either way, so the choice
+    moves complex results by the rounding of the sums only.  When ``b``
+    has more axes than ``a``, ``a`` is walked and multiplies the trailing
+    ones; the leading axes of ``b`` pass through.
     """
-    live = a != 0
-    if a.ndim == b.ndim:
-        live_b = b != 0
-        if np.count_nonzero(live_b) < np.count_nonzero(live):
-            a, b, live = b, a, live_b
+    if a.ndim == b.ndim and np.count_nonzero(b) < np.count_nonzero(a):
+        a, b = b, a
     if a.dtype == object:
         out = np.full(b.shape, Fraction(0), dtype=object)
     else:
         out = np.zeros(b.shape, dtype=np.complex128)
+    under, slices, above = _product_plan(a.ndim, order)
+    walk = a.reshape(-1)[under]
     lead = (slice(None),) * (b.ndim - a.ndim)
-    for expo in np.argwhere(live).tolist():
-        room = order + 1 - sum(expo)
-        if room <= 0:
-            continue
-        dst = lead + tuple(slice(e, e + room) for e in expo)
-        src = lead + (slice(0, room),) * len(expo)
-        out[dst] += a[tuple(expo)] * b[src]
-    out[lead + (_degree_grid(a.ndim, order) > order,)] = 0
+    for p in np.flatnonzero(walk).tolist():
+        dst, src = slices[p]
+        if lead:
+            dst, src = lead + dst, lead + src
+        view = out[dst]
+        view += walk[p] * b[src]
+    if above.size:
+        out.reshape(out.shape[: len(lead)] + (-1,))[..., above] = 0
     return out
 
 

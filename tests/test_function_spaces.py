@@ -1,5 +1,7 @@
 """Norm certificates, symbol algebra, and truncated summation."""
 
+import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -421,15 +423,62 @@ def test_symbol_pullback_quadratic_shift():
     assert np.allclose(got, [0, 0, 1, 2, 1])
 
 
+def _all_partials(f: PowerSeries, j_max: int) -> dict:
+    """Every partial derivative up to total order j_max, memoized bottom-up:
+    the partials one ``PowerSeries.diff`` at a time, before they were
+    stacked into one table."""
+    out = {(0,) * f.nvars: f}
+    for j in range(1, j_max + 1):
+        for alpha in itertools.product(range(j + 1), repeat=f.nvars):
+            if sum(alpha) != j:
+                continue
+            axis = next(i for i, a in enumerate(alpha) if a > 0)
+            prev = list(alpha)
+            prev[axis] -= 1
+            out[alpha] = out[tuple(prev)].diff(axis)
+    return out
+
+
+def _scaled_l1_sup(group: list, grids: list) -> tuple:
+    """Mesh sup of sum |s| over a group of series, as (log_scale, sup/scale),
+    one ``_eval_mesh`` per series: the group sum before the stacked table.
+
+    Exact coefficients are divided by their largest magnitude before the
+    complex conversion so values far outside float64 range survive.
+    """
+    scale_log = 0.0
+    if group and group[0].is_exact:
+        peak = Fraction(0)
+        for s in group:
+            for c in s.coeffs.flat:
+                if abs(c) > peak:
+                    peak = abs(c)
+        if peak > 0 and (peak.numerator.bit_length() > 500
+                         or peak.denominator.bit_length() > 500):
+            scale_log = math.log(peak.numerator) - math.log(peak.denominator)
+            scaled = []
+            for s in group:
+                t = s.truncate(s.order)
+                t.coeffs = t.coeffs / peak
+                scaled.append(t)
+            group = scaled
+    l1 = None
+    for series in group:
+        vals = np.abs(_eval_mesh(series, grids))
+        l1 = vals if l1 is None else l1 + vals
+    return scale_log, float(np.max(l1)) if l1 is not None else 0.0
+
+
 def _uncapped_symbol_norm(a):
-    """estimate_symbol_norm before it capped the partials at the series degree."""
+    """estimate_symbol_norm before it capped the partials at the series
+    degree and stacked them: one group of series at a time."""
     grids = a.domain.grids(a.grid_resolution)
     best_log = -math.inf
     for k in range(a.K + 1):
-        partials = fs._all_partials(a.coeffs[k], a.j_max)
+        partials = _all_partials(a.coeffs[k], a.j_max)
         for j in range(a.j_max + 1):
             group = [s for alpha, s in partials.items() if sum(alpha) == j]
-            log_scale, l1 = fs._scaled_l1_sup(group, grids)
+            log_scale, l1 = _scaled_l1_sup(group, grids)
             if l1 == 0.0:
                 continue
             log_weight = (
@@ -533,7 +582,7 @@ def _direct_h_norm(f, m, r, domain, j_max=8, grid_resolution=41):
     """estimate_h_norm's constant by its own loop, before it shared the
     symbol-norm sup: direct float weights, every j up to j_max."""
     grids = domain.grids(grid_resolution)
-    partials = fs._all_partials(f, j_max)
+    partials = _all_partials(f, j_max)
     best = 0.0
     for j in range(j_max + 1):
         l1 = None
@@ -584,3 +633,231 @@ def test_h_norm_matches_direct_loop(case):
     want = _direct_h_norm(f, m, r, domain, j_max, res)
     assert abs(got - want) <= 1e-14 * want, (got, want)
 
+
+
+# -- stacked evaluation and the symbol algebra over stacked rows ---------------
+
+
+def _tensordot_eval_mesh(series, grids):
+    """_eval_mesh before it was the stack-of-one case: one tensordot per axis."""
+    vals = series.coeffs
+    if series.is_exact:
+        vals = vals.astype(np.complex128)
+    for axis_pts in grids:
+        powers = axis_pts[:, None] ** np.arange(vals.shape[0])[None, :]
+        vals = np.tensordot(powers, vals, axes=([1], [0]))
+        vals = np.moveaxis(vals, 0, -1)
+    return vals
+
+
+def _random_box(rng, nvars, order, exact, n_live=None):
+    """A seeded coefficient box, zero above the cap, n_live nonzeros (all if None)."""
+    shape = (order + 1,) * nvars
+    inside = [e for e in np.ndindex(*shape) if sum(e) <= order]
+    if n_live is not None:
+        inside = [inside[i] for i in rng.choice(len(inside), min(n_live, len(inside)),
+                                                replace=False)]
+    if exact:
+        out = np.full(shape, Fraction(0), dtype=object)
+        for e in inside:
+            out[e] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+    else:
+        out = np.zeros(shape, dtype=np.complex128)
+        for e in inside:
+            out[e] = complex(rng.standard_normal(), rng.standard_normal())
+    return out
+
+
+_MESH_DOMAINS = {
+    "interval": (HALF, 41),
+    "disk": (fs.Domain.disk(0.4), 41),
+    "interval x disk": (HALF * fs.Domain.disk(0.4), 41),
+    "disk x disk": (fs.Domain.disk(0.3) * fs.Domain.disk(0.5), 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MESH_DOMAINS))
+@pytest.mark.parametrize("exact", [False, True])
+def test_stacked_eval_rows_match_eval_mesh(name, exact):
+    domain, res = _MESH_DOMAINS[name]
+    grids = domain.grids(res)
+    rng = np.random.default_rng([domain.naxes, res, int(exact)])
+    for order in (0, 3, 8):
+        stack = np.stack([_random_box(rng, domain.naxes, order, exact, n_live)
+                          for n_live in (None, None, 2, 0, None)])
+        got = fs._eval_stack(stack, grids)
+        assert got.shape == (5,) + (res,) * domain.naxes
+        for row, box in zip(got, stack):
+            single = _eval_mesh(PowerSeries(box, order), grids)
+            assert np.array_equal(row, single)
+            # the tensordot route sums the same products; BLAS may order them apart
+            old = _tensordot_eval_mesh(PowerSeries(box, order), grids)
+            scale = max(1.0, float(np.max(np.abs(old))))
+            assert np.max(np.abs(single - old)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("nvars, order, j_top", [(1, 8, 6), (1, 3, 3), (2, 6, 6),
+                                                 (2, 2, 2), (3, 4, 3), (2, 0, 0)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_partials_table_matches_diff_chain(nvars, order, j_top, exact):
+    f = PowerSeries(_random_box(np.random.default_rng(nvars + order), nvars, order, exact), order)
+    table, bounds = fs._partials_table(f, j_top)
+    want = list(_all_partials(f, j_top).items())
+    assert len(table) == len(want) == bounds[-1]
+    for row, (alpha, series) in zip(table, want):
+        assert row.dtype == series.coeffs.dtype and np.array_equal(row, series.coeffs)
+    for j in range(j_top + 1):
+        assert all(sum(alpha) == j for alpha, _ in want[bounds[j]:bounds[j + 1]])
+
+
+def _loop_cauchy_product(a, b):
+    """cauchy_product before it stacked the rows: one series product per pair."""
+    coeffs = []
+    for k in range(min(a.K, b.K) + 1):
+        acc = None
+        for i in range(k + 1):
+            term = a.coeffs[i] * b.coeffs[k - i]
+            acc = term if acc is None else acc + term
+        coeffs.append(acc)
+    return coeffs
+
+
+def _loop_star_inverse(a):
+    """star_inverse before it stacked the rows: one series product per pair."""
+    b0 = a.coeffs[0].reciprocal()
+    bs = [b0]
+    for k in range(1, a.K + 1):
+        acc = None
+        for i in range(1, k + 1):
+            term = a.coeffs[i] * bs[k - i]
+            acc = term if acc is None else acc + term
+        bs.append(-(b0 * acc))
+    return bs
+
+
+def _abs_symbol(a):
+    """The symbol with |coefficients|: its loop product bounds the rounding."""
+    return fs.make_symbol([PowerSeries(np.abs(c.coeffs.astype(complex)) + 0j, c.order)
+                           for c in a.coeffs], a.domain, a.r, a.R, a.m)
+
+
+def _algebra_symbol(rng, kind, K, nvars, order):
+    """A seeded symbol: order-0 scalars, exact or complex series; sparse
+    rows mixed in so both walk directions of the product occur."""
+    domain = HALF if nvars == 1 else HALF * fs.Domain.disk(0.4)
+    if kind == "scalar":
+        coeffs = [float(rng.uniform(0.5, 2.0))] + [float(rng.uniform(-1, 1)) for _ in range(K)]
+    else:
+        exact = kind == "exact"
+        coeffs = [PowerSeries(_random_box(rng, nvars, order, exact, n_live), order)
+                  for n_live in ([None, 2, None, 1, 0, None, 3] * 2)[: K + 1]]
+        lift = Fraction(40) if exact else 40.0  # keep a_0 away from zero on the grid
+        coeffs[0] = coeffs[0] + lift
+    return fs.make_symbol(coeffs, domain, r=2.0, R=2.0, m=4)
+
+
+def _assert_rows_close(got, want, scale, kind):
+    for g, w, s in zip(got, want, scale):
+        if kind == "series":
+            assert np.all(np.abs(g.coeffs - w.coeffs) <= 1e-14 * np.abs(s.coeffs)), (g, w)
+        else:
+            # exact rows and order-0 scalars take the same single products
+            assert g.coeffs.dtype == w.coeffs.dtype and np.array_equal(g.coeffs, w.coeffs)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "exact", "series"])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_cauchy_product_matches_double_loop(kind, nvars):
+    rng = np.random.default_rng([nvars, len(kind)])
+    order = 6 if nvars == 1 else 4
+    for Ka, Kb in [(0, 0), (1, 3), (6, 6), (6, 4)]:
+        a = _algebra_symbol(rng, kind, Ka, nvars, order)
+        b = _algebra_symbol(rng, kind, Kb, nvars, order)
+        got = fs.cauchy_product(a, b)
+        want = _loop_cauchy_product(a, b)
+        assert got.K == min(Ka, Kb) == len(want) - 1
+        scale = _loop_cauchy_product(_abs_symbol(a), _abs_symbol(b)) if kind == "series" else want
+        _assert_rows_close(got.coeffs, want, scale, kind)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "exact", "series"])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_star_inverse_matches_double_loop(kind, nvars):
+    rng = np.random.default_rng([nvars, len(kind), 1])
+    order = 6 if nvars == 1 else 4
+    for K in (0, 1, 4, 6):
+        a = _algebra_symbol(rng, kind, K, nvars, order)
+        got = fs.star_inverse(a)
+        want = _loop_star_inverse(a)
+        assert got.K == K and len(got.coeffs) == K + 1
+        if kind == "series":
+            # the loop on |a_0|^-1 and |a_i| bounds every product and sum it takes
+            inv0 = np.abs(a.coeffs[0].reciprocal().coeffs) + 0j
+            bound = [PowerSeries(inv0, order)]
+            for k in range(1, K + 1):
+                acc = sum((PowerSeries(np.abs(a.coeffs[i].coeffs) + 0j, order) * bound[k - i]
+                           for i in range(1, k + 1)), PowerSeries.zero(nvars, order))
+                bound.append(bound[0] * acc)
+            # each b_k carries the rounding of every b_j before it: k-fold slack
+            scale = [PowerSeries(b.coeffs * (k + 1), order) for k, b in enumerate(bound)]
+        else:
+            scale = want
+        _assert_rows_close(got.coeffs, want, scale, kind)
+
+
+@pytest.mark.parametrize("field, value", [("r", 3.0), ("R", 1.5), ("m", 5),
+                                          ("j_max", 4), ("grid_resolution", 21)])
+def test_cauchy_product_rejects_another_class(field, value):
+    # the product is stamped with a's class, so a factor of another class
+    # would be certified against a constant measured in its own
+    a = fs.make_symbol([1.0, 0.5, 0.25], HALF, r=2.0, R=2.0, m=4)
+    b = fs.make_symbol([2.0, -1.0, 0.5], HALF, r=2.0, R=2.0, m=4)
+    other = dataclasses.replace(b, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        fs.cauchy_product(a, other)
+    with pytest.raises(ValueError, match=field):
+        fs.product_bound_check(other, a)
+    assert fs.cauchy_product(a, b).K == 2  # the same class still multiplies
+
+
+def test_star_inverse_report_evaluates_a0_once(monkeypatch):
+    a = fs.make_symbol(
+        [PowerSeries.from_terms({(0,): 2.0, (1,): 0.5}, 1, 6), PowerSeries.constant(0.3, 1, 6)],
+        HALF, r=2.0, R=2.0, m=4,
+    )
+    a.constant  # certified before the count starts
+    calls = []
+    real = fs._eval_mesh
+
+    def counting(series, grids):
+        calls.append(series)
+        return real(series, grids)
+
+    monkeypatch.setattr(fs, "_eval_mesh", counting)
+    rep = fs.star_inverse_report(a)
+    assert len(calls) == 1 and calls[0] is a.coeffs[0]
+    assert rep.min_abs_a0 == float(np.min(np.abs(real(a.coeffs[0], HALF.grids(41)))))
+    want = _loop_star_inverse(a)
+    for got, w in zip(rep.inverse.coeffs, want):
+        assert np.allclose(got.coeffs, w.coeffs, rtol=0, atol=1e-14)
+    # star_inverse alone keeps its own guard, and so does the report
+    vanishing = fs.make_symbol(
+        [PowerSeries.from_terms({(1,): 1.0}, 1, 4), PowerSeries.constant(1.0, 1, 4)],
+        HALF, r=2.0, R=2.0, m=0,
+    )
+    for invert in (fs.star_inverse, fs.star_inverse_report):
+        with pytest.raises(ValueError, match="vanishes"):
+            invert(vanishing)
+
+
+def test_summation_stacked_sup_and_tail_match_eval_mesh():
+    coeffs = [PowerSeries.from_terms({(0,): 1.0 + k, (1,): 0.3 * k, (2,): -0.1}, 1, 8)
+              for k in range(7)]
+    a = fs.make_symbol(coeffs, HALF, r=2.0, R=0.5, m=4)
+    res = fs.summation(a, 3, c1=0.5)
+    grids = HALF.grids(41)
+    tail = PowerSeries.zero(1, 8)
+    for k in range(2, res.K_used + 1):
+        tail = tail + coeffs[k] * (3.0 ** -k)
+    assert res.sup_abs == float(np.max(np.abs(_eval_mesh(res.values, grids))))
+    assert res.tail_estimate == float(np.max(np.abs(_eval_mesh(tail, grids))))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplitz_forge.series import PowerSeries, _degree_grid, _truncated_product
+from toeplitz_forge.series import PowerSeries, _degree_grid, _product_plan, _truncated_product
 from toeplitz_forge.stationary_phase import PairFamily
 
 ORDER = 5
@@ -180,6 +180,67 @@ def test_sparser_operand_walk_matches_left_walk(nvars, order, exact):
         else:
             scale = _left_walk_product(np.abs(a), np.abs(b), order).real
             assert np.all(np.abs(got - want) <= SUM_ORDER_TOL * scale)
+
+
+def _argwhere_walk_product(a, b, order):
+    """The product before its walk plan: the sparser operand's nonzeros by
+    ``argwhere`` and their slices rebuilt on every call."""
+    live = a != 0
+    if a.ndim == b.ndim:
+        live_b = b != 0
+        if np.count_nonzero(live_b) < np.count_nonzero(live):
+            a, b, live = b, a, live_b
+    if a.dtype == object:
+        out = np.full(b.shape, Fraction(0), dtype=object)
+    else:
+        out = np.zeros(b.shape, dtype=np.complex128)
+    lead = (slice(None),) * (b.ndim - a.ndim)
+    for expo in np.argwhere(live).tolist():
+        room = order + 1 - sum(expo)
+        if room <= 0:
+            continue
+        dst = lead + tuple(slice(e, e + room) for e in expo)
+        src = lead + (slice(0, room),) * len(expo)
+        out[dst] += a[tuple(expo)] * b[src]
+    out[lead + (_degree_grid(a.ndim, order) > order,)] = 0
+    return out
+
+
+_PLAN_CASES = (
+    [(n, o, False) for n in (1, 2, 3, 4) for o in range(9)]
+    + [(1, 36, False), (2, 36, False)]
+    + [(n, o, True) for n in (1, 2, 3) for o in range(0, 9, 2)]
+    + [(1, 36, True), (4, 4, True)]
+)
+
+
+@pytest.mark.parametrize("nvars, order, exact", _PLAN_CASES)
+def test_product_plan_matches_argwhere_walk(nvars, order, exact):
+    rng = np.random.default_rng([nvars, order, int(exact), 7])
+    dense = _operand(rng, nvars, order, None, exact)
+    sparse = _operand(rng, nvars, order, 3, exact)
+    zero = _operand(rng, nvars, order, 0, exact)
+    # a right operand with leading axes: the left one is walked, as before
+    stack = np.stack([dense, sparse, zero])
+    pairs = [(sparse, dense), (dense, sparse), (dense, dense), (zero, dense),
+             (dense, zero), (zero, zero), (sparse, stack), (dense, stack), (zero, stack)]
+    for a, b in pairs:
+        got = _truncated_product(a, b, order)
+        want = _argwhere_walk_product(a, b, order)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        if not exact:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_product_plan_is_read_only():
+    under, slices, above = _product_plan(3, 4)
+    n_under = int(np.count_nonzero(_degree_grid(3, 4) <= 4))
+    assert len(under) == len(slices) == n_under and len(above) == 5**3 - n_under
+    for arr in (under, above):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert isinstance(slices, tuple) and _product_plan(3, 4)[1] is slices
 
 
 @pytest.mark.parametrize("n_live", [0, 1, 4, None])
