@@ -2,8 +2,9 @@
 dense times sparse), series composition, both Morse flattenings, the
 Wick contraction, the composition engine's build and two of its
 callers, the sphere kernel quadrature behind covariant_matrix and
-bergman_gram_defect, the exact moment path of contravariant_matrix,
-and the symbol class: a symbol-norm certificate, a covariant symbol's
+bergman_gram_defect, the exact moment path of contravariant_matrix
+on both models (on the sphere also at N = 600, where the norms fall
+below the float range), and the symbol class: a symbol-norm certificate, a covariant symbol's
 norm_estimate, and the Cauchy product and star inverse at K = 6.
 
 Each time is the best of five calls after one warm-up call.
@@ -51,6 +52,9 @@ def _workloads():
     # a multiplier of the spectral sweep's shape: a lead coordinate, its
     # square and the other two coordinates
     mult = {(1, 0, 0): 1.0, (2, 0, 0): 0.3, (0, 1, 0): -0.2, (0, 0, 1): 0.4}
+    # its plane counterpart in z and zbar: Re z, |z|^2 and one cubic term
+    plane_mult = {(1, 0): 0.5, (0, 1): 0.5, (1, 1): 0.3, (2, 1): 0.1}
+    plane = geometry.bargmann()
     jobs = {
         "conv_pair 17^2x9^2": lambda: _kernels.conv_pair(a, b, 16, 8),
         "conv_pair sphere 11^2x9^2": lambda: _kernels.conv_pair(
@@ -109,6 +113,8 @@ def _workloads():
         "bergman_gram_defect N=8": lambda: qs.bergman_gram_defect(sph, 8),
         "bergman_gram_defect N=64": lambda: qs.bergman_gram_defect(sph, 64),
         "contravariant_matrix sphere N=64": lambda: qs.contravariant_matrix(sph, mult, 64),
+        "contravariant_matrix sphere N=600": lambda: qs.contravariant_matrix(sph, mult, 600),
+        "contravariant_matrix plane N=64": lambda: qs.contravariant_matrix(plane, plane_mult, 64),
     })
     # one-variable order-8 symbols at K = 6 on [-1/2, 1/2], a_k of size
     # R^k k!, as the exact-symbolic workload builds them

@@ -344,16 +344,6 @@ def _cmd_geometry(args) -> tuple:
 # phase expand
 
 
-def _phase_pair(geometry, order: int):
-    from .series import PowerSeries
-
-    if geometry.compact:
-        u = PowerSeries.variable(0, 2, order)
-        ubar = PowerSeries.variable(1, 2, order)
-        return -((1 + u * ubar).log())
-    return PowerSeries.from_terms({(1, 1): -1.0}, 2, order)
-
-
 def _cmd_phase(args) -> tuple:
     from . import stationary_phase as sp
     from .series import PowerSeries
@@ -364,7 +354,8 @@ def _cmd_phase(args) -> tuple:
         raise ValueError("need K >= 0 and degree >= 0")
     geometry = _geometry(args.geometry)
     order = max(2 * args.K + 2, args.degree)
-    phase = _phase_pair(geometry, order)
+    u, ubar = PowerSeries.variable(0, 2, order), PowerSeries.variable(1, 2, order)
+    phase = -geometry.two_phi_tilde(u, ubar)
     rng = np.random.default_rng(args.seed)
     terms = {}
     for i in range(args.degree + 1):

@@ -11,7 +11,9 @@ A model states five primitives, and everything else is derived from them:
   a Kaehler model it is also the mixed Hessian of ``L``, so the metric is
   ``2 rho(z, zbar) |dz|^2``.
 * ``geodesic_distance``; sphere injectivity radius ``pi / sqrt(2)``.
-* ``norm_sq_monomial`` and ``bergman_kernel``, the exact level-N oracles.
+* ``level_moments`` (``||z^m||^2`` at levels N + s, integers over one
+  denominator) and ``bergman_kernel``, the exact level-N oracles; the
+  ambient ``coordinates`` are integer polynomials over ``(1 + z zbar)``.
 
 Each formula is written once and takes numpy arrays or scalars (made
 complex) and ring elements (``PowerSeries``, ``PairFamily``) alike: the
@@ -28,8 +30,10 @@ the real locus; all oscillatory-integral machinery downstream expands
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,6 +76,10 @@ class ModelGeometry:
 
     name: str
     compact: bool
+    # the ambient coordinates, each a table {(p, q): (re, im)} of integer
+    # multiples of z^p zbar^q over (1 + z zbar)^over_power
+    coordinates: tuple
+    over_power: int
 
     # -- primitives, overridden per model -----------------------------------
 
@@ -86,8 +94,12 @@ class ModelGeometry:
     def geodesic_distance(self, x, y):
         raise NotImplementedError
 
-    def norm_sq_monomial(self, N: int, j: int) -> Fraction:
-        """Exact squared norm of z^j in the weighted space at level N."""
+    def level_moments(self, N: int, top_s: int, top_m: int) -> tuple:
+        """Exact moments M_{N+s}(m) = ||z^m||^2 at levels N + s <= N + top_s.
+
+        Returns ``(rows, den)``: ``rows[s][m]``, for m <= top_m within the
+        level-(N+s) space, is the Python-int numerator of M_{N+s}(m) over den.
+        """
         raise NotImplementedError
 
     def bergman_kernel(self, N: int, x, ybar):
@@ -95,6 +107,27 @@ class ModelGeometry:
         raise NotImplementedError
 
     # -- shared derived quantities ------------------------------------------
+
+    def norm_sq_monomial(self, N: int, j: int) -> Fraction:
+        """Exact squared norm of z^j in the weighted space at level N."""
+        (row,), den = self.level_moments(N, 0, j)
+        if not 0 <= j < len(row):
+            raise ValueError(f"monomial degree {j} outside the level-{N} space")
+        return Fraction(row[j], den)
+
+    def monomial_expansion(self, exponents) -> tuple:
+        """A monomial in the ``coordinates`` as (s, {(p, q): (re, im)}): the sum
+        of (re + i im) z^p zbar^q (1 + z zbar)^{-s}; on the plane, z^p zbar^q."""
+        terms = {(0, 0): (1, 0)}
+        for coord, e in zip(self.coordinates, exponents):
+            for _ in range(e):
+                out = {}
+                for (p, q), (re, im) in terms.items():
+                    for (dp, dq), (cre, cim) in coord.items():
+                        ore, oim = out.get((p + dp, q + dq), (0, 0))
+                        out[p + dp, q + dq] = (ore + re * cre - im * cim, oim + re * cim + im * cre)
+                terms = out
+        return self.over_power * sum(exponents), terms
 
     def psi_pointwise_norm(self, x, y, N: int):
         """|Psi^N(x, conj y)| measured in the weighted norm at both points.
@@ -162,6 +195,8 @@ class BargmannModel(ModelGeometry):
     name = "bargmann"
     compact = False
     injectivity_radius = math.inf
+    coordinates = ({(1, 0): (1, 0)}, {(0, 1): (1, 0)})  # z, zbar
+    over_power = 0
 
     def two_phi_tilde(self, x, wbar):
         x, wbar = _operands(x, wbar)
@@ -174,8 +209,13 @@ class BargmannModel(ModelGeometry):
     def geodesic_distance(self, x, y):
         return math.sqrt(2.0) * np.abs(np.subtract(x, y))
 
-    def norm_sq_monomial(self, N: int, j: int) -> Fraction:
-        return Fraction(math.factorial(j), N ** (j + 1))
+    def level_moments(self, N: int, top_s: int, top_m: int) -> tuple:
+        """m! / N^{m+1} over N^{T+1}, T = top_m; the Gaussian weight has no s."""
+        if top_s:
+            raise ValueError("plane moments carry no (1 + z zbar) power")
+        fact = accumulate(range(1, top_m + 1), operator.mul, initial=1)
+        powers = list(accumulate([N] * top_m, operator.mul, initial=1))[::-1]
+        return [[f * pw for f, pw in zip(fact, powers)]], N ** (top_m + 1)
 
     def bergman_kernel(self, N: int, x, ybar):
         return N * np.exp(N * np.asarray(x, dtype=complex) * np.asarray(ybar, dtype=complex))
@@ -187,6 +227,13 @@ class SphereModel(ModelGeometry):
     name = "sphere"
     compact = True
     injectivity_radius = math.pi / math.sqrt(2.0)
+    # x1, x2, x3 of ``euclid_polarized``: z + zbar, -i (z - zbar), 1 - z zbar
+    coordinates = (
+        {(1, 0): (1, 0), (0, 1): (1, 0)},
+        {(1, 0): (0, -1), (0, 1): (0, 1)},
+        {(0, 0): (1, 0), (1, 1): (-1, 0)},
+    )
+    over_power = 1
 
     def two_phi_tilde(self, x, wbar):
         x, wbar = _operands(x, wbar)
@@ -204,10 +251,15 @@ class SphereModel(ModelGeometry):
         ratio = np.clip(num / den, 0.0, 1.0)
         return math.sqrt(2.0) * np.arccos(np.sqrt(ratio))
 
-    def norm_sq_monomial(self, N: int, j: int) -> Fraction:
-        if not 0 <= j <= N:
-            raise ValueError(f"monomial degree {j} outside 0..{N}")
-        return Fraction(math.factorial(j) * math.factorial(N - j), math.factorial(N + 1))
+    def level_moments(self, N: int, top_s: int, top_m: int) -> tuple:
+        """m! (N+s-m)! / (N+s+1)! over (N+S+1)!, S = top_s; a multiplier
+        term's (1 + z zbar)^{-s} lifts its moments to level N + s."""
+        fact = list(accumulate(range(1, N + top_s + 2), operator.mul, initial=1))
+        rows = []
+        for s in range(top_s + 1):
+            lift = fact[N + top_s + 1] // fact[N + s + 1]
+            rows.append([fact[m] * fact[N + s - m] * lift for m in range(min(top_m, N + s) + 1)])
+        return rows, fact[N + top_s + 1]
 
     def bergman_kernel(self, N: int, x, ybar):
         return (N + 1) * (1.0 + np.asarray(x, dtype=complex) * np.asarray(ybar, dtype=complex)) ** N

@@ -1,12 +1,14 @@
 """Finite-rank realization of the weighted Hardy spaces and their operators.
 
 The level-N Hardy space has the monomial basis z^j with exact squared
-norms (Beta integrals on the sphere, Gaussian moments on the plane).
+norms (Beta integrals on the sphere, Gaussian moments on the plane),
+which each geometry states once as integer moments (``level_moments``).
 This module builds dense matrices in the orthonormalized basis for the
 two quantization routes:
 
-* multiplier (contravariant) operators u -> projection of f u, with an
-  exact rational moment path for polynomial f in the ambient coordinates;
+* multiplier (contravariant) operators u -> projection of f u, with one
+  exact moment path, shared by both models, for polynomial f in the
+  geometry's coordinates;
 * kernel (covariant) operators with kernel N^d 1_U Psi^N sum_k N^{-k} s_k,
   where U is a sharp geodesic cutoff, assembled by quadrature that splits
   into radial Gauss-Legendre nodes and an angular rule on the exact
@@ -23,7 +25,6 @@ general regions), and least-squares exponential decay fits.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ import numpy as np
 
 from .covariant_calculus import CovariantSymbol, bergman_symbol
 from .function_spaces import summation_cutoff
-from .geometry import ModelGeometry
+from .geometry import ModelGeometry, sphere
 
 __all__ = [
     "OperatorMatrix",
@@ -69,7 +70,7 @@ def _basis_dim(geometry: ModelGeometry, N: int, cutoff: Optional[int] = None) ->
 
     The sphere space is finite (degree <= N); the plane space is
     truncated at degree ``cutoff`` (default N) for matrix work.  The
-    exact squared norms are ``geometry.norm_sq_monomial``.
+    exact squared norms are ``geometry.level_moments`` at s = 0.
     """
     if N < 1 or N != int(N):
         raise ValueError("N must be a positive integer")
@@ -117,112 +118,68 @@ def _as_matrix(m) -> np.ndarray:
 # contravariant (multiplier) matrices: exact moment path
 
 
-def _euclid_monomial_expansion(e1: int, e2: int, e3: int):
-    """Expand x1^e1 x2^e2 x3^e3 = (1+z zbar)^{-s} sum c_pq z^p zbar^q.
+def _moment_entries(geometry: ModelGeometry, terms: dict, N: int, dim: int) -> np.ndarray:
+    """Entries <e_j, f e_k> for f a polynomial in the geometry's coordinates, exactly.
 
-    Returns (s, {(p, q): (re, im)}) with integer coefficient parts.
-    """
-    terms = {(0, 0): (1, 0)}
-
-    def mul(table, pieces):
-        out = {}
-        for (p, q), (re, im) in table.items():
-            for (dp, dq), c in pieces:
-                key = (p + dp, q + dq)
-                ore, oim = out.get(key, (0, 0))
-                out[key] = (ore + re * c, oim + im * c)
-        return out
-
-    for _ in range(e1):
-        terms = mul(terms, [((1, 0), 1), ((0, 1), 1)])
-    for _ in range(e2):
-        terms = mul(terms, [((1, 0), 1), ((0, 1), -1)])
-    for _ in range(e3):
-        terms = mul(terms, [((0, 0), 1), ((1, 1), -1)])
-    # each x2 factor contributes -i; apply the quarter turns at the end
-    for _ in range(e2):
-        terms = {k: (im, -re) for k, (re, im) in terms.items()}
-    return e1 + e2 + e3, terms
-
-
-def _split_coefficient(c) -> tuple:
-    c = complex(c)
-    return Fraction(c.real), Fraction(c.imag)
-
-
-def _sphere_moment_entries(terms: dict, N: int, dim: int) -> np.ndarray:
-    """Entries <e_j, f e_k> for f a polynomial in (x1, x2, x3), exactly.
-
-    The coefficient table maps exponent triples to (complex) coefficients;
-    the level-N basis has ``dim = N + 1`` monomials, whose squared norms
-    j! (N-j)! / (N+1)! are read from the same factorial table.  A
-    monomial of total degree s expands into integer multiples of
-    z^p zbar^q / (1+t)^s, and such a term reaches only the band
-    k = j + q - p, with the Beta moment (j+q)! (N+s-j-q)! / (N+s+1)!.
-    Every entry is held as a Python-int numerator over one denominator
-    den (N+S+1)!: den is the lcm of the coefficients' dyadic denominators
-    and S the top s, so each moment is lifted by (N+S+1)!/(N+s+1)!.  Int
-    true division rounds correctly, so each float is the one
-    float(Fraction) gives; only the final orthonormalization square root
-    leaves exact arithmetic.
+    The coefficient table maps exponent tuples to (complex) coefficients.
+    A monomial expands (``geometry.monomial_expansion``) into integer
+    multiples of z^p zbar^q / (1+t)^s, and such a term reaches only the
+    band k = j + q - p, with the level-(N+s) moment M_{N+s}(j+q) of
+    ``geometry.level_moments``; the plane is the case s = 0.  Every entry
+    is held as a Python-int numerator over one denominator: the lcm of
+    the coefficients' dyadic denominators times the moments' shared one.
+    Int true division rounds correctly, so a diagonal entry is the float
+    float(Fraction) gives.  An off-diagonal entry divides the rounded sum
+    by the rounded square root of the rounded M_N(j) M_N(k); both
+    rationals are first scaled by one power of two, chosen so that
+    neither leaves the float range, which changes no bit where they were
+    normal.
     """
     parts = []
-    for (e1, e2, e3), cval in terms.items():
-        cre, cim = _split_coefficient(cval)
+    for expo, cval in terms.items():
+        c = complex(cval)
+        cre, cim = Fraction(c.real), Fraction(c.imag)
         if cre or cim:
-            parts.append((cre, cim) + _euclid_monomial_expansion(e1, e2, e3))
+            parts.append((cre, cim) + geometry.monomial_expansion(expo))
     if not parts:
         return np.zeros((dim, dim), dtype=complex)
     den = math.lcm(*(c.denominator for cre, cim, _, _ in parts for c in (cre, cim)))
     top_s = max(s for _, _, s, _ in parts)
-    fact = list(accumulate(range(1, N + top_s + 2), operator.mul, initial=1))
-    acc = {}  # (j, k) -> [re, im] numerators over den (N+S+1)!
+    # j + q = k + p <= dim - 1 + min(p, q), and min(p, q) is at most the degree
+    top_m = dim - 1 + max(map(sum, terms))
+    rows, moment_den = geometry.level_moments(N, top_s, top_m)
+    acc = {}  # (j, k) -> [re, im] numerators over den * moment_den
     for cre, cim, s, expansion in parts:
-        lift = fact[N + top_s + 1] // fact[N + s + 1]
-        are = cre.numerator * (den // cre.denominator) * lift
-        aim = cim.numerator * (den // cim.denominator) * lift
+        are = cre.numerator * (den // cre.denominator)
+        aim = cim.numerator * (den // cim.denominator)
+        row = rows[s]
         for (p, q), (xre, xim) in expansion.items():
             tre = are * xre - aim * xim
             tim = are * xim + aim * xre
             for j in range(max(0, p - q), min(dim, dim + p - q)):
-                moment = fact[j + q] * fact[N + s - j - q]
+                moment = row[j + q]
                 entry = acc.setdefault((j, j + q - p), [0, 0])
                 entry[0] += tre * moment
                 entry[1] += tim * moment
-    common = den * fact[N + top_s + 1]
+    common, norm_den = den * moment_den, moment_den * moment_den
+    norms = rows[0]  # M_N(j) over moment_den
     out = np.zeros((dim, dim), dtype=complex)
     for (j, k), (re, im) in acc.items():
         if re == 0 and im == 0:
             continue
-        nj = fact[j] * fact[N - j]  # ||z^j||^2 (N+1)!
         if j == k:
-            scale = common * nj
-            out[j, k] = complex(re * fact[N + 1] / scale, im * fact[N + 1] / scale)
-        else:
-            root = math.sqrt(nj * fact[k] * fact[N - k] / fact[N + 1] ** 2)
-            out[j, k] = complex(re / common, im / common) / root
-    return out
-
-
-def _plane_moment_entries(terms: dict, N: int, dim: int) -> np.ndarray:
-    """Entries <e_j, z^p zbar^q e_k> on the truncated plane basis."""
-    out = np.zeros((dim, dim), dtype=complex)
-    logN = math.log(N)
-    for (p, q), cval in sorted(terms.items()):
-        c = complex(cval)
-        if c == 0:
+            scale = den * norms[j]
+            out[j, k] = complex(re / scale, im / scale)
             continue
-        for j in range(dim):
-            k = j + p - q  # k + p = j + q reversed: j + q = k + p
-            if not 0 <= k < dim:
-                continue
-            m = j + q
-            loge = (
-                math.lgamma(m + 1)
-                - 0.5 * (math.lgamma(j + 1) + math.lgamma(k + 1))
-                + (0.5 * (j + k) - m) * logN
-            )
-            out[j, k] += c * math.exp(loge)
+        # M_N(j) M_N(k) 4^e is near 1; the 2^e it puts on the sum cancels
+        prod = norms[j] * norms[k]
+        e = (norm_den.bit_length() - prod.bit_length()) // 2
+        if e >= 0:
+            root = math.sqrt((prod << 2 * e) / norm_den)
+            out[j, k] = complex((re << e) / common, (im << e) / common) / root
+        else:
+            root, scale = math.sqrt(prod / (norm_den << -2 * e)), common << -e
+            out[j, k] = complex(re / scale, im / scale) / root
     return out
 
 
@@ -248,7 +205,7 @@ def _section_grid(geometry: ModelGeometry, N: int, dim: int, n_radial: int, n_an
         vol, log_h = tw, -float(N) * t
         coords = (z.real, z.imag)
     j = np.arange(dim)[None, :]
-    lognorm = _log_norm_inv(geometry.compact, N, dim)[None, :]
+    lognorm = _log_norm_inv(geometry, N, dim)[None, :]
     moduli = np.exp(0.5 * j * np.log(t)[:, None] + 0.5 * log_h[:, None] + 0.5 * lognorm)
     return vol, theta, coords, moduli
 
@@ -286,12 +243,11 @@ def _quadrature_entries(geometry: ModelGeometry, func: Callable, N: int, dim: in
     return refined
 
 
-def _log_norm_inv(compact: bool, N: int, dim: int) -> np.ndarray:
-    """log(1 / ||z^j||^2) for the level-N weight, j < dim."""
-    if compact:
-        return np.array([math.lgamma(N + 2) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
-                         for j in range(dim)])
-    return np.array([(j + 1) * math.log(N) - math.lgamma(j + 1) for j in range(dim)])
+def _log_norm_inv(geometry: ModelGeometry, N: int, dim: int) -> np.ndarray:
+    """log(1 / ||z^j||^2) for the level-N weight, j < dim, from the exact moments."""
+    (row,), den = geometry.level_moments(N, 0, dim - 1)
+    log_den = math.log(den)
+    return np.array([log_den - math.log(m) for m in row])
 
 
 def contravariant_matrix(
@@ -302,10 +258,11 @@ def contravariant_matrix(
 ) -> OperatorMatrix:
     """Matrix of u -> projection(f u) in the orthonormal monomial basis.
 
-    ``f`` is a mapping of exponent tuples to coefficients: triples
-    (e1, e2, e3) over the ambient sphere coordinates, pairs (p, q) over
-    plane monomials z^p zbar^q.  Polynomial data goes through the exact
-    rational moment path; a callable f falls back to quadrature
+    ``f`` is a mapping of exponent tuples over ``geometry.coordinates`` to
+    coefficients: triples (e1, e2, e3) over the ambient sphere
+    coordinates, pairs (p, q) over plane monomials z^p zbar^q.  Polynomial
+    data goes through one exact moment path for both models
+    (``_moment_entries``); a callable f falls back to quadrature
     (``f(x1, x2, x3)`` on the sphere, ``f(re, im)`` on the plane).
     """
     dim = _basis_dim(geometry, N, cutoff)
@@ -313,15 +270,11 @@ def contravariant_matrix(
         ent = _quadrature_entries(geometry, f, N, dim)
         return OperatorMatrix(ent, N)
     terms = dict(f)
-    width = 3 if geometry.compact else 2
+    width = len(geometry.coordinates)
     for key in terms:
         if len(key) != width or any(int(e) != e or e < 0 for e in key):
             raise ValueError(f"exponent tuples must be length {width} and nonnegative")
-    if geometry.compact:
-        ent = _sphere_moment_entries(terms, int(N), dim)
-    else:
-        ent = _plane_moment_entries(terms, N, dim)
-    return OperatorMatrix(ent, N)
+    return OperatorMatrix(_moment_entries(geometry, terms, int(N), dim), N)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +476,7 @@ def _sphere_diagonal_quadrature(
         inner = folded @ np.exp(-1j * np.outer(grid, np.arange(dim)))
         del folded
     j = np.arange(dim)
-    lognj = _log_norm_inv(True, N, dim)
+    lognj = _log_norm_inv(sphere(), N, dim)
     w = tw[:, None] * np.exp(
         0.5 * j[None, :] * logt[:, None] - (0.5 * N + 2.0) * l1p[:, None] + 0.5 * lognj[None, :]
     )

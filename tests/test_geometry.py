@@ -161,10 +161,39 @@ def test_monomial_norms_exact():
     s = sphere()
     assert s.norm_sq_monomial(4, 2) == Fraction(1, 30)
     assert s.norm_sq_monomial(4, 0) == Fraction(1, 5)
+    assert s.norm_sq_monomial(4, 4) == Fraction(1, 5)
     with pytest.raises(ValueError):
         s.norm_sq_monomial(4, 5)
     b = bargmann()
     assert b.norm_sq_monomial(3, 2) == Fraction(2, 27)
+    assert b.norm_sq_monomial(2, 0) == Fraction(1, 2)
+    assert b.norm_sq_monomial(5, 4) == Fraction(24, 3125)
+    for m in (s, b):
+        with pytest.raises(ValueError):
+            m.norm_sq_monomial(4, -1)
+
+
+def test_level_moments_share_one_denominator():
+    # sphere levels 2 and 3: m! (2-m)! / 3! and m! (3-m)! / 4!, over 4!
+    rows, den = sphere().level_moments(2, 1, 3)
+    assert den == 24
+    assert [[Fraction(n, den) for n in row] for row in rows] == [
+        [Fraction(1, 3), Fraction(1, 6), Fraction(1, 3)],
+        [Fraction(1, 4), Fraction(1, 12), Fraction(1, 12), Fraction(1, 4)],
+    ]
+    # plane m! / 3^{m+1} for m <= 3, over 3^4; it has no level shift
+    (row,), den = bargmann().level_moments(3, 0, 3)
+    assert (row, den) == ([27, 9, 6, 6], 81)
+    with pytest.raises(ValueError):
+        bargmann().level_moments(3, 1, 3)
+
+
+def test_monomial_expansion_over_the_chart():
+    # x1 x2 = -i (z^2 - zbar^2) / (1+t)^2 and x3 = (1 - z zbar) / (1+t)
+    assert sphere().monomial_expansion((1, 1, 0)) == (2, {(2, 0): (0, -1), (1, 1): (0, 0),
+                                                          (0, 2): (0, 1)})
+    assert sphere().monomial_expansion((0, 0, 1)) == (1, {(0, 0): (1, 0), (1, 1): (-1, 0)})
+    assert bargmann().monomial_expansion((2, 3)) == (0, {(2, 3): (1, 0)})
 
 
 def test_bergman_kernel_is_normalized_monomial_sum():

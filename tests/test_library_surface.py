@@ -26,7 +26,7 @@ ORACLES = (
     "phase_phi1_series",  # pointwise phase jet vs the engine's phase family
     "density_rho_series",  # pointwise density jet vs the engine's rho J
     "hull_vertices",  # vertex enumeration vs hull membership
-    "norm_sq_monomial",  # Fraction monomial norms vs the factorial-table moments
+    "norm_sq_monomial",  # level_moments at s = 0 as Fractions, pinned as literals
     "predict_integral",  # an expansion's prediction for numeric_phase_integral
     # paper claims and guards the tests check directly
     "lem_easy_sum",  # the two-sided sum lemma against its frozen constant

@@ -1,11 +1,13 @@
 """Tests for finite-level operator matrices, norms, and decay reports."""
 
+import functools
 import itertools
 import math
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -125,62 +127,127 @@ def test_multiplier_rejects_bad_exponents():
         qs.contravariant_matrix(SPH, {(1, 0, -1): 1.0}, 4)
 
 
-def _fraction_moment_entries(terms, N):
-    """The per-entry Fraction loop that _sphere_moment_entries replaces.
+def _fraction_moments(geom, terms, N, dim):
+    """Exact entry sums and norms of a multiplier matrix, as Fractions.
 
-    Every entry of the matrix accumulates Fraction products of the
-    coefficient, the expansion coefficient and the Beta moment
-    (j+q)! (N+s-j-q)! / (N+s+1)!, and is rounded once by float(Fraction).
+    Every entry (j, k) accumulates Fraction products of the coefficient,
+    the expansion coefficient and the moment M_{N+s}(j+q), taken from
+    math.factorial rather than the geometry: (j+q)! (N+s-j-q)! / (N+s+1)!
+    on the sphere, (j+q)! / N^{j+q+1} on the plane, whose monomial z^p zbar^q
+    expands to itself with s = 0.  Returns ({(j, k): [re, im]}, norms).
     """
-    dim = N + 1
-    norms = [SPH.norm_sq_monomial(N, j) for j in range(dim)]
-    acc_re = [[Fraction(0)] * dim for _ in range(dim)]
-    acc_im = [[Fraction(0)] * dim for _ in range(dim)]
-    for (e1, e2, e3), cval in sorted(terms.items()):
+    fact = functools.cache(math.factorial)
+
+    @functools.cache
+    def moment(s, m):
+        if geom.compact:
+            return Fraction(fact(m) * fact(N + s - m), fact(N + s + 1))
+        return Fraction(fact(m), N ** (m + 1))
+
+    acc = {}
+    for expo, cval in sorted(terms.items()):
         c = complex(cval)
         cre, cim = Fraction(c.real), Fraction(c.imag)
         if cre == 0 and cim == 0:
             continue
-        s, expansion = qs._euclid_monomial_expansion(e1, e2, e3)
+        s, expansion = geom.monomial_expansion(expo) if geom.compact else (0, {expo: (1, 0)})
         for (p, q), (xre, xim) in expansion.items():
             tre = cre * xre - cim * xim
             tim = cre * xim + cim * xre
             for j in range(dim):
                 k = j + q - p
-                if not 0 <= k < dim:
-                    continue
-                moment = Fraction(math.factorial(j + q) * math.factorial(N + s - j - q),
-                                  math.factorial(N + s + 1))
-                acc_re[j][k] += tre * moment
-                acc_im[j][k] += tim * moment
+                if 0 <= k < dim:
+                    mom = moment(s, j + q)
+                    entry = acc.setdefault((j, k), [Fraction(0), Fraction(0)])
+                    entry[0] += tre * mom
+                    entry[1] += tim * mom
+    return acc, [moment(0, j) for j in range(dim)]
+
+
+def _fraction_moment_entries(geom, terms, N, dim):
+    """The per-entry Fraction loop _moment_entries must match bit for bit:
+    each entry rounded once by float(Fraction), the off-diagonal norms once more."""
+    acc, norms = _fraction_moments(geom, terms, N, dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            re, im = acc_re[j][k], acc_im[j][k]
-            if re == 0 and im == 0:
-                continue
-            if j == k:
-                out[j, k] = complex(float(re / norms[j]), float(im / norms[j]))
-            else:
-                out[j, k] = complex(float(re), float(im)) / math.sqrt(float(norms[j] * norms[k]))
+    for (j, k), (re, im) in acc.items():
+        if re == 0 and im == 0:
+            continue
+        if j == k:
+            out[j, k] = complex(float(re / norms[j]), float(im / norms[j]))
+        else:
+            out[j, k] = complex(float(re), float(im)) / math.sqrt(float(norms[j] * norms[k]))
     return out
 
 
-def test_multiplier_moments_match_fraction_loop():
+def _check_moments_against_fraction_loop(geom, complex_key, zero_key):
     # the exact path holds every entry over one integer denominator; it
     # must round each entry as float(Fraction) does.  Terms of degrees 0-3
-    # together exercise the lift of each moment to the top degree
-    monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+    # together exercise the lift of each moment to the top degree; the
+    # plane's truncation is varied past N
+    width = len(geom.coordinates)
+    monomials = [e for e in itertools.product(range(4), repeat=width) if sum(e) <= 3]
     rng = np.random.default_rng(20)
     for N in range(1, 71):
         terms = {}
         for i in rng.choice(len(monomials), size=5, replace=False):
             re, im = rng.uniform(-1.0, 1.0, 2)
             terms[monomials[i]] = complex(re, im) if rng.random() < 0.5 else float(re)
-        terms[(0, 1, 0)] = complex(*rng.uniform(-1.0, 1.0, 2))  # an x2 term
-        terms[(0, 0, 1)] = 0.0  # a zero coefficient
-        got = qs.contravariant_matrix(SPH, terms, N).entries
-        assert np.array_equal(got, _fraction_moment_entries(terms, N)), (N, terms)
+        terms[complex_key] = complex(*rng.uniform(-1.0, 1.0, 2))
+        terms[zero_key] = 0.0  # a zero coefficient
+        cutoff = None if geom.compact or N % 2 else N + N % 4 - 1
+        got = qs.contravariant_matrix(geom, terms, N, cutoff).entries
+        want = _fraction_moment_entries(geom, terms, N, got.shape[0])
+        assert np.array_equal(got, want), (N, terms)
+
+
+def test_multiplier_moments_match_fraction_loop():
+    _check_moments_against_fraction_loop(SPH, (0, 1, 0), (0, 0, 1))  # an x2 term
+
+
+def test_plane_multiplier_moments_match_fraction_loop():
+    _check_moments_against_fraction_loop(PLANE, (0, 1), (1, 1))  # a zbar term
+
+
+@pytest.mark.parametrize("N, cutoff", [(5, None), (16, None), (8, 12)])
+@pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (2, 1), (0, 3)])
+def test_plane_exact_matches_quadrature(N, cutoff, p, q):
+    # z^p zbar^q maps e_k into e_j with j + q = k + p: below the diagonal for p > q
+    exact = qs.contravariant_matrix(PLANE, {(p, q): 1.0}, N, cutoff)
+    quad = qs.contravariant_matrix(PLANE, lambda re, im: (re + 1j * im) ** p * (re - 1j * im) ** q,
+                                   N, cutoff)
+    assert np.max(np.abs(exact.entries - quad.entries)) < 1e-8
+
+
+def test_plane_multiplier_entries_past_float_range():
+    # far past N the norms M_N(m) = m! / N^{m+1} exceed the float range;
+    # x = z + zbar still moves e_j to sqrt((j+1)/N) e_{j+1} and back
+    N, cutoff = 2, 300
+    m = qs.contravariant_matrix(PLANE, {(1, 0): 1.0, (0, 1): 1.0}, N, cutoff).entries
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = np.array([float((Decimal(j + 1) / N).sqrt()) for j in range(cutoff)])
+    assert np.max(np.abs(np.diag(m, -1) - want) / want) <= 2.0**-51
+    assert np.array_equal(m, m.T) and np.count_nonzero(m) == 2 * cutoff
+
+
+@pytest.mark.parametrize("N", [600, 1000])
+def test_sphere_multiplier_entries_past_float_range(N):
+    # the norms M_N(j) M_N(k) fall below the float range from N ~ 515 on,
+    # where the entries themselves are of order one
+    terms = {(1, 0, 0): 1.0, (0, 1, 1): 0.3, (0, 0, 2): -0.5}
+    m = qs.contravariant_matrix(SPH, terms, N)
+    assert m.hermitian_defect() == 0.0
+    acc, norms = _fraction_moments(SPH, terms, N, N + 1)
+    got = m.entries
+    assert np.count_nonzero(got) == sum(1 for (re, im) in acc.values() if re or im)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for (j, k), parts in acc.items():
+            scale = norms[j] * norms[k]
+            root = (Decimal(scale.numerator) / Decimal(scale.denominator)).sqrt()
+            for value, want in zip((got[j, k].real, got[j, k].imag), parts):
+                want = float(Decimal(want.numerator) / Decimal(want.denominator) / root)
+                assert abs(value - want) <= 2 * math.ulp(want), (j, k, value, want)
 
 
 # ---------------------------------------------------------------------------
