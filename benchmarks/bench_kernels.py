@@ -4,7 +4,8 @@ Wick contraction, the composition engine's build and two of its
 callers, the sphere kernel quadrature behind covariant_matrix and
 bergman_gram_defect, the exact moment path of contravariant_matrix
 on both models (on the sphere also at N = 600, where the norms fall
-below the float range), and the symbol class: a symbol-norm certificate, a covariant symbol's
+below the float range) and of covariant_matrix (the plane, and the
+sphere without a cutoff), and the symbol class: a symbol-norm certificate, a covariant symbol's
 norm_estimate, and the Cauchy product and star inverse at K = 6.
 
 Each time is the best of five calls after one warm-up call.
@@ -55,6 +56,8 @@ def _workloads():
     # its plane counterpart in z and zbar: Re z, |z|^2 and one cubic term
     plane_mult = {(1, 0): 0.5, (0, 1): 0.5, (1, 1): 0.3, (2, 1): 0.1}
     plane = geometry.bargmann()
+    plane_berg = cc.bergman_symbol(plane, K=4)
+    x1 = cc.symbol_from_poly(sph, [{(1, 0, 0): 1.0}], order=4)
     jobs = {
         "conv_pair 17^2x9^2": lambda: _kernels.conv_pair(a, b, 16, 8),
         "conv_pair sphere 11^2x9^2": lambda: _kernels.conv_pair(
@@ -110,6 +113,11 @@ def _workloads():
         "covariant_matrix N=8": lambda: qs.covariant_matrix(sph, berg, 8),
         "covariant_matrix N=32": lambda: qs.covariant_matrix(sph, berg, 32),
         "covariant_matrix N=64": lambda: qs.covariant_matrix(sph, berg, 64),
+        # the exact moment route: the plane's Bergman symbol, and x1,
+        # which the sphere quadrature refuses, without a cutoff
+        "covariant_matrix plane N=64": lambda: qs.covariant_matrix(plane, plane_berg, 64),
+        "covariant_matrix sphere x1 uncut N=64": lambda: qs.covariant_matrix(
+            sph, x1, 64, eps=math.inf),
         "bergman_gram_defect N=8": lambda: qs.bergman_gram_defect(sph, 8),
         "bergman_gram_defect N=64": lambda: qs.bergman_gram_defect(sph, 64),
         "contravariant_matrix sphere N=64": lambda: qs.contravariant_matrix(sph, mult, 64),

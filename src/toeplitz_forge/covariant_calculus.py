@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -120,9 +121,10 @@ class CovariantSymbol:
     zero above total degree ``order``.  So ``coeffs`` has shape
     (nodes, K+1, order+1, order+1), and K and order are read off it.  The
     jets are authoritative for the calculus; (r, R, m) is the symbol class
-    ``norm_estimate`` measures them in.  ``exact(weights, x, zbar)``, when
-    present, evaluates sum_k weights[k] f_k exactly at arbitrary polarized
-    points, and ``value`` prefers it to the jets.
+    ``norm_estimate`` measures them in.  ``exact``, when present, holds
+    the polynomials f_k themselves (one exponent -> coefficient dict per k,
+    over ``geometry.coordinates``); ``value`` and ``covariant_matrix``
+    prefer them to the jets.
     """
 
     geometry: ModelGeometry
@@ -132,7 +134,7 @@ class CovariantSymbol:
     R: float
     m: int
     rotation_invariant: bool = False
-    exact: Optional[Callable] = None
+    exact: Optional[tuple] = None
 
     @property
     def K(self) -> int:
@@ -156,10 +158,23 @@ class CovariantSymbol:
 
     def value(self, weights: dict, x, zbar):
         """sum_k weights[k] times coefficient k at polarized points: the
-        exact evaluator when there is one, else the jet of the node each
-        point is located at."""
+        exact polynomials when there are (terms summed in order from a 0-d
+        zero, coordinates raised only to positive powers, so a constant
+        stays one broadcast scalar), else the located node's jet."""
         if self.exact is not None:
-            return self.exact(weights, x, zbar)
+            coords = None
+            acc = np.zeros((), dtype=complex)
+            for k, w in weights.items():
+                for expo, cval in self.exact[k].items():
+                    term = w * complex(cval)
+                    for i, p in enumerate(expo):
+                        if p:
+                            if coords is None:
+                                coords = (self.geometry.euclid_polarized(x, zbar)
+                                          if self.geometry.compact else (x, zbar))
+                            term = term * coords[i] ** p
+                    acc = acc + term
+            return np.broadcast_to(acc, np.broadcast(x, zbar).shape)
         idx, a, bbar = frame_pair_offsets(self, x, zbar)
         flat_idx, fa, fb = np.ravel(idx), np.ravel(a), np.ravel(bbar)
         out = np.zeros(flat_idx.shape, dtype=complex)
@@ -287,10 +302,9 @@ def symbol_from_poly(
     are the same monomials in its ``_frame_coordinates``, multiplied in the
     truncated jet ring; the plane's single node sits at the origin, so its
     jets are the polynomials themselves and a term above the jet order
-    raises.  The attached ``exact`` evaluates the monomials at arbitrary
-    polarized points, for quadrature use.  ``node_count`` refines the
-    sphere's meridian grid when jets of a derived symbol will be read far
-    from the diagonal.
+    raises.  The polynomials are kept as the symbol's ``exact``.
+    ``node_count`` refines the sphere's meridian grid when jets of a
+    derived symbol will be read far from the diagonal.
     """
     arity = 3 if geometry.compact else 2
     for terms in terms_per_k:
@@ -316,19 +330,8 @@ def symbol_from_poly(
     invariant = geometry.compact and all(
         expo[0] == 0 and expo[1] == 0 for terms in terms_per_k for expo in terms
     )
-
-    def exact(weights, x, zbar):
-        coords = geometry.euclid_polarized(x, zbar) if geometry.compact else (x, zbar)
-        acc = np.zeros(np.broadcast(*coords).shape, dtype=complex)
-        for k, w in weights.items():
-            for expo, cval in terms_per_k[k].items():
-                term = w * complex(cval)
-                for u, p in zip(coords, expo):
-                    term = term * u**p
-                acc = acc + term
-        return acc
-
-    return CovariantSymbol(geometry, nodes, coeffs, float(r), float(R), int(m), invariant, exact)
+    return CovariantSymbol(geometry, nodes, coeffs, float(r), float(R), int(m), invariant,
+                           tuple(map(dict, terms_per_k)))
 
 
 def unit_covariant(geometry: ModelGeometry, K: int = 0, **kw) -> CovariantSymbol:
@@ -600,8 +603,8 @@ def bergman_symbol(
     gives (1, 0, ...), the sphere (1, 1, 0, ...), both exactly.
 
     Built once per process for each (geometry name, K, order, r, R, m) and
-    shared by every caller, so its nodes and coefficient arrays are
-    read-only.
+    shared by every caller, so its nodes, coefficient arrays and
+    polynomials are read-only.
     """
     key = (geometry.name, K, order, r, R, m)
     with _BERGMAN_LOCK:
@@ -616,20 +619,12 @@ def _build_bergman_symbol(geometry, K, order, r, R, m) -> CovariantSymbol:
     out = solve_sharp(one, one, K)
     # both models are homogeneous, so the exact symbol is constant: pin its
     # coefficients from node 0, and every node's jets to them, which drops
-    # the solve's rounding from the non-constant entries; a weighted sum of
-    # the constants is one scalar, broadcast to the points' shape without
-    # filling an array
+    # the solve's rounding from the non-constant entries
     consts = tuple(complex(c) for c in out.coeffs[0, :, 0, 0])
     out.coeffs[:] = 0.0
     out.coeffs[:, :, 0, 0] = consts
-
-    def exact(weights, x, zbar):
-        total = np.zeros((), dtype=complex)
-        for k, w in weights.items():
-            total = total + w * consts[k]
-        return np.broadcast_to(total, np.broadcast(x, zbar).shape)
-
-    out.exact = exact
+    key = (0,) * len(geometry.coordinates)
+    out.exact = tuple(MappingProxyType({key: c}) for c in consts)
     out.nodes.setflags(write=False)
     out.coeffs.setflags(write=False)
     return out

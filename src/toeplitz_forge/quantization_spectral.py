@@ -10,9 +10,9 @@ two quantization routes:
   exact moment path, shared by both models, for polynomial f in the
   geometry's coordinates;
 * kernel (covariant) operators with kernel N^d 1_U Psi^N sum_k N^{-k} s_k,
-  where U is a sharp geodesic cutoff, assembled by quadrature that splits
-  into radial Gauss-Legendre nodes and an angular rule on the exact
-  cutoff interval.
+  where U is a sharp geodesic cutoff: the same moment path for polynomial
+  symbols without a cutoff, otherwise quadrature that splits into radial
+  Gauss-Legendre nodes and an angular rule on the exact cutoff interval.
 
 On top of the matrices: a Schur-test norm bound, singular values and
 Hermitian eigenpairs from LAPACK (SVD of the matrix itself, ``eigh``; the
@@ -115,70 +115,95 @@ def _as_matrix(m) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# contravariant (multiplier) matrices: exact moment path
+# exact moment path of both quantizations; contravariant (multiplier) matrices
 
 
-def _moment_entries(geometry: ModelGeometry, terms: dict, N: int, dim: int) -> np.ndarray:
-    """Entries <e_j, f e_k> for f a polynomial in the geometry's coordinates, exactly.
+def _moment_entries(geometry: ModelGeometry, polys: Sequence[dict], N: int, dim: int,
+                    kernel: bool = False) -> np.ndarray:
+    """Entries <e_j, Op e_k> of sum_k N^{-k} polys[k], polynomials in the
+    geometry's coordinates (exponent tuples -> coefficients), exactly.
 
-    The coefficient table maps exponent tuples to (complex) coefficients.
     A monomial expands (``geometry.monomial_expansion``) into integer
     multiples of z^p zbar^q / (1+t)^s, and such a term reaches only the
-    band k = j + q - p, with the level-(N+s) moment M_{N+s}(j+q) of
-    ``geometry.level_moments``; the plane is the case s = 0.  Every entry
-    is held as a Python-int numerator over one denominator: the lcm of
-    the coefficients' dyadic denominators times the moments' shared one.
-    Int true division rounds correctly, so a diagonal entry is the float
-    float(Fraction) gives.  An off-diagonal entry divides the rounded sum
-    by the rounded square root of the rounded M_N(j) M_N(k); both
-    rationals are first scaled by one power of two, chosen so that
-    neither leaves the float range, which changes no bit where they were
-    normal.
+    band k = j + q - p (the plane is the case s = 0).  The quantizations
+    differ in one factor of the moments M_L of ``geometry.level_moments``:
+    a multiplier entry is M_{N+s}(j+q) / sqrt(M_N(j) M_N(k)); for N >= s
+    the uncut kernel N x^p ybar^q (1+x ybar)^{N-s} has the coefficients
+    kappa_L(m) = M_L(0)/M_L(m) at L = N - s, and its entry is
+    N kappa_{N-s}(k-q) M_N(j) sqrt(M_N(k)/M_N(j)).
+
+    Every entry sums Python-int numerators over one denominator: the lcm
+    of the denominators of the c N^{-k} times the moments' shared one.  Int
+    true division rounds correctly, so a diagonal entry is the float
+    float(Fraction) gives.  An off-diagonal entry (a kernel one first
+    multiplied by M_N(k)) divides the rounded sum by the rounded square
+    root of the rounded M_N(j) M_N(k); both rationals are first scaled by
+    one power of two, chosen so that neither leaves the float range, which
+    changes no bit where they were normal.
     """
     parts = []
-    for expo, cval in terms.items():
-        c = complex(cval)
-        cre, cim = Fraction(c.real), Fraction(c.imag)
-        if cre or cim:
-            parts.append((cre, cim) + geometry.monomial_expansion(expo))
+    for k, terms in enumerate(polys):
+        for expo, cval in terms.items():
+            c = complex(cval)
+            cre, cim = Fraction(c.real), Fraction(c.imag)
+            if cre or cim:
+                parts.append((cre, cim, N**k) + geometry.monomial_expansion(expo))
     if not parts:
         return np.zeros((dim, dim), dtype=complex)
-    den = math.lcm(*(c.denominator for cre, cim, _, _ in parts for c in (cre, cim)))
-    top_s = max(s for _, _, s, _ in parts)
-    # j + q = k + p <= dim - 1 + min(p, q), and min(p, q) is at most the degree
-    top_m = dim - 1 + max(map(sum, terms))
-    rows, moment_den = geometry.level_moments(N, top_s, top_m)
-    acc = {}  # (j, k) -> [re, im] numerators over den * moment_den
-    for cre, cim, s, expansion in parts:
-        are = cre.numerator * (den // cre.denominator)
-        aim = cim.numerator * (den // cim.denominator)
-        row = rows[s]
+    den = math.lcm(*(c.denominator * nk for cre, cim, nk, _, _ in parts for c in (cre, cim)))
+    top_s = max(part[3] for part in parts)
+    if kernel:
+        # rows[i] is level N - top_s + i, so level N is the row of the norms
+        rows, moment_den = geometry.level_moments(N - top_s, top_s, dim - 1)
+        norms = rows[top_s]
+    else:
+        # j + q = k + p <= dim - 1 + min(p, q), and min(p, q) is at most the degree
+        top_m = dim - 1 + max(sum(e) for terms in polys for e in terms)
+        rows, moment_den = geometry.level_moments(N, top_s, top_m)
+        norms = rows[0]
+    common = den * moment_den
+    acc = {}  # (j, k) -> [re, im] numerators over common
+    for cre, cim, nk, s, expansion in parts:
+        are = cre.numerator * (den // (cre.denominator * nk))
+        aim = cim.numerator * (den // (cim.denominator * nk))
+        row = rows[top_s - s] if kernel else rows[s]
         for (p, q), (xre, xim) in expansion.items():
             tre = are * xre - aim * xim
             tim = are * xim + aim * xre
-            for j in range(max(0, p - q), min(dim, dim + p - q)):
-                moment = row[j + q]
+            if kernel:
+                # m = k - q = j - p runs over the level N - s row.  The
+                # quotient is exact: kappa is the integer C(N-s, m) on the
+                # sphere; on the plane kappa M_N(j) = N^{m-j-1} j!/m! with
+                # m <= j, an integer over the moments' N^{dim}
+                band = range(p, min(dim, dim + p - q, p + len(row)))
+                moments = [N * row[0] * norms[j] // row[j - p] for j in band]
+            else:
+                band = range(max(0, p - q), min(dim, dim + p - q))
+                moments = row[band.start + q:band.stop + q]
+            for j, moment in zip(band, moments):
                 entry = acc.setdefault((j, j + q - p), [0, 0])
                 entry[0] += tre * moment
                 entry[1] += tim * moment
-    common, norm_den = den * moment_den, moment_den * moment_den
-    norms = rows[0]  # M_N(j) over moment_den
+    norm_den = moment_den * moment_den
     out = np.zeros((dim, dim), dtype=complex)
     for (j, k), (re, im) in acc.items():
         if re == 0 and im == 0:
             continue
         if j == k:
-            scale = den * norms[j]
+            scale = common if kernel else den * norms[j]
             out[j, k] = complex(re / scale, im / scale)
             continue
+        sum_den = common
+        if kernel:
+            re, im, sum_den = re * norms[k], im * norms[k], common * moment_den
         # M_N(j) M_N(k) 4^e is near 1; the 2^e it puts on the sum cancels
         prod = norms[j] * norms[k]
         e = (norm_den.bit_length() - prod.bit_length()) // 2
         if e >= 0:
             root = math.sqrt((prod << 2 * e) / norm_den)
-            out[j, k] = complex((re << e) / common, (im << e) / common) / root
+            out[j, k] = complex((re << e) / sum_den, (im << e) / sum_den) / root
         else:
-            root, scale = math.sqrt(prod / (norm_den << -2 * e)), common << -e
+            root, scale = math.sqrt(prod / (norm_den << -2 * e)), sum_den << -e
             out[j, k] = complex(re / scale, im / scale) / root
     return out
 
@@ -274,7 +299,7 @@ def contravariant_matrix(
     for key in terms:
         if len(key) != width or any(int(e) != e or e < 0 for e in key):
             raise ValueError(f"exponent tuples must be length {width} and nonnegative")
-    return OperatorMatrix(_moment_entries(geometry, terms, int(N), dim), N)
+    return OperatorMatrix(_moment_entries(geometry, [terms], int(N), dim), N)
 
 
 # ---------------------------------------------------------------------------
@@ -483,36 +508,6 @@ def _sphere_diagonal_quadrature(
     return np.einsum("pj,pj,pj->j", w[ua], w[ub], inner) / (2.0 * np.pi)
 
 
-def _plane_gaussian_entries(blocks: Sequence[np.ndarray], N: int, K: int, dim: int) -> np.ndarray:
-    """Exact Gaussian-moment matrix of the plane kernel N e^{N x ybar} s(x, ybar).
-
-    ``blocks[k]`` holds the coefficients of s_k in (x, zbar) powers; the
-    combined amplitude is sum_k N^{-k} s_k.
-    """
-    used = blocks[: K + 1] or [np.zeros((1, 1), dtype=complex)]
-    shape = (max(b.shape[0] for b in used), max(b.shape[1] for b in used))
-    comb = np.zeros(shape, dtype=complex)
-    for k, b in enumerate(used):
-        comb[: b.shape[0], : b.shape[1]] += float(N) ** (-k) * b
-    out = np.zeros((dim, dim), dtype=complex)
-    logN = math.log(N)
-    for p in range(comb.shape[0]):
-        for q in range(comb.shape[1]):
-            c = comb[p, q]
-            if abs(c) < 1e-300:
-                continue
-            mtop = min(dim - 1 - p, dim - 1 - q)
-            for m in range(mtop + 1):
-                j, k = p + m, q + m
-                loge = (
-                    0.5 * (math.lgamma(j + 1) + math.lgamma(k + 1))
-                    - math.lgamma(m + 1)
-                    - 0.5 * (p + q) * logN
-                )
-                out[j, k] += c * math.exp(loge)
-    return out
-
-
 def _check_cutoff_radius(eps: Optional[float]) -> None:
     """A cutoff radius is positive (inf keeps every pair); NaN or eps <= 0 raises."""
     if eps is not None and not eps > 0.0:
@@ -553,13 +548,15 @@ def covariant_matrix(
     the largest stored coefficient index compatible with the summation
     cutoff floor(eN/(3R)); an explicit K beyond that floor raises.
 
-    Sphere symbols must be rotation invariant: the operator then
-    commutes with the circle action and the matrix is diagonal, which
-    the quadrature exploits.  Plane symbols go through exact Gaussian
-    moments of their jet polynomials.
+    Without a cutoff, every plane symbol (its node-0 jets are the global
+    polynomials) and a sphere symbol that keeps its polynomials
+    (``symbol.exact``) at N >= their over-power s take the exact moment
+    route of ``contravariant_matrix``.  Other sphere symbols must be
+    rotation invariant: the matrix is then diagonal, which the quadrature
+    exploits.
 
-    Accuracy: without a cutoff the sphere rule is exact to ~1e-13.  With
-    the cutoff the angular interval has a square-root edge, so the
+    Accuracy: without a cutoff the sphere quadrature is exact to ~1e-13.
+    With the cutoff the angular interval has a square-root edge, so the
     quadrature converges only as n_radial^{-3/2}: for the projector
     symbol over N = 4..32 the entries sit within about 2.5e-4 of the
     exact 1 - rho^{N+1} at the default 80 radial nodes (at N = 4:
@@ -569,18 +566,23 @@ def covariant_matrix(
         raise ValueError("symbol was built for a different geometry")
     K_used = _resolve_truncation(symbol, N, K)
     dim = _basis_dim(geometry, N, cutoff)
+    rho = cutoff_rho(geometry, eps)
     if not geometry.compact:
-        _check_cutoff_radius(eps)
         if eps is not None and math.isfinite(eps):
             raise ValueError("the plane kernel carries no cutoff (infinite injectivity radius)")
-        ent = _plane_gaussian_entries(list(symbol.coeffs[0]), N, K_used, dim)
-        return OperatorMatrix(ent, N)
+        polys = [{(int(p), int(q)): block[p, q] for p, q in zip(*np.nonzero(block))}
+                 for block in symbol.coeffs[0, : K_used + 1]]
+    else:
+        polys = symbol.exact[: K_used + 1] if symbol.exact is not None and rho == 0.0 else None
+    if polys is not None:
+        s = geometry.over_power * max((sum(e) for terms in polys for e in terms), default=0)
+        if N >= s:
+            return OperatorMatrix(_moment_entries(geometry, polys, int(N), dim, kernel=True), N)
     if not symbol.rotation_invariant:
         raise ValueError(
             "sphere kernel matrices need a rotation-invariant symbol; "
             "general symbols are only stored along a meridian"
         )
-    rho = cutoff_rho(geometry, eps)
     n_angular = max(64, N + 40) if rho > 0.0 else max(64, 2 * N + 8)
     amp = _summed_amplitude(symbol, N, K_used)
     diag = _sphere_diagonal_quadrature(N, dim, amp, rho, n_radial, n_angular)
@@ -588,11 +590,12 @@ def covariant_matrix(
 
 
 def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:
-    """Distance of the quadrature Gram matrix of the exact projector to I.
+    """Distance of the uncut Gram matrix of the exact projector to I.
 
-    The reproducing kernel is integrated against all basis pairs with no
-    cutoff; the result is the identity up to quadrature roundoff, which
-    validates the covariant-matrix scheme at this resolution.
+    On the sphere the reproducing kernel is integrated against all basis
+    pairs by the quadrature; the result is the identity up to quadrature
+    roundoff, which validates the covariant-matrix scheme at this
+    resolution.  On the plane the exact moment route gives exactly I.
     """
     if geometry.compact:
         def amplitude(x, zbar):
@@ -601,8 +604,7 @@ def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:
         n_angular = max(64, 2 * N + 8)
         diag = _sphere_diagonal_quadrature(N, N + 1, amplitude, 0.0, DEFAULT_RADIAL, n_angular)
         return float(np.max(np.abs(diag - 1.0)))
-    blocks = [np.ones((1, 1), dtype=complex)]
-    ent = _plane_gaussian_entries(blocks, N, 0, N + 1)
+    ent = _moment_entries(geometry, [{(0, 0): 1.0}], N, N + 1, kernel=True)
     return float(np.max(np.abs(ent - np.eye(N + 1))))
 
 

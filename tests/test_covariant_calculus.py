@@ -113,7 +113,7 @@ def test_euclid_jets_match_exact_evaluator():
             zbar = (bb + np.conj(node)) / (1.0 - node * bb)
             for k in range(2):
                 jet = complex(sym.jet_eval(i, {k: 1.0}, a, bb))
-                exact = complex(sym.exact({k: 1.0}, x, zbar))
+                exact = complex(sym.value({k: 1.0}, x, zbar))
                 assert abs(jet - exact) <= 1e-9
 
 
@@ -178,7 +178,7 @@ def test_rotation_invariant_evaluation():
     zbar = np.conj(0.32 * np.exp(1.05j))
     idx, a, bb = cc.frame_pair_offsets(x3, x, zbar)
     jet = complex(x3.jet_eval(int(idx), {0: 1.0}, a, bb))
-    exact = complex(x3.exact({0: 1.0}, x, zbar))
+    exact = complex(x3.value({0: 1.0}, x, zbar))
     assert abs(jet - exact) <= 1e-10
 
 
@@ -497,19 +497,21 @@ def test_bergman_symbol_shared_and_read_only():
     for array in (a.coeffs[0, 0], a.coeffs[-1, 2], a.nodes):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 2.0
+    with pytest.raises(TypeError):
+        a.exact[0][(0, 0, 0)] = 2.0
 
 
 @pytest.mark.parametrize("model", [SPHERE, PLANE], ids=["sphere", "plane"])
 @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
 def test_bergman_symbol_jets_are_its_constants(model, K):
     # the exact symbol is constant, so every non-constant jet entry is 0,
-    # not the solve's rounding, and each constant is what exact returns
+    # not the solve's rounding, and each constant is what its polynomial evaluates to
     a = cc.bergman_symbol(model, K)
     rest = a.coeffs.copy()
     rest[:, :, 0, 0] = 0.0
     assert not np.any(rest)
     for k in range(K + 1):
-        assert np.all(a.coeffs[:, k, 0, 0] == a.exact({k: 1.0}, 0.3, 0.2))
+        assert np.all(a.coeffs[:, k, 0, 0] == a.value({k: 1.0}, 0.3, 0.2))
 
 
 def test_engine_built_once_under_threads(monkeypatch):

@@ -318,6 +318,184 @@ def test_covariant_rejections():
         qs.covariant_matrix(PLANE, plane_sym, 8, eps=1.0)
 
 
+def test_covariant_over_power_above_level_stays_on_quadrature():
+    # x3^3 polarizes with (1 + x ybar)^{-3}, so at N = 2 the kernel is no
+    # polynomial: the uncut quadrature runs, and non-invariant symbols
+    # are still refused there
+    N = 2
+    x3_cubed = cc.symbol_from_poly(SPH, [{(0, 0, 3): 1.0}], order=4)
+    got = qs.covariant_matrix(SPH, x3_cubed, N, eps=np.inf).entries
+    amp = qs._summed_amplitude(x3_cubed, N, 0)
+    want = qs._sphere_diagonal_quadrature(N, N + 1, amp, 0.0, qs.DEFAULT_RADIAL, max(64, 2 * N + 8))
+    assert np.array_equal(got, np.diag(want))
+    with pytest.raises(ValueError, match="rotation-invariant"):
+        qs.covariant_matrix(SPH, cc.symbol_from_poly(SPH, [{(1, 0, 2): 1.0}], order=4), N,
+                            eps=np.inf)
+
+
+def _fraction_kernel_sums(geom, polys, N, dim):
+    """Exact kernel-matrix sums of sum_l N^{-l} polys[l], as Fractions.
+
+    Entry (j, k) of the uncut kernel matrix is S(j, k) sqrt(M_N(j) M_N(k)),
+    where S sums c N^{1-l} kappa(m) over the terms c x^p ybar^q (1+x ybar)^{-s}
+    of polys[l] with k = j + q - p and m = k - q.  kappa and M_N come from math.comb and
+    math.factorial, not the geometry: kappa(m) = C(N-s, m) and
+    M_N(j) = j! (N-j)! / (N+1)! on the sphere, kappa(m) = N^m / m! and
+    M_N(j) = j! / N^{j+1} on the plane.  Returns ({(j, k): [re, im]}, norms).
+    """
+    fact = math.factorial
+
+    def kappa(s, m):
+        if geom.compact:
+            return Fraction(math.comb(N - s, m))
+        return Fraction(N**m, fact(m))
+
+    def norm(j):
+        if geom.compact:
+            return Fraction(fact(j) * fact(N - j), fact(N + 1))
+        return Fraction(fact(j), N ** (j + 1))
+
+    acc = {}
+    for level, terms in enumerate(polys):
+        weight = Fraction(N) ** (1 - level)
+        for expo, cval in terms.items():
+            c = complex(cval)
+            cre, cim = Fraction(c.real) * weight, Fraction(c.imag) * weight
+            s, expansion = geom.monomial_expansion(expo) if geom.compact else (0, {expo: (1, 0)})
+            for (p, q), (xre, xim) in expansion.items():
+                for j in range(p, dim):
+                    k = j + q - p
+                    if k < dim:
+                        kap = kappa(s, k - q)
+                        entry = acc.setdefault((j, k), [Fraction(0), Fraction(0)])
+                        entry[0] += (cre * xre - cim * xim) * kap
+                        entry[1] += (cre * xim + cim * xre) * kap
+    return acc, [norm(j) for j in range(dim)]
+
+
+def _check_kernel_against_fraction_oracle(got, acc, norms):
+    """Diagonals equal float(Fraction); off-diagonals lie within 2 ulp of
+    the 50-digit Decimal value."""
+    assert np.count_nonzero(got) == sum(1 for (re, im) in acc.values() if re or im)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for (j, k), parts in acc.items():
+            if j == k:
+                want = complex(float(parts[0] * norms[j]), float(parts[1] * norms[j]))
+                assert got[j, k] == want, (j, got[j, k], want)
+                continue
+            scale = norms[j] * norms[k]
+            root = (Decimal(scale.numerator) / Decimal(scale.denominator)).sqrt()
+            for value, part in zip((got[j, k].real, got[j, k].imag), parts):
+                want = float(Decimal(part.numerator) / Decimal(part.denominator) * root)
+                assert abs(value - want) <= 2 * math.ulp(want), (j, k, value, want)
+
+
+@pytest.mark.parametrize("geom", [SPH, PLANE], ids=["sphere", "plane"])
+def test_kernel_moments_match_fraction_oracle(geom):
+    # random polynomials of degree <= 3 in up to three powers of 1/N, with
+    # complex, real and zero coefficients; the plane's truncation varies
+    width = len(geom.coordinates)
+    monomials = [e for e in itertools.product(range(4), repeat=width) if sum(e) <= 3]
+    rng = np.random.default_rng(26)
+    for N in range(1, 21):
+        degree = min(3, N) if geom.compact else 3
+        usable = [e for e in monomials if sum(e) <= degree]
+        polys = []
+        for _ in range(3):
+            terms = {}
+            for i in rng.choice(len(usable), size=3, replace=False):
+                re, im = rng.uniform(-1.0, 1.0, 2)
+                terms[usable[i]] = complex(re, im) if rng.random() < 0.5 else float(re)
+            terms[usable[0]] = 0.0
+            polys.append(terms)
+        sym = cc.symbol_from_poly(geom, polys, order=4)
+        cutoff = None if geom.compact or N % 2 else N + 3
+        got = qs.covariant_matrix(geom, sym, N, eps=np.inf, cutoff=cutoff).entries
+        K = qs._resolve_truncation(sym, N, None)
+        acc, norms = _fraction_kernel_sums(geom, polys[: K + 1], N, got.shape[0])
+        _check_kernel_against_fraction_oracle(got, acc, norms)
+
+
+def _plane_gaussian_entries(blocks, N, K, dim):
+    """The plane's lgamma route to covariant matrices, kept as an oracle.
+
+    Exact Gaussian-moment matrix of the plane kernel N e^{N x ybar} s(x, ybar):
+    ``blocks[k]`` holds the coefficients of s_k in (x, zbar) powers; the
+    combined amplitude is sum_k N^{-k} s_k.
+    """
+    used = blocks[: K + 1] or [np.zeros((1, 1), dtype=complex)]
+    shape = (max(b.shape[0] for b in used), max(b.shape[1] for b in used))
+    comb = np.zeros(shape, dtype=complex)
+    for k, b in enumerate(used):
+        comb[: b.shape[0], : b.shape[1]] += float(N) ** (-k) * b
+    out = np.zeros((dim, dim), dtype=complex)
+    logN = math.log(N)
+    for p in range(comb.shape[0]):
+        for q in range(comb.shape[1]):
+            c = comb[p, q]
+            if abs(c) < 1e-300:
+                continue
+            mtop = min(dim - 1 - p, dim - 1 - q)
+            for m in range(mtop + 1):
+                j, k = p + m, q + m
+                loge = (
+                    0.5 * (math.lgamma(j + 1) + math.lgamma(k + 1))
+                    - math.lgamma(m + 1)
+                    - 0.5 * (p + q) * logN
+                )
+                out[j, k] += c * math.exp(loge)
+    return out
+
+
+@pytest.mark.parametrize("N, cutoff", [(1, None), (8, None), (16, 21), (33, None), (64, None),
+                                       (64, 70)])
+def test_plane_kernel_matches_lgamma_route(N, cutoff):
+    # the lgamma route sits within 5.4e-14 of the exact one at N = 64
+    symbols = [cc.bergman_symbol(PLANE, K=4)] + [
+        cc.symbol_from_poly(PLANE, [{(p, q): 1.0}, {(1, 1): 0.25}], order=4)
+        for p, q in [(0, 0), (1, 0), (0, 1), (2, 1), (0, 3)]
+    ]
+    for sym in symbols:
+        got = qs.covariant_matrix(PLANE, sym, N, cutoff=cutoff)
+        K = qs._resolve_truncation(sym, N, None)
+        want = _plane_gaussian_entries(list(sym.coeffs[0]), N, K, got.dim)
+        assert np.max(np.abs(got.entries - want)) < 1e-13
+
+
+@pytest.mark.parametrize("N", [4, 16, 40, 64])
+def test_sphere_kernel_matches_uncut_quadrature(N):
+    # on invariant symbols the uncut quadrature is the other route; the
+    # exact route's diagonal is float(Fraction), so the quadrature carries
+    # the whole gap (5.4e-14 at most)
+    n_angular = max(64, 2 * N + 8)
+    for polys in ([{(0, 0, 1): 1.0}], [{(0, 0, 2): 1.0, (0, 0, 0): 0.5}], [{(0, 0, 3): 1.0}]):
+        sym = cc.symbol_from_poly(SPH, polys, order=4)
+        got = qs.covariant_matrix(SPH, sym, N, eps=np.inf).entries
+        acc, norms = _fraction_kernel_sums(SPH, polys, N, N + 1)
+        want = np.array([float(acc[j, j][0] * norms[j]) for j in range(N + 1)])
+        assert np.array_equal(got, np.diag(want.astype(complex)))
+        amp = qs._summed_amplitude(sym, N, 0)
+        quad = qs._sphere_diagonal_quadrature(N, N + 1, amp, 0.0, qs.DEFAULT_RADIAL, n_angular)
+        assert np.max(np.abs(quad - want)) < 1e-13, polys
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 33, 64])
+def test_sphere_coordinate_kernels_close_the_spin_algebra(N):
+    # Op(x1), Op(x2), which the quadrature refuses, and Op(x3) are
+    # Hermitian, satisfy [Op(x2), Op(x3)] = -2i/(N+1) Op(x1), and x1 is a
+    # rotation of x3, so their spectra agree
+    ops = [qs.covariant_matrix(SPH, cc.symbol_from_poly(SPH, [{e: 1.0}], order=4), N,
+                               eps=np.inf).entries
+           for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    for op in ops:
+        assert np.max(np.abs(op - op.conj().T)) <= 1e-14
+    commutator = ops[1] @ ops[2] - ops[2] @ ops[1]
+    assert np.max(np.abs(commutator + 2j / (N + 1) * ops[0])) <= 1e-14
+    spectrum = [ev for ev, _ in qs.eigenpairs(ops[0])]
+    assert np.max(np.abs(spectrum - np.sort(np.diag(ops[2]).real))) <= 1e-14
+
+
 @pytest.mark.parametrize("eps", [math.nan, 0.0, -0.5])
 @pytest.mark.parametrize("call", [
     lambda eps: qs.cutoff_rho(SPH, eps),
@@ -366,7 +544,7 @@ def _per_mode_diagonal(N, dim, amplitude, rho, n_radial, n_angular):
     diag = np.zeros(dim, dtype=complex)
     for j in range(dim):
         inner = np.sum(vals * np.exp(-1j * j * betas), axis=-1)
-        lognj = math.lgamma(N + 2) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
+        lognj = math.log(math.factorial(N + 1) // (math.factorial(j) * math.factorial(N - j)))
         w = tw * np.exp(0.5 * j * logt - (0.5 * N + 2.0) * l1p + 0.5 * lognj)
         diag[j] = (w @ inner @ w) / (2.0 * np.pi)
     return diag
@@ -589,7 +767,8 @@ def test_blocked_mode_recurrence_is_bit_identical(block, monkeypatch):
 def test_bergman_gram_defect():
     for N in (4, 8, 16, 32, 64):
         assert qs.bergman_gram_defect(SPH, N) < 1e-10
-    assert qs.bergman_gram_defect(PLANE, 8) < 1e-14
+    for N in (1, 8, 64):
+        assert qs.bergman_gram_defect(PLANE, N) == 0.0
 
 
 def test_bergman_kernel_error_frozen_values():
