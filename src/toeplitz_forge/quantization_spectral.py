@@ -125,21 +125,23 @@ def _moment_entries(geometry: ModelGeometry, polys: Sequence[dict], N: int, dim:
 
     A monomial expands (``geometry.monomial_expansion``) into integer
     multiples of z^p zbar^q / (1+t)^s, and such a term reaches only the
-    band k = j + q - p (the plane is the case s = 0).  The quantizations
-    differ in one factor of the moments M_L of ``geometry.level_moments``:
-    a multiplier entry is M_{N+s}(j+q) / sqrt(M_N(j) M_N(k)); for N >= s
-    the uncut kernel N x^p ybar^q (1+x ybar)^{N-s} has the coefficients
-    kappa_L(m) = M_L(0)/M_L(m) at L = N - s, and its entry is
-    N kappa_{N-s}(k-q) M_N(j) sqrt(M_N(k)/M_N(j)).
+    band k = j + q - p (the plane is the case s = 0).  Its entry is a
+    moment over sqrt(M_N(j) M_N(k)), with M_L the level-L moments of
+    ``geometry.level_moments``, and the quantizations differ only in that
+    moment: M_{N+s}(j+q) for the multiplier; for the uncut kernel
+    N x^p ybar^q (1+x ybar)^{N-s} (N >= s), whose coefficients are
+    kappa_L(m) = M_L(0)/M_L(m) at L = N - s, it is
+    N kappa_{N-s}(k-q) M_N(j) M_N(k).
 
-    Every entry sums Python-int numerators over one denominator: the lcm
-    of the denominators of the c N^{-k} times the moments' shared one.  Int
+    Terms of one band are summed first, and every entry sums Python-int
+    numerators over one denominator: the lcm of the denominators of the
+    c N^{-k} times the moments' shared one (squared for the kernel).  Int
     true division rounds correctly, so a diagonal entry is the float
-    float(Fraction) gives.  An off-diagonal entry (a kernel one first
-    multiplied by M_N(k)) divides the rounded sum by the rounded square
-    root of the rounded M_N(j) M_N(k); both rationals are first scaled by
-    one power of two, chosen so that neither leaves the float range, which
-    changes no bit where they were normal.
+    float(Fraction) gives.  An off-diagonal entry divides the rounded sum
+    by the rounded square root of the rounded M_N(j) M_N(k); both
+    rationals are first scaled by one power of two, chosen so that
+    neither leaves the float range, which changes no bit where they were
+    normal.
     """
     parts = []
     for k, terms in enumerate(polys):
@@ -155,47 +157,46 @@ def _moment_entries(geometry: ModelGeometry, polys: Sequence[dict], N: int, dim:
     if kernel:
         # rows[i] is level N - top_s + i, so level N is the row of the norms
         rows, moment_den = geometry.level_moments(N - top_s, top_s, dim - 1)
-        norms = rows[top_s]
+        norms, diag_den = rows[top_s], den * moment_den
     else:
         # j + q = k + p <= dim - 1 + min(p, q), and min(p, q) is at most the degree
         top_m = dim - 1 + max(sum(e) for terms in polys for e in terms)
         rows, moment_den = geometry.level_moments(N, top_s, top_m)
-        norms = rows[0]
-    common = den * moment_den
-    acc = {}  # (j, k) -> [re, im] numerators over common
+        norms, diag_den = rows[0], den
+    bands = {}  # (s, p, q) -> [re, im] numerators over den
     for cre, cim, nk, s, expansion in parts:
         are = cre.numerator * (den // (cre.denominator * nk))
         aim = cim.numerator * (den // (cim.denominator * nk))
-        row = rows[top_s - s] if kernel else rows[s]
         for (p, q), (xre, xim) in expansion.items():
-            tre = are * xre - aim * xim
-            tim = are * xim + aim * xre
-            if kernel:
-                # m = k - q = j - p runs over the level N - s row.  The
-                # quotient is exact: kappa is the integer C(N-s, m) on the
-                # sphere; on the plane kappa M_N(j) = N^{m-j-1} j!/m! with
-                # m <= j, an integer over the moments' N^{dim}
-                band = range(p, min(dim, dim + p - q, p + len(row)))
-                moments = [N * row[0] * norms[j] // row[j - p] for j in band]
-            else:
-                band = range(max(0, p - q), min(dim, dim + p - q))
-                moments = row[band.start + q:band.stop + q]
-            for j, moment in zip(band, moments):
-                entry = acc.setdefault((j, j + q - p), [0, 0])
-                entry[0] += tre * moment
-                entry[1] += tim * moment
-    norm_den = moment_den * moment_den
+            coeff = bands.setdefault((s, p, q), [0, 0])
+            coeff[0] += are * xre - aim * xim
+            coeff[1] += are * xim + aim * xre
+    acc = {}  # (j, k) -> [re, im] numerators over sum_den
+    for (s, p, q), (tre, tim) in bands.items():
+        if kernel:
+            # m = k - q = j - p runs over the level N - s row.  The
+            # quotient is exact: kappa is the integer C(N-s, m) on the
+            # sphere; on the plane kappa M_N(j) = N^{m-j-1} j!/m! with
+            # m <= j, an integer over the moments' N^{dim}
+            row = rows[top_s - s]
+            band, lead = range(p, min(dim, dim + p - q, p + len(row))), N * row[0]
+            moments = [lead * norms[j] // row[j - p] * norms[j + q - p] for j in band]
+        else:
+            band = range(max(0, p - q), min(dim, dim + p - q))
+            moments = rows[s][band.start + q:band.stop + q]
+        for j, moment in zip(band, moments):
+            entry = acc.setdefault((j, j + q - p), [0, 0])
+            entry[0] += tre * moment
+            entry[1] += tim * moment
+    sum_den, norm_den = diag_den * moment_den, moment_den * moment_den
     out = np.zeros((dim, dim), dtype=complex)
     for (j, k), (re, im) in acc.items():
         if re == 0 and im == 0:
             continue
         if j == k:
-            scale = common if kernel else den * norms[j]
+            scale = diag_den * norms[j]
             out[j, k] = complex(re / scale, im / scale)
             continue
-        sum_den = common
-        if kernel:
-            re, im, sum_den = re * norms[k], im * norms[k], common * moment_den
         # M_N(j) M_N(k) 4^e is near 1; the 2^e it puts on the sum cancels
         prod = norms[j] * norms[k]
         e = (norm_den.bit_length() - prod.bit_length()) // 2
