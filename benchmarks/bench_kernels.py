@@ -1,7 +1,8 @@
 """Time the conv_pair kernel, the truncated series product (dense and
 dense times sparse), series composition, both Morse flattenings, the
-Wick contraction, the composition engine's build and two of its
-callers, the sphere kernel quadrature behind covariant_matrix and
+Wick contraction, building the compose subcommand's default symbols
+(symbol_from_poly, which evaluates the coordinate tables), the
+composition engine's build and two of its callers, the sphere kernel quadrature behind covariant_matrix and
 bergman_gram_defect, the exact moment path of contravariant_matrix
 on both models (on the sphere also at N = 600, where the norms fall
 below the float range) and of covariant_matrix (the plane, and the
@@ -102,7 +103,11 @@ def _workloads():
     pu, pubar, dx, dzb = sp.PairFamily.variables(10, 8)
     family = sph.phase_phi1(dx, dx + pu, dzb + pubar, dzb)
     jobs["morse_normalize_family sphere (10, 8)"] = lambda: sp.morse_normalize_family(family)
+    # the compose subcommand's default f and g: x3 and 1 - 0.333 x3
+    compose_terms = ([{(0, 0, 1): 1.0}], [{(0, 0, 0): 1.0, (0, 0, 1): -0.333}])
     jobs.update({
+        "symbol_from_poly sphere order 8 (compose defaults)": lambda: [
+            cc.symbol_from_poly(sph, terms, order=8) for terms in compose_terms],
         # the K=4 sphere engine built past the engine cache
         "_build_engine sphere (10, 8) cold": lambda: cc._build_engine(sph, 10, 8),
         "sharp_product K=3": lambda: cc.sharp_product(f, g, 3),

@@ -132,10 +132,9 @@ def _geometry(name: str):
         raise ValueError(f"unknown geometry {name!r}; expected plane or sphere")
 
 
-def _parse_poly(text: str, compact: bool) -> dict:
+def _parse_poly(text: str) -> dict:
     """poly:<e1,e2,e3=coeff;...> (sphere) or poly:<p,q=coeff;...> (plane)."""
     body = text[len("poly:"):]
-    arity = 3 if compact else 2
     terms = {}
     for chunk in body.split(";"):
         chunk = chunk.strip()
@@ -149,8 +148,6 @@ def _parse_poly(text: str, compact: bool) -> dict:
             val = complex(coeff) if ("j" in coeff) else float(coeff)
         except ValueError:
             raise ValueError(f"cannot parse polynomial term {chunk!r}")
-        if len(key) != arity or any(e < 0 for e in key):
-            raise ValueError(f"exponents {key} need {arity} nonnegative entries")
         terms[key] = val
     if not terms:
         raise ValueError(f"no terms in polynomial spec {text!r}")
@@ -158,20 +155,19 @@ def _parse_poly(text: str, compact: bool) -> dict:
 
 
 _NAMED_SPHERE = {
-    "one": {(0, 0, 0): 1.0},
     "x1": {(1, 0, 0): 1.0},
     "x2": {(0, 1, 0): 1.0},
     "x3": {(0, 0, 1): 1.0},
 }
 
 
-def _symbol_terms(spec: str, compact: bool) -> dict:
+def _symbol_terms(spec: str, geometry) -> dict:
     if spec.startswith("poly:"):
-        return _parse_poly(spec, compact)
-    if compact and spec in _NAMED_SPHERE:
+        return geometry.check_exponents(_parse_poly(spec))
+    if spec == "one":
+        return {(0,) * len(geometry.coordinates): 1.0}
+    if geometry.compact and spec in _NAMED_SPHERE:
         return dict(_NAMED_SPHERE[spec])
-    if not compact and spec == "one":
-        return {(0, 0): 1.0}
     raise ValueError(f"unknown symbol spec {spec!r}; use a name or poly:<terms>")
 
 
@@ -293,10 +289,10 @@ def _geometry_rows(geometry, which: str):
     N = 16
     if geometry.compact:
         base = [math.tan(t / 2.0) for t in (0.4, 0.9, 1.4, 1.9, 2.4)]
-        density = N + 1.0  # raw kernel = (N+1)(1 + x ybar)^N
     else:
         base = [0.3, 0.8, 1.3]
-        density = float(N)  # raw kernel = N exp(N x ybar)
+    # the raw kernel is this constant times Psi^N, which is 1 at the origin
+    density = float(np.real(geometry.bergman_kernel(N, 0.0, 0.0)))
     rows = []
     for x in base:
         y = 0.8 * x + 0.1
@@ -402,8 +398,8 @@ def _cmd_compose(args) -> tuple:
     if args.K < 0:
         raise ValueError("K must be >= 0")
     geometry = _geometry(args.geometry)
-    f = cc.symbol_from_poly(geometry, [_symbol_terms(args.f, geometry.compact)], order=args.order)
-    g = cc.symbol_from_poly(geometry, [_symbol_terms(args.g, geometry.compact)], order=args.order)
+    f = cc.symbol_from_poly(geometry, [_symbol_terms(args.f, geometry)], order=args.order)
+    g = cc.symbol_from_poly(geometry, [_symbol_terms(args.g, geometry)], order=args.order)
     product = cc.sharp_product(f, g, args.K)
     # truncation stability: recompute with a deeper internal bracket cap
     control = cc.sharp_product(f, g, args.K, pair_cap=args.K + 6)
@@ -459,13 +455,15 @@ def _partial_slope(ns, errs):
 
 
 def _cmd_bergman_check(args) -> tuple:
+    from . import covariant_calculus as cc
     from . import quantization_spectral as qs
 
     if args.Nmax < 8:
         raise ValueError("Nmax must be at least 8")
     geometry = _geometry(args.geometry)
+    symbol = cc.bergman_symbol(geometry, K=4)
     levels = list(range(8, args.Nmax + 1, 8))
-    errors = [qs.bergman_kernel_error(geometry, N) for N in levels]
+    errors = [qs.bergman_kernel_error(geometry, symbol, N) for N in levels]
     rows = []
     for i, (N, err) in enumerate(zip(levels, errors)):
         rows.append((N, err, _partial_slope(levels[: i + 1], errors[: i + 1])))
@@ -487,7 +485,7 @@ def _cmd_decay(args) -> tuple:
 
     geometry = _geometry(args.geometry)
     levels = _parse_n_list(args.N_list)
-    terms = _symbol_terms(args.f, geometry.compact)
+    terms = _symbol_terms(args.f, geometry)
     region = qs.parse_region(args.V)
     report = qs.decay_report(geometry, terms, args.E, region, levels, args.cutoff)
     rows = []

@@ -170,8 +170,7 @@ class CovariantSymbol:
                     for i, p in enumerate(expo):
                         if p:
                             if coords is None:
-                                coords = (self.geometry.euclid_polarized(x, zbar)
-                                          if self.geometry.compact else (x, zbar))
+                                coords = self.geometry.polarized_coordinates(x, zbar)
                             term = term * coords[i] ** p
                     acc = acc + term
             return np.broadcast_to(acc, np.broadcast(x, zbar).shape)
@@ -260,29 +259,26 @@ def _jet_domain() -> Domain:
     return Domain.disk(JET_DOMAIN_RADIUS) * Domain.disk(JET_DOMAIN_RADIUS)
 
 
-def _frame_coordinates(geometry: ModelGeometry, node: complex, order: int) -> tuple:
-    """Jets, in a node's normal frame, of the coordinates symbol polynomials
-    are written in.
+def _frame_coordinates(geometry: ModelGeometry, nodes: np.ndarray, order: int) -> list:
+    """Jets, in each node's normal frame, of the coordinates symbol
+    polynomials are written in: one tuple per node.
 
-    On the plane these are the offsets (dx, dzbar) at its single node.  On
-    the sphere they are the polarized ambient coordinates (x1, x2, x3):
-    building them through the global chart would multiply series with
-    coefficients ~ node^p and cancel catastrophically near the pole, so
-    they are the base-point jets of ``euclid_polarized`` carried by the
-    rigid rotation that takes the node to the origin: x2 is fixed and
-    (x1, x3) rotate by the node's polar angle.
+    The base jets are ``geometry.polarized_coordinates`` at the frame
+    offsets (dx, dzbar), evaluated once; they serve the plane's single
+    node as they are.  On the sphere, jets built through the global chart
+    would cancel catastrophically near the pole (coefficients ~ node^p),
+    so the base jets are carried by the rigid rotation that takes the node
+    to the origin: x2 is fixed and (x1, x3) rotate by its polar angle.
     """
-    dx, dzbar = PowerSeries.variable(0, 2, order), PowerSeries.variable(1, 2, order)
+    base = geometry.polarized_coordinates(PowerSeries.variable(0, 2, order),
+                                          PowerSeries.variable(1, 2, order))
     if not geometry.compact:
-        return dx, dzbar
-    lam = complex(node)
-    if abs(lam.imag) > 1e-14:
+        return [base] * len(nodes)
+    if np.any(np.abs(np.imag(nodes)) > 1e-14):
         raise ValueError("sphere nodes sit on the real meridian")
-    lam = lam.real
-    base1, base2, base3 = geometry.euclid_polarized(dx, dzbar)
-    c = (1.0 - lam * lam) / (1.0 + lam * lam)
-    s = 2.0 * lam / (1.0 + lam * lam)
-    return (base1 * c + base3 * s, base2, base1 * (-s) + base3 * c)
+    (x1, x2, x3), lam = base, np.real(nodes)
+    return [(x1 * c + x3 * s, x2, x1 * (-s) + x3 * c)
+            for c, s in zip((1.0 - lam * lam) / (1.0 + lam * lam), 2.0 * lam / (1.0 + lam * lam))]
 
 
 def symbol_from_poly(
@@ -296,27 +292,23 @@ def symbol_from_poly(
 ) -> CovariantSymbol:
     """Symbol whose coefficient f_k is a polynomial.
 
-    ``terms_per_k[k]`` maps exponent tuples to coefficients: triples
-    (e1, e2, e3) of the polarized ambient coordinates x1^e1 x2^e2 x3^e3 on
-    the sphere, pairs (p, q) of x^p zbar^q on the plane.  Each node's jets
-    are the same monomials in its ``_frame_coordinates``, multiplied in the
+    ``terms_per_k[k]`` maps exponent tuples over ``geometry.coordinates``
+    to coefficients (``geometry.check_exponents`` validates them): triples
+    (e1, e2, e3) of the ambient coordinates x1^e1 x2^e2 x3^e3 on the
+    sphere, pairs (p, q) of x^p zbar^q on the plane.  Each node's jets are
+    the same monomials in its ``_frame_coordinates``, multiplied in the
     truncated jet ring; the plane's single node sits at the origin, so its
     jets are the polynomials themselves and a term above the jet order
     raises.  The polynomials are kept as the symbol's ``exact``.
     ``node_count`` refines the sphere's meridian grid when jets of a
     derived symbol will be read far from the diagonal.
     """
-    arity = 3 if geometry.compact else 2
-    for terms in terms_per_k:
-        for expo in terms:
-            if len(expo) != arity:
-                raise ValueError(f"exponents {expo} need {arity} entries on this model")
-            if not geometry.compact and sum(expo) > order:
-                raise ValueError("polynomial degree exceeds the jet order")
+    terms_per_k = [geometry.check_exponents(terms) for terms in terms_per_k]
+    if not geometry.compact and any(sum(e) > order for terms in terms_per_k for e in terms):
+        raise ValueError("polynomial degree exceeds the jet order")
     nodes = node_grid(geometry, node_count)
     coeffs = np.zeros((len(nodes), len(terms_per_k), order + 1, order + 1), dtype=complex)
-    for i, node in enumerate(nodes):
-        frame = _frame_coordinates(geometry, node, order)
+    for i, frame in enumerate(_frame_coordinates(geometry, nodes, order)):
         for k, terms in enumerate(terms_per_k):
             acc = PowerSeries.zero(2, order)
             for expo, cval in sorted(terms.items()):
@@ -327,17 +319,14 @@ def symbol_from_poly(
                 acc = acc + mono
             coeffs[i, k] = acc.coeffs
     # rotation about the polar axis fixes x3 alone
-    invariant = geometry.compact and all(
-        expo[0] == 0 and expo[1] == 0 for terms in terms_per_k for expo in terms
-    )
+    invariant = geometry.compact and not any(e[0] or e[1] for terms in terms_per_k for e in terms)
     return CovariantSymbol(geometry, nodes, coeffs, float(r), float(R), int(m), invariant,
-                           tuple(map(dict, terms_per_k)))
+                           tuple(terms_per_k))
 
 
 def unit_covariant(geometry: ModelGeometry, K: int = 0, **kw) -> CovariantSymbol:
     """The constant symbol (1, 0, ..., 0)."""
-    key = (0, 0, 0) if geometry.compact else (0, 0)
-    terms = [{key: 1.0}] + [{} for _ in range(K)]
+    terms = [{(0,) * len(geometry.coordinates): 1.0}] + [{} for _ in range(K)]
     return symbol_from_poly(geometry, terms, **kw)
 
 
@@ -383,14 +372,6 @@ def _engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _Engine:
         if eng is None:
             eng = _ENGINE_CACHE[key] = _build_engine(geometry, pair_cap, param_cap)
     return eng
-
-
-def _pair_cap(K: int, pair_cap: Optional[int]) -> int:
-    """The engine's pair cap for brackets to order K: 2K + 2 by default."""
-    P = 2 * K + 2 if pair_cap is None else pair_cap
-    if P < 2 * K + 2:
-        raise ValueError(f"pair cap {P} cannot hold brackets to order {K} (need >= {2 * K + 2})")
-    return P
 
 
 def _substitute(c: np.ndarray, eng: _Engine, left: bool) -> PairFamily:
@@ -521,7 +502,9 @@ def sharp_product(
     diagonal block.
     """
     _check_pair(f, g)
-    P = _pair_cap(K, pair_cap)
+    P = 2 * K + 2 if pair_cap is None else pair_cap
+    if P < 2 * K + 2:
+        raise ValueError(f"pair cap {P} cannot hold brackets to order {K} (need >= {2 * K + 2})")
     eng = _engine(f.geometry, P, f.order)
     per_node = _per_node((f, g), K, lambda fj, gj: _sharp_node(eng, fj, gj, K))
     # class bookkeeping: the product lives in the doubled class
@@ -532,20 +515,17 @@ def sharp_product(
     return _assemble(f, per_node, invariant, r=min(f.r, g.r), R=max(f.R, g.R), m=min(f.m, g.m))
 
 
-def solve_sharp(
-    f: CovariantSymbol, h: CovariantSymbol, K: int, pair_cap: Optional[int] = None
-) -> CovariantSymbol:
+def solve_sharp(f: CovariantSymbol, h: CovariantSymbol, K: int) -> CovariantSymbol:
     """g with f sharp g = h to order K.
 
     Triangular recursion: the k-th equation reads
     W_0[f_0, g_k] = h_k - (brackets that only involve g_{<k}), and W_0 is
     multiplication by f_0 (rho J)_00 in the truncated jet ring, so each
     step is an exact division there.  The assembled residual is checked
-    against 1e-9 before returning.
+    against 1e-9 before returning.  The engine's pair cap is 2K + 2.
     """
     _check_pair(f, h)
-    P = _pair_cap(K, pair_cap)
-    eng = _engine(f.geometry, P, f.order)
+    eng = _engine(f.geometry, 2 * K + 2, f.order)
     per_node = _per_node((f, h), K, lambda fj, hj: _solve_node(eng, fj, hj, K))
     invariant = f.rotation_invariant and h.rotation_invariant
     return _assemble(h, per_node, invariant)
@@ -630,15 +610,13 @@ def _build_bergman_symbol(geometry, K, order, r, R, m) -> CovariantSymbol:
     return out
 
 
-def sharp_inverse(f: CovariantSymbol, K: int, pair_cap: Optional[int] = None) -> CovariantSymbol:
+def sharp_inverse(f: CovariantSymbol, K: int) -> CovariantSymbol:
     """f^{sharp -1}: the symbol with f sharp f^{sharp -1} = Bergman symbol."""
     a = bergman_symbol(f.geometry, K, order=f.order, r=f.r, R=f.R, m=f.m)
-    return solve_sharp(f, a, K, pair_cap=pair_cap)
+    return solve_sharp(f, a, K)
 
 
-def contravariant_to_covariant(
-    f: CovariantSymbol, K: int, pair_cap: Optional[int] = None
-) -> CovariantSymbol:
+def contravariant_to_covariant(f: CovariantSymbol, K: int) -> CovariantSymbol:
     """Covariant symbol of the multiplication-and-project operator T_N(f).
 
     T_N(f) = S_N f S_N has the kernel of a covariant operator with the
@@ -648,12 +626,12 @@ def contravariant_to_covariant(
     substituted.  f is handed over as its jet family (the polarized
     extension near the diagonal).  Per node, L_k = sum_{l+i=k} a_l f_i
     (left and middle substitutions) enters the Wick sum against a (right).
+    The engine's pair cap is 2K + 2.
     """
-    P = _pair_cap(K, pair_cap)
     if f.order < 1:
         raise ValueError("the diagonal function needs a positive jet order")
     a = bergman_symbol(f.geometry, K, order=f.order, r=f.r, R=f.R, m=f.m)
-    eng = _engine(f.geometry, P, f.order)
+    eng = _engine(f.geometry, 2 * K + 2, f.order)
     # the Bergman symbol is constant and its node jets are byte-identical,
     # so its substitutions serve every node
     A_left = [_substitute(c, eng, left=True) for c in a.coeffs[0]]

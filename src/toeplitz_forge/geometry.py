@@ -13,7 +13,8 @@ A model states five primitives, and everything else is derived from them:
 * ``geodesic_distance``; sphere injectivity radius ``pi / sqrt(2)``.
 * ``level_moments`` (``||z^m||^2`` at levels N + s, integers over one
   denominator) and ``bergman_kernel``, the exact level-N oracles; the
-  ambient ``coordinates`` are integer polynomials over ``(1 + z zbar)``.
+  ``coordinates`` symbol polynomials are written in are integer tables over
+  ``(1 + z zbar)^over_power``, which every evaluation and check reads.
 
 Each formula is written once and takes numpy arrays or scalars (made
 complex) and ring elements (``PowerSeries``, ``PairFamily``) alike: the
@@ -30,9 +31,11 @@ the real locus; all oscillatory-integral machinery downstream expands
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -114,6 +117,34 @@ class ModelGeometry:
         if not 0 <= j < len(row):
             raise ValueError(f"monomial degree {j} outside the level-{N} space")
         return Fraction(row[j], den)
+
+    def check_exponents(self, terms) -> dict:
+        """An exponent -> coefficient mapping over the ``coordinates``, with
+        int exponents; a key of anything but one non-negative integer per
+        coordinate raises ValueError."""
+        out = {}
+        for key, cval in dict(terms).items():
+            if not isinstance(key, tuple) or len(key) != len(self.coordinates) or not all(
+                    isinstance(e, numbers.Integral) and e >= 0 for e in key):
+                raise ValueError(f"exponents {key} need {len(self.coordinates)} entries, "
+                                 "each a non-negative integer")
+            out[tuple(map(int, key))] = cval
+        return out
+
+    def polarized_coordinates(self, y, wbar) -> tuple:
+        """The ``coordinates`` at polarized points: each table's sum of
+        (re + i im) y^p wbar^q over (1 + y wbar)^over_power, for arrays and
+        ring elements alike; at wbar = conj y they are real."""
+        y, wbar = _operands(y, wbar)
+        over = _divider(1 + y * wbar) if self.over_power else None
+        coords = []
+        for table in self.coordinates:
+            acc = sum(reduce(operator.mul, [y] * p + [wbar] * q, complex(re, im))
+                      for (p, q), (re, im) in table.items())
+            for _ in range(self.over_power):
+                acc = over(acc)
+            coords.append(acc)
+        return tuple(coords)
 
     def monomial_expansion(self, exponents) -> tuple:
         """A monomial in the ``coordinates`` as (s, {(p, q): (re, im)}): the sum
@@ -227,7 +258,7 @@ class SphereModel(ModelGeometry):
     name = "sphere"
     compact = True
     injectivity_radius = math.pi / math.sqrt(2.0)
-    # x1, x2, x3 of ``euclid_polarized``: z + zbar, -i (z - zbar), 1 - z zbar
+    # the ambient x1, x2, x3: z + zbar, -i (z - zbar), 1 - z zbar
     coordinates = (
         {(1, 0): (1, 0), (0, 1): (1, 0)},
         {(1, 0): (0, -1), (0, 1): (0, 1)},
@@ -263,16 +294,6 @@ class SphereModel(ModelGeometry):
 
     def bergman_kernel(self, N: int, x, ybar):
         return (N + 1) * (1.0 + np.asarray(x, dtype=complex) * np.asarray(ybar, dtype=complex)) ** N
-
-    # -- sphere-specific helpers --------------------------------------------
-
-    @staticmethod
-    def euclid_polarized(y, wbar):
-        """Analytic extensions of the unit-sphere coordinates x1, x2, x3 off
-        the real locus wbar = conj y; at wbar = conj y they are real."""
-        y, wbar = _operands(y, wbar)
-        over = _divider(1 + y * wbar)
-        return over(y + wbar), over(-1j * (y - wbar)), over(1 - y * wbar)
 
 
 def bargmann() -> BargmannModel:

@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .covariant_calculus import CovariantSymbol, bergman_symbol
 from .function_spaces import summation_cutoff
 from .geometry import ModelGeometry, sphere
+
+if TYPE_CHECKING:  # annotations only: symbols arrive built, so the engine stays unloaded
+    from .covariant_calculus import CovariantSymbol
 
 __all__ = [
     "OperatorMatrix",
@@ -285,22 +287,18 @@ def contravariant_matrix(
     """Matrix of u -> projection(f u) in the orthonormal monomial basis.
 
     ``f`` is a mapping of exponent tuples over ``geometry.coordinates`` to
-    coefficients: triples (e1, e2, e3) over the ambient sphere
-    coordinates, pairs (p, q) over plane monomials z^p zbar^q.  Polynomial
-    data goes through one exact moment path for both models
-    (``_moment_entries``); a callable f falls back to quadrature
-    (``f(x1, x2, x3)`` on the sphere, ``f(re, im)`` on the plane).
+    coefficients, checked by ``geometry.check_exponents``: triples
+    (e1, e2, e3) over the ambient sphere coordinates, pairs (p, q) over
+    plane monomials z^p zbar^q.  Polynomial data goes through one exact
+    moment path for both models (``_moment_entries``); a callable f falls
+    back to quadrature (``f(x1, x2, x3)`` on the sphere, ``f(re, im)`` on
+    the plane).
     """
     dim = _basis_dim(geometry, N, cutoff)
     if callable(f):
         ent = _quadrature_entries(geometry, f, N, dim)
         return OperatorMatrix(ent, N)
-    terms = dict(f)
-    width = len(geometry.coordinates)
-    for key in terms:
-        if len(key) != width or any(int(e) != e or e < 0 for e in key):
-            raise ValueError(f"exponent tuples must be length {width} and nonnegative")
-    return OperatorMatrix(_moment_entries(geometry, [terms], int(N), dim), N)
+    return OperatorMatrix(_moment_entries(geometry, [geometry.check_exponents(f)], int(N), dim), N)
 
 
 # ---------------------------------------------------------------------------
@@ -611,24 +609,27 @@ def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:
 
 def bergman_kernel_error(
     geometry: ModelGeometry,
+    symbol: CovariantSymbol,
     N: int,
     K: Optional[int] = None,
     eps: Optional[float] = None,
 ) -> float:
     """Sup over sample pairs of the weighted error of the cutoff kernel.
 
-    Compares N^d 1_{dist<=eps} Psi^N sum_k N^{-k} a_k (a the Bergman
-    symbol) against the exact reproducing kernel, both measured in the
-    pointwise h-norm at the pair.  Pairs beyond the cutoff are included:
-    there the approximation is exactly zero and the error is the exact
-    kernel's own weighted size.
+    Compares N^d 1_{dist<=eps} Psi^N sum_k N^{-k} a_k, with a the Bergman
+    symbol passed as ``symbol`` (K resolved as in ``covariant_matrix``),
+    against the exact reproducing kernel, both measured in the pointwise
+    h-norm at the pair.  Pairs beyond the cutoff are included: there the
+    approximation is exactly zero and the error is the exact kernel's own
+    weighted size.
     """
+    if symbol.geometry.name != geometry.name:
+        raise ValueError("symbol was built for a different geometry")
     _check_cutoff_radius(eps)
-    sym = bergman_symbol(geometry, K=4)
-    K = _resolve_truncation(sym, N, K)
+    K = _resolve_truncation(symbol, N, K)
     if eps is None:
         eps = CUTOFF_FACTOR * geometry.injectivity_radius if geometry.compact else math.inf
-    amp = _summed_amplitude(sym, N, K)
+    amp = _summed_amplitude(symbol, N, K)
     if geometry.compact:
         thetas = np.linspace(0.15, math.pi - 0.15, 9)
         azimuths = np.array([0.0, 0.7, 1.6, 3.0])

@@ -54,6 +54,7 @@ NORMALIZATION = (
 )
 
 _CLEAN_TOL = 1e-12
+_SOLVE_TOL = 1e-9  # both online flattenings' divisibility guard, per degree error
 
 
 @dataclass(frozen=True)
@@ -408,7 +409,7 @@ def _normalize_one_pair(ser: PowerSeries, A: complex, order: int):
         out[a + np.arange(part.size), a] = g[:, None] * part
         return out
 
-    w = _solve_online(rem, 1e-9, "degree", times, spread)
+    w = _solve_online(rem, _SOLVE_TOL, "degree", times, spread)
     iota_v = PowerSeries.variable(0, 2, order) * (1.0 / A)
     return iota_v, PowerSeries(_ungraded(w), order)
 
@@ -691,7 +692,7 @@ def _pair_powers(base: PairFamily, top: int) -> list:
     return out[: top + 1]
 
 
-def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
+def morse_normalize_family(phase: PairFamily) -> MorseFamily:
     """Flatten a one-pair phase family to -u ubar, all offsets at once.
 
     Requires every phase monomial to carry both u and ubar (the
@@ -707,13 +708,13 @@ def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
     one-column operands, which convolves their u-degree lists, and g_b
     (blocks (a, 0)) with a degree-d part (blocks (i, d - i)) as plain
     families, regraded.  The guard at pair degree D is ``_divide_by_u``
-    with ``tol``, scaled by the degree-D error.  No power of iota_vbar is
-    multiplied out beyond what the solve reads.
+    with ``_SOLVE_TOL``, scaled by the degree-D error.  No power of
+    iota_vbar is multiplied out beyond what the solve reads.
     """
     P, M = phase.pair_cap, phase.param_cap
     if P < 2:
         raise ValueError("pair cap must be at least 2")
-    ser = _scrub_boundary(phase, tol)
+    ser = _scrub_boundary(phase, _SOLVE_TOL)
 
     a_block = -ser.block(1, 1)
     if abs(a_block[0, 0]) <= 1e-12 * max(1.0, float(np.max(np.abs(a_block)))):
@@ -743,7 +744,7 @@ def morse_normalize_family(phase: PairFamily, tol: float = 1e-9) -> MorseFamily:
         pd[np.arange(d + 1), d - np.arange(d + 1)] = part
         return _graded(_kernels.conv_pair(gb, pd, P, M))[:, d:]
 
-    w = _solve_online(rem, tol, "pair-degree", times, spread)
+    w = _solve_online(rem, _SOLVE_TOL, "pair-degree", times, spread)
 
     u = PairFamily.variables(P, M)[0]
     iota_v = u.param_scale(ainv_block)

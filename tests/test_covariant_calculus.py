@@ -419,10 +419,6 @@ def test_pair_cap_guard():
     one = cc.unit_covariant(SPHERE, order=6)
     with pytest.raises(ValueError, match="pair cap"):
         cc.sharp_product(one, one, K=3, pair_cap=6)
-    with pytest.raises(ValueError, match="pair cap"):
-        cc.solve_sharp(one, one, K=3, pair_cap=6)
-    with pytest.raises(ValueError, match="pair cap"):
-        cc.contravariant_to_covariant(one, K=3, pair_cap=6)
 
 
 def test_composition_reads_no_certificate(monkeypatch):

@@ -1,5 +1,6 @@
 """Model-space conventions, pinned values, and cross-route identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ def rand_pts(n, scale=1.0):
 
 def euclid_coords(z):
     """Unit-sphere embedding (x1, x2, x3) of a chart point."""
-    return np.real(sphere().euclid_polarized(z, np.conj(z)))
+    return np.real(sphere().polarized_coordinates(z, np.conj(z)))
 
 
 def test_model_by_name():
@@ -149,7 +150,7 @@ def test_euclid_coords_unit_norm_and_polarization():
     d = 1.0 + np.abs(z) ** 2
     x1, x2, x3 = 2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - np.abs(z) ** 2) / d
     assert np.max(np.abs(x1**2 + x2**2 + x3**2 - 1.0)) < 1e-12
-    p1, p2, p3 = m.euclid_polarized(z, np.conj(z))
+    p1, p2, p3 = m.polarized_coordinates(z, np.conj(z))
     assert np.max(np.abs(p1 - x1)) < 1e-12
     assert np.max(np.abs(p2 - x2)) < 1e-12
     assert np.max(np.abs(p3 - x3)) < 1e-12
@@ -194,6 +195,37 @@ def test_monomial_expansion_over_the_chart():
                                                           (0, 2): (0, 1)})
     assert sphere().monomial_expansion((0, 0, 1)) == (1, {(0, 0): (1, 0), (1, 1): (-1, 0)})
     assert bargmann().monomial_expansion((2, 3)) == (0, {(2, 3): (1, 0)})
+
+
+@pytest.mark.parametrize("model", [sphere(), bargmann()], ids=["sphere", "plane"])
+def test_coordinate_tables_read_both_ways(model):
+    # a monomial of degree <= 3 in polarized_coordinates against the sum
+    # (re + i im) y^p wbar^q / (1 + y wbar)^s of monomial_expansion
+    rng = np.random.default_rng(7)
+    y, wbar = (0.8 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+               for _ in range(2))
+    coords = model.polarized_coordinates(y, wbar)
+    width = len(model.coordinates)
+    worst = 0.0
+    for expo in itertools.product(range(4), repeat=width):
+        if sum(expo) > 3:
+            continue
+        got = np.ones_like(y)
+        for c, e in zip(coords, expo):
+            got = got * c**e
+        s, terms = model.monomial_expansion(expo)
+        want = sum(complex(re, im) * y**p * wbar**q for (p, q), (re, im) in terms.items())
+        want = want / (1 + y * wbar) ** s
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst < 1e-13
+
+
+def test_check_exponents_returns_int_keys():
+    got = sphere().check_exponents({(np.int64(1), 0, 2): 0.5})
+    assert got == {(1, 0, 2): 0.5}
+    assert all(type(e) is int for key in got for e in key)
+    with pytest.raises(ValueError, match="need 2 entries"):
+        bargmann().check_exponents({3: 1.0})
 
 
 def test_bergman_kernel_is_normalized_monomial_sum():

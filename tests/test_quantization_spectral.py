@@ -127,6 +127,31 @@ def test_multiplier_rejects_bad_exponents():
         qs.contravariant_matrix(SPH, {(1, 0, -1): 1.0}, 4)
 
 
+def _bad_key(geom, kind):
+    """One invalid exponent key of the given kind over geom's coordinates."""
+    width = len(geom.coordinates)
+    return {
+        "negative": (1,) + (0,) * (width - 2) + (-1,),  # (1, 0, -1) and (1, -1)
+        "fractional": (1.5,) + (0,) * (width - 1),
+        "integral-float": (1.0,) + (0,) * (width - 1),
+        "short": (0,) * (width - 1),
+        "long": (0,) * (width + 1),
+    }[kind]
+
+
+@pytest.mark.parametrize("geom", [SPH, PLANE], ids=["sphere", "plane"])
+@pytest.mark.parametrize("kind", ["negative", "fractional", "integral-float", "short", "long"])
+@pytest.mark.parametrize("entry", [
+    lambda geom, key: cc.symbol_from_poly(geom, [{key: 1.0}]),
+    lambda geom, key: qs.contravariant_matrix(geom, {key: 1.0}, 4),
+], ids=["symbol_from_poly", "contravariant_matrix"])
+def test_polynomial_entry_points_reject_invalid_exponents(geom, kind, entry):
+    # both polynomial entry points read one check: a negative exponent is
+    # not silently a constant or a reciprocal, and 1.0 is not an exponent
+    with pytest.raises(ValueError, match="non-negative integer"):
+        entry(geom, _bad_key(geom, kind))
+
+
 def _fraction_moments(geom, terms, N, dim):
     """Exact entry sums and norms of a multiplier matrix, as Fractions.
 
@@ -501,8 +526,8 @@ def test_sphere_coordinate_kernels_close_the_spin_algebra(N):
     lambda eps: qs.cutoff_rho(SPH, eps),
     lambda eps: qs.covariant_matrix(SPH, cc.bergman_symbol(SPH, K=4), 8, eps=eps),
     lambda eps: qs.covariant_matrix(PLANE, cc.bergman_symbol(PLANE, K=4), 8, eps=eps),
-    lambda eps: qs.bergman_kernel_error(SPH, 8, eps=eps),
-    lambda eps: qs.bergman_kernel_error(PLANE, 8, eps=eps),
+    lambda eps: qs.bergman_kernel_error(SPH, cc.bergman_symbol(SPH, K=4), 8, eps=eps),
+    lambda eps: qs.bergman_kernel_error(PLANE, cc.bergman_symbol(PLANE, K=4), 8, eps=eps),
 ], ids=["cutoff_rho", "covariant_matrix-sphere", "covariant_matrix-plane",
         "bergman_kernel_error-sphere", "bergman_kernel_error-plane"])
 def test_cutoff_radius_must_be_positive(call, eps):
@@ -772,11 +797,12 @@ def test_bergman_gram_defect():
 
 
 def test_bergman_kernel_error_frozen_values():
-    e8 = qs.bergman_kernel_error(SPH, 8)
-    e32 = qs.bergman_kernel_error(SPH, 32)
+    sym = cc.bergman_symbol(SPH, K=4)
+    e8 = qs.bergman_kernel_error(SPH, sym, 8)
+    e32 = qs.bergman_kernel_error(SPH, sym, 32)
     assert e8 == pytest.approx(1.562925, rel=1e-4)
     assert e32 == pytest.approx(3.001209e-2, rel=1e-4)
-    assert qs.bergman_kernel_error(PLANE, 8) < 1e-12
+    assert qs.bergman_kernel_error(PLANE, cc.bergman_symbol(PLANE, K=4), 8) < 1e-12
 
 
 # ---------------------------------------------------------------------------
