@@ -163,7 +163,7 @@ _NAMED_SPHERE = {
 
 def _symbol_terms(spec: str, geometry) -> dict:
     if spec.startswith("poly:"):
-        return geometry.check_exponents(_parse_poly(spec))
+        return _parse_poly(spec)
     if spec == "one":
         return {(0,) * len(geometry.coordinates): 1.0}
     if geometry.compact and spec in _NAMED_SPHERE:
@@ -455,15 +455,13 @@ def _partial_slope(ns, errs):
 
 
 def _cmd_bergman_check(args) -> tuple:
-    from . import covariant_calculus as cc
     from . import quantization_spectral as qs
 
     if args.Nmax < 8:
         raise ValueError("Nmax must be at least 8")
     geometry = _geometry(args.geometry)
-    symbol = cc.bergman_symbol(geometry, K=4)
     levels = list(range(8, args.Nmax + 1, 8))
-    errors = [qs.bergman_kernel_error(geometry, symbol, N) for N in levels]
+    errors = [qs.bergman_kernel_error(geometry, N) for N in levels]
     rows = []
     for i, (N, err) in enumerate(zip(levels, errors)):
         rows.append((N, err, _partial_slope(levels[: i + 1], errors[: i + 1])))

@@ -609,27 +609,26 @@ def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:
 
 def bergman_kernel_error(
     geometry: ModelGeometry,
-    symbol: CovariantSymbol,
     N: int,
     K: Optional[int] = None,
     eps: Optional[float] = None,
 ) -> float:
     """Sup over sample pairs of the weighted error of the cutoff kernel.
 
-    Compares N^d 1_{dist<=eps} Psi^N sum_k N^{-k} a_k, with a the Bergman
-    symbol passed as ``symbol`` (K resolved as in ``covariant_matrix``),
-    against the exact reproducing kernel, both measured in the pointwise
-    h-norm at the pair.  Pairs beyond the cutoff are included: there the
-    approximation is exactly zero and the error is the exact kernel's own
-    weighted size.
+    Compares N^d 1_{dist<=eps} Psi^N sum_k N^{-k} a_k (a the Bergman
+    symbol) against the exact reproducing kernel, both measured in the
+    pointwise h-norm at the pair.  Pairs beyond the cutoff are included:
+    there the approximation is exactly zero and the error is the exact
+    kernel's own weighted size.
     """
-    if symbol.geometry.name != geometry.name:
-        raise ValueError("symbol was built for a different geometry")
+    from .covariant_calculus import bergman_symbol  # only this check needs the engine
+
     _check_cutoff_radius(eps)
-    K = _resolve_truncation(symbol, N, K)
+    sym = bergman_symbol(geometry, K=4)
+    K = _resolve_truncation(sym, N, K)
     if eps is None:
         eps = CUTOFF_FACTOR * geometry.injectivity_radius if geometry.compact else math.inf
-    amp = _summed_amplitude(symbol, N, K)
+    amp = _summed_amplitude(sym, N, K)
     if geometry.compact:
         thetas = np.linspace(0.15, math.pi - 0.15, 9)
         azimuths = np.array([0.0, 0.7, 1.6, 3.0])

@@ -259,7 +259,7 @@ def test_criterion_07_kernel_expansion():
     errors = []
     for N in levels:
         K = min(fs.summation_cutoff(N, symbol.R), symbol.K)
-        errors.append(qs.bergman_kernel_error(SPHERE, symbol, N, K=K))
+        errors.append(qs.bergman_kernel_error(SPHERE, N, K=K))
     slope, r2 = _fit(levels, np.log(errors))
     ok = coeff_err < 1e-8 and slope < 0.0 and r2 > 0.98
     _verdict(7, "kernel expansion", ok,

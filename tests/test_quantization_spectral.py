@@ -526,8 +526,8 @@ def test_sphere_coordinate_kernels_close_the_spin_algebra(N):
     lambda eps: qs.cutoff_rho(SPH, eps),
     lambda eps: qs.covariant_matrix(SPH, cc.bergman_symbol(SPH, K=4), 8, eps=eps),
     lambda eps: qs.covariant_matrix(PLANE, cc.bergman_symbol(PLANE, K=4), 8, eps=eps),
-    lambda eps: qs.bergman_kernel_error(SPH, cc.bergman_symbol(SPH, K=4), 8, eps=eps),
-    lambda eps: qs.bergman_kernel_error(PLANE, cc.bergman_symbol(PLANE, K=4), 8, eps=eps),
+    lambda eps: qs.bergman_kernel_error(SPH, 8, eps=eps),
+    lambda eps: qs.bergman_kernel_error(PLANE, 8, eps=eps),
 ], ids=["cutoff_rho", "covariant_matrix-sphere", "covariant_matrix-plane",
         "bergman_kernel_error-sphere", "bergman_kernel_error-plane"])
 def test_cutoff_radius_must_be_positive(call, eps):
@@ -797,12 +797,11 @@ def test_bergman_gram_defect():
 
 
 def test_bergman_kernel_error_frozen_values():
-    sym = cc.bergman_symbol(SPH, K=4)
-    e8 = qs.bergman_kernel_error(SPH, sym, 8)
-    e32 = qs.bergman_kernel_error(SPH, sym, 32)
+    e8 = qs.bergman_kernel_error(SPH, 8)
+    e32 = qs.bergman_kernel_error(SPH, 32)
     assert e8 == pytest.approx(1.562925, rel=1e-4)
     assert e32 == pytest.approx(3.001209e-2, rel=1e-4)
-    assert qs.bergman_kernel_error(PLANE, cc.bergman_symbol(PLANE, K=4), 8) < 1e-12
+    assert qs.bergman_kernel_error(PLANE, 8) < 1e-12
 
 
 # ---------------------------------------------------------------------------
