@@ -37,7 +37,7 @@ import numpy as np
 from .function_spaces import summation_cutoff
 from .geometry import ModelGeometry, sphere
 
-if TYPE_CHECKING:  # annotations only: symbols arrive built, so the engine stays unloaded
+if TYPE_CHECKING:  # annotations only: the engine loads only inside bergman_kernel_error
     from .covariant_calculus import CovariantSymbol
 
 __all__ = [

@@ -258,6 +258,9 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     assert run(["decay", "--N-list", "8,12,8", "--out", str(tmp_path)]) == 2
     assert run(["decay", "--geometry", "torus", "--out", str(tmp_path)]) == 2
     assert run(["compose", "--f", "poly:junk", "--out", str(tmp_path)]) == 2
+    # exponents are checked once, by the library entry point each job feeds
+    assert run(["compose", "--geometry", "plane", "--f", "poly:1,-1=1.0", "--out", str(tmp_path)]) == 2
+    assert run(["decay", "--f", "poly:0,0,0,1=1.0", "--out", str(tmp_path)]) == 2
     # the south pole carries no mass, so the rate fit has no rows
     with pytest.warns(UserWarning, match="nonpositive mass"):
         assert run(["decay", "--V", "x3 <= -1", "--out", str(tmp_path)]) == 2
