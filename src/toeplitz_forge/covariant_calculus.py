@@ -47,7 +47,7 @@ from . import constants, _kernels
 from .function_spaces import Domain, estimate_symbol_norm, make_symbol
 from .geometry import ModelGeometry
 from .series import PowerSeries
-from .stationary_phase import MorseFamily, PairFamily, _pair_powers, morse_normalize_family
+from .stationary_phase import PairFamily, _pair_powers, morse_normalize_family
 
 SPHERE_NODE_COUNT = 12
 JET_DOMAIN_RADIUS = 0.35
@@ -339,7 +339,6 @@ class _Engine:
     geometry: ModelGeometry
     pair_cap: int
     param_cap: int
-    morse: MorseFamily
     rho_jac: PairFamily  # (rho o kappa) J; block (0,0) is the W_0 weight
     x_powers: list  # (dx + iota_v)^s, s = 0..param_cap
     z_powers: list  # (dzbar + iota_vbar)^t, t = 0..param_cap
@@ -362,7 +361,7 @@ def _build_engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _En
     # rho at the flattened variables, by the density's own formula
     y, wbar = x + morse.iota_v, zbar + morse.iota_vbar
     rho_jac = geometry.density_rho(y, wbar) * morse.jacobian
-    return _Engine(geometry, P, M, morse, rho_jac, _pair_powers(y, M), _pair_powers(wbar, M))
+    return _Engine(geometry, P, M, rho_jac, _pair_powers(y, M), _pair_powers(wbar, M))
 
 
 def _engine(geometry: ModelGeometry, pair_cap: int, param_cap: int) -> _Engine:

@@ -312,19 +312,12 @@ def estimate_symbol_norm(
     r: Optional[float] = None,
     R: Optional[float] = None,
     m: Optional[int] = None,
-    j_max: Optional[int] = None,
-    k_max: Optional[int] = None,
 ) -> float:
     """Grid estimate of the symbol norm at the given (or stored) parameters."""
     r = a.r if r is None else r
     R = a.R if R is None else R
     m = a.m if m is None else m
-    j_max = a.j_max if j_max is None else j_max
-    k_max = a.K if k_max is None else k_max
-    if k_max > a.K:
-        raise ValueError("k_max exceeds the stored truncation")
-    return _weighted_sup(a.coeffs[: k_max + 1], a.domain.grids(a.grid_resolution),
-                         r, R, m, j_max)
+    return _weighted_sup(a.coeffs, a.domain.grids(a.grid_resolution), r, R, m, a.j_max)
 
 
 def _weighted_sup(coeffs: Sequence, grids: list, r: float, R: float, m: int, j_max: int) -> float:

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .function_spaces import summation_cutoff
 from .geometry import ModelGeometry, sphere
 
 if TYPE_CHECKING:  # annotations only: the engine loads only inside bergman_kernel_error
@@ -91,7 +90,6 @@ class OperatorMatrix:
     """Dense matrix of an operator in the orthonormalized monomial basis."""
 
     entries: np.ndarray
-    N: int
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -211,30 +209,41 @@ def _moment_entries(geometry: ModelGeometry, polys: Sequence[dict], N: int, dim:
     return out
 
 
-def _section_grid(geometry: ModelGeometry, N: int, dim: int, n_radial: int, n_angular: int):
-    """Polar quadrature grid of the level-N space.
+def _radial_grid(geometry: ModelGeometry, N: int, dim: int, n_radial: int):
+    """Radial rule of the level-N space, t = |z|^2 on Gauss-Legendre nodes.
 
-    Returns the radial weights of the level-N volume (the caller takes
-    the angular mean), the uniform angle grid, the real ambient
-    coordinates at the nodes, and moduli[a, j] = |e_j|_h at radius a.
+    Returns the nodes t, the radial weights of the level-N volume (the
+    caller takes the angular mean) and moduli[a, j] = |e_j|_h at node a.
     """
     t, tw = _radial_nodes(n_radial)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
     if geometry.compact:
         vol = tw * np.exp(-2.0 * np.log1p(t))
         log_h = -float(N) * np.log1p(t)
-        d = 1.0 + t[:, None]
-        coords = (2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - t[:, None]) / d)
     else:
         # laggauss is only stable to degree ~100, so keep the mapped
         # Legendre rule; the weight e^{-Nt} split across the moduli
         # tempers large nodes
         vol, log_h = tw, -float(N) * t
-        coords = (z.real, z.imag)
     j = np.arange(dim)[None, :]
     lognorm = _log_norm_inv(geometry, N, dim)[None, :]
     moduli = np.exp(0.5 * j * np.log(t)[:, None] + 0.5 * log_h[:, None] + 0.5 * lognorm)
+    return t, vol, moduli
+
+
+def _section_grid(geometry: ModelGeometry, N: int, dim: int, n_radial: int, n_angular: int):
+    """Polar quadrature grid of the level-N space.
+
+    Returns the radial weights and moduli of ``_radial_grid``, the uniform
+    angle grid and the real ambient coordinates at the nodes.
+    """
+    t, vol, moduli = _radial_grid(geometry, N, dim, n_radial)
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
+    if geometry.compact:
+        d = 1.0 + t[:, None]
+        coords = (2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - t[:, None]) / d)
+    else:
+        coords = (z.real, z.imag)
     return vol, theta, coords, moduli
 
 
@@ -296,9 +305,8 @@ def contravariant_matrix(
     """
     dim = _basis_dim(geometry, N, cutoff)
     if callable(f):
-        ent = _quadrature_entries(geometry, f, N, dim)
-        return OperatorMatrix(ent, N)
-    return OperatorMatrix(_moment_entries(geometry, [geometry.check_exponents(f)], int(N), dim), N)
+        return OperatorMatrix(_quadrature_entries(geometry, f, N, dim))
+    return OperatorMatrix(_moment_entries(geometry, [geometry.check_exponents(f)], int(N), dim))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +332,8 @@ def _radial_nodes(n_radial: int):
 
 
 def _resolve_truncation(symbol: CovariantSymbol, N: int, K: Optional[int]) -> int:
+    from .function_spaces import summation_cutoff  # the decay sweep never truncates
+
     top = summation_cutoff(N, symbol.R)
     if K is None:
         return min(symbol.K, top)
@@ -349,7 +359,7 @@ def _summed_amplitude(symbol: CovariantSymbol, N: int, K: int) -> Callable:
 
 # unordered live radial pairs per block of the kernel and mode pass; a
 # block's folded rows and its phase (about 0.85 MB at 104 angular nodes)
-# stay in L2 through every mode of the cutoff recurrence
+# stay in L2 through every mode of the cutoff recurrence or the FFT
 _PAIR_BLOCK = 256
 
 
@@ -430,15 +440,15 @@ def _sphere_diagonal_quadrature(
     amplitude: Callable,
     rho: float,
     n_radial: int,
-    n_angular: int,
 ) -> np.ndarray:
     """Diagonal of a rotation-invariant kernel operator at level N.
 
     The kernel is amplitude(x, zbar) (1+x zbar)^N against the level-N
     weights, restricted to pairs with |1+x zbar|^2 >= rho (1+t1)(1+t2);
     rho <= 0 disables the cutoff.  The angular rule is Gauss-Legendre on
-    the exact cutoff interval, or a uniform (trigonometrically exact)
-    grid when the full circle survives.
+    the exact cutoff interval (max(64, N + 40) nodes), or a uniform
+    (trigonometrically exact) grid of max(64, 2N + 8) nodes when the full
+    circle survives.
 
     Only live radial pairs are integrated: a pair whose cutoff arc is
     empty (c0 >= 1) adds exactly zero and is skipped.  The ordered pairs
@@ -453,58 +463,55 @@ def _sphere_diagonal_quadrature(
     The kernel is an integer power q^N with |q| <= 1 (``_pair_kernel``),
     so it takes about 2 log2(N) complex multiplies and no transcendental.
     One pass walks the unordered live pairs in blocks of ``_PAIR_BLOCK``:
-    each block forms its phase, amplitude and kernel and folds its
-    mirrors.  Mode j of the angular integral is then projected out for
-    all j at once: on the per-pair cutoff grids by the phase recurrence
-    vals *= e^{-i beta}, run over all modes while the block is in cache;
-    on the shared uniform grid by one matmul against e^{-i j beta} after
-    the pass.  One contraction with w_a w_b over the unordered pairs,
-    also after the pass, gives the diagonal, so the result does not
-    depend on the block size.
+    each block forms its phase, amplitude and kernel, folds its mirrors
+    and projects out mode j of the angular integral for all j while the
+    block is in cache.  On the per-pair cutoff grids that is the phase
+    recurrence vals *= e^{-i beta}; on the shared uniform grid
+    beta_k = beta_0 + 2 pi k / n it is a DFT, the block's FFT times
+    e^{-i j beta_0}.  One contraction with w_a w_b = (vol |e_j|_h)_a
+    (vol |e_j|_h)_b (``_radial_grid``) over the unordered pairs, after the
+    pass, gives the diagonal, so the result does not depend on the block
+    size.
     """
-    t, tw = _radial_nodes(n_radial)
-    logt = np.log(t)
-    l1p = np.log1p(t)
+    t, vol, moduli = _radial_grid(sphere(), N, dim, n_radial)
     r = np.sqrt(t)
     rr = r[:, None] * r[None, :]
     if rho > 0.0:
+        n_angular = max(64, N + 40)
+        gx, gw = _gauss_legendre(n_angular)
+        l1p = np.log1p(t)
         c0 = (rho * np.exp(l1p[:, None] + l1p[None, :]) - 1.0 - rr**2) / (2.0 * rr)
         live = c0 < 1.0
+        beta0 = np.arccos(np.clip(c0, -1.0, 1.0))
     else:
+        n_angular = max(64, 2 * N + 8)
+        grid = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular - np.pi
+        circle = np.exp(1j * grid)
+        shift = np.exp(-1j * grid[0] * np.arange(dim))
         live = np.ones(rr.shape, dtype=bool)
     # the unordered live pairs: the diagonal first, then the strict upper
     # triangle, so a block's off-diagonal pairs are its last rows
     diag = np.flatnonzero(np.diag(live))
     up_a, up_b = np.nonzero(np.triu(live, 1))
     ua, ub = np.concatenate([diag, up_a]), np.concatenate([diag, up_b])
-    n_un = ua.size
-    if rho > 0.0:
-        beta0 = np.arccos(np.clip(c0, -1.0, 1.0))[ua, ub]
-        gx, gw = _gauss_legendre(n_angular)
-        inner = np.empty((n_un, dim), dtype=complex)
-    else:
-        grid = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular - np.pi
-        circle = np.exp(1j * grid)
-        folded = np.empty((n_un, n_angular), dtype=complex)
-    for own, off in _pair_blocks(n_un, diag.size):
+    inner = np.empty((ua.size, dim), dtype=complex)
+    for own, off in _pair_blocks(ua.size, diag.size):
+        a, b = ua[own], ub[own]
         if rho > 0.0:
-            phase = np.exp(1j * (beta0[own, None] * gx))
-            vals = _folded_rows(amplitude, r, t, ua[own], ub[own], off, phase,
-                                beta0[own, None] * gw, N)
+            phase = np.exp(1j * (beta0[a, b, None] * gx))
+            weight = beta0[a, b, None] * gw
+        else:
+            phase = np.broadcast_to(circle, (a.size, n_angular))
+            weight = 2.0 * np.pi / n_angular
+        vals = _folded_rows(amplitude, r, t, a, b, off, phase, weight, N)
+        if rho > 0.0:
             _mode_sums(vals, np.conjugate(phase, out=phase), inner[own])
         else:
-            phase = np.broadcast_to(circle, (own.stop - own.start, n_angular))
-            folded[own] = _folded_rows(amplitude, r, t, ua[own], ub[own], off, phase,
-                                       2.0 * np.pi / n_angular, N)
-    if rho <= 0.0:
-        inner = folded @ np.exp(-1j * np.outer(grid, np.arange(dim)))
-        del folded
-    j = np.arange(dim)
-    lognj = _log_norm_inv(sphere(), N, dim)
-    w = tw[:, None] * np.exp(
-        0.5 * j[None, :] * logt[:, None] - (0.5 * N + 2.0) * l1p[:, None] + 0.5 * lognj[None, :]
-    )
-    return np.einsum("pj,pj,pj->j", w[ua], w[ub], inner) / (2.0 * np.pi)
+            np.multiply(np.fft.fft(vals, axis=1)[:, :dim], shift, out=inner[own])
+    w = vol[:, None] * moduli
+    inner *= w[ua]  # in place: one gathered weight at a time
+    inner *= w[ub]
+    return inner.sum(axis=0) / (2.0 * np.pi)
 
 
 def _check_cutoff_radius(eps: Optional[float]) -> None:
@@ -576,16 +583,15 @@ def covariant_matrix(
     if polys is not None:
         s = geometry.over_power * max((sum(e) for terms in polys for e in terms), default=0)
         if N >= s:
-            return OperatorMatrix(_moment_entries(geometry, polys, int(N), dim, kernel=True), N)
+            return OperatorMatrix(_moment_entries(geometry, polys, int(N), dim, kernel=True))
     if not symbol.rotation_invariant:
         raise ValueError(
             "sphere kernel matrices need a rotation-invariant symbol; "
             "general symbols are only stored along a meridian"
         )
-    n_angular = max(64, N + 40) if rho > 0.0 else max(64, 2 * N + 8)
     amp = _summed_amplitude(symbol, N, K_used)
-    diag = _sphere_diagonal_quadrature(N, dim, amp, rho, n_radial, n_angular)
-    return OperatorMatrix(np.diag(diag), N)
+    diag = _sphere_diagonal_quadrature(N, dim, amp, rho, n_radial)
+    return OperatorMatrix(np.diag(diag))
 
 
 def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:
@@ -600,8 +606,7 @@ def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:
         def amplitude(x, zbar):
             return np.broadcast_to(N + 1.0, np.broadcast(x, zbar).shape)
 
-        n_angular = max(64, 2 * N + 8)
-        diag = _sphere_diagonal_quadrature(N, N + 1, amplitude, 0.0, DEFAULT_RADIAL, n_angular)
+        diag = _sphere_diagonal_quadrature(N, N + 1, amplitude, 0.0, DEFAULT_RADIAL)
         return float(np.max(np.abs(diag - 1.0)))
     ent = _moment_entries(geometry, [{(0, 0): 1.0}], N, N + 1, kernel=True)
     return float(np.max(np.abs(ent - np.eye(N + 1))))

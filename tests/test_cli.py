@@ -323,8 +323,7 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
         "phase": (["phase", "expand", "--K", "1", "--degree", "1"],
                   always | {"geometry", "series", "stationary_phase"}),
         "decay": (["decay", "--N-list", "8,12,16,20"],
-                  always | {"quantization_spectral", "function_spaces", "geometry", "series",
-                            "constants"}),
+                  always | {"quantization_spectral", "geometry", "series"}),
         "compose": (["compose", "--geometry", "plane", "--f", "poly:0,0=1.0;1,1=0.5",
                      "--g", "poly:0,0=1.0;1,1=-0.333"], None),
     }

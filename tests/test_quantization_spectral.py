@@ -48,12 +48,12 @@ def test_basis_norms_rejections():
 
 
 def test_operator_matrix_container():
-    m = qs.OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), N=3)
+    m = qs.OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert m.dim == 2
     assert m.hermitian_defect() == pytest.approx(1.0)
     assert np.asarray(m).shape == (2, 2)
     with pytest.raises(ValueError):
-        qs.OperatorMatrix(np.zeros((2, 3)), N=3)
+        qs.OperatorMatrix(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ def test_covariant_over_power_above_level_stays_on_quadrature():
     x3_cubed = cc.symbol_from_poly(SPH, [{(0, 0, 3): 1.0}], order=4)
     got = qs.covariant_matrix(SPH, x3_cubed, N, eps=np.inf).entries
     amp = qs._summed_amplitude(x3_cubed, N, 0)
-    want = qs._sphere_diagonal_quadrature(N, N + 1, amp, 0.0, qs.DEFAULT_RADIAL, max(64, 2 * N + 8))
+    want = qs._sphere_diagonal_quadrature(N, N + 1, amp, 0.0, qs.DEFAULT_RADIAL)
     assert np.array_equal(got, np.diag(want))
     with pytest.raises(ValueError, match="rotation-invariant"):
         qs.covariant_matrix(SPH, cc.symbol_from_poly(SPH, [{(1, 0, 2): 1.0}], order=4), N,
@@ -492,8 +492,7 @@ def test_plane_kernel_matches_lgamma_route(N, cutoff):
 def test_sphere_kernel_matches_uncut_quadrature(N):
     # on invariant symbols the uncut quadrature is the other route; the
     # exact route's diagonal is float(Fraction), so the quadrature carries
-    # the whole gap (5.4e-14 at most)
-    n_angular = max(64, 2 * N + 8)
+    # the whole gap (5.5e-14 at most)
     for polys in ([{(0, 0, 1): 1.0}], [{(0, 0, 2): 1.0, (0, 0, 0): 0.5}], [{(0, 0, 3): 1.0}]):
         sym = cc.symbol_from_poly(SPH, polys, order=4)
         got = qs.covariant_matrix(SPH, sym, N, eps=np.inf).entries
@@ -501,7 +500,7 @@ def test_sphere_kernel_matches_uncut_quadrature(N):
         want = np.array([float(acc[j, j][0] * norms[j]) for j in range(N + 1)])
         assert np.array_equal(got, np.diag(want.astype(complex)))
         amp = qs._summed_amplitude(sym, N, 0)
-        quad = qs._sphere_diagonal_quadrature(N, N + 1, amp, 0.0, qs.DEFAULT_RADIAL, n_angular)
+        quad = qs._sphere_diagonal_quadrature(N, N + 1, amp, 0.0, qs.DEFAULT_RADIAL)
         assert np.max(np.abs(quad - want)) < 1e-13, polys
 
 
@@ -588,8 +587,8 @@ def test_sphere_quadrature_matches_per_mode_loop(N):
     rho = qs.cutoff_rho(SPH)
     for name, amp in amplitudes.items():
         for cut, n_angular in ((rho, max(64, N + 40)), (0.0, max(64, 2 * N + 8))):
-            args = (N, N + 1, amp, cut, qs.DEFAULT_RADIAL, n_angular)
-            want = _per_mode_diagonal(*args)
+            args = (N, N + 1, amp, cut, qs.DEFAULT_RADIAL)
+            want = _per_mode_diagonal(*args, n_angular)
             got = qs._sphere_diagonal_quadrature(*args)
             assert np.max(np.abs(got - want)) < 1e-13, (name, cut)
 
@@ -627,7 +626,7 @@ def test_sphere_quadrature_skips_empty_arcs():
         seen.append(np.broadcast(x, zbar).size)
         return (N + 1.0) * np.ones(np.broadcast(x, zbar).shape)
 
-    qs._sphere_diagonal_quadrature(N, N + 1, amp, rho, qs.DEFAULT_RADIAL, n_angular)
+    qs._sphere_diagonal_quadrature(N, N + 1, amp, rho, qs.DEFAULT_RADIAL)
     # ordered radial pairs whose cutoff arc is non-empty
     t, _ = qs._radial_nodes(qs.DEFAULT_RADIAL)
     l1p = np.log1p(t)
@@ -644,7 +643,7 @@ def test_sphere_quadrature_peak_memory(cut):
     rho = qs.cutoff_rho(SPH) if cut else 0.0
     n_angular = N + 40 if cut else 2 * N + 8
     amp = lambda x, zbar: (N + 1.0) * np.ones(np.broadcast(x, zbar).shape)
-    args = (N, N + 1, amp, rho, qs.DEFAULT_RADIAL, n_angular)
+    args = (N, N + 1, amp, rho, qs.DEFAULT_RADIAL)
     qs._sphere_diagonal_quadrature(*args)  # fill the node caches
     tracemalloc.start()
     try:
@@ -655,10 +654,12 @@ def test_sphere_quadrature_peak_memory(cut):
     # a full complex (n_radial, n_radial, n_angular) tensor.  The all-pairs
     # quadrature peaked at 3.16 of them with the cutoff and 2.52 without,
     # the ordered-pair one at 1.49 and 1.52, the unordered-pair blocks at
-    # 0.53 and 0.77.  An ordered-pair buffer would add 0.65 and 1.0, an
+    # 0.53 and 0.77 (the uncut rows of every pair held for one matmul
+    # after the pass), and with each uncut block projected by its own FFT
+    # at 0.53 and 0.50.  An ordered-pair buffer would add 0.65 and 1.0, an
     # (n_radial, n_radial, dim) tensor 0.63 with the cutoff
     full = qs.DEFAULT_RADIAL**2 * n_angular * 16
-    assert peak < (0.7 if cut else 1.0) * full
+    assert peak < 0.6 * full
 
 
 def test_multiplier_quadrature_peak_memory():
@@ -766,9 +767,9 @@ def test_blocked_mode_recurrence_is_bit_identical(block, monkeypatch):
     if block is not None:
         # blocks that hold only diagonal pairs, with no mirrored rows
         monkeypatch.setattr(qs, "_PAIR_BLOCK", block)
-    N, n_angular = 64, 104
-    _, ua, ub, n_diag, phase = _live_phase(qs.cutoff_rho(SPH), n_angular)
-    n_un = ua.size
+    N = 64
+    _, ua, ub, n_diag, phase = _live_phase(qs.cutoff_rho(SPH), N + 40)
+    n_un, n_angular = phase.shape
     assert n_un > qs._PAIR_BLOCK and n_un % qs._PAIR_BLOCK != 0
     phase = np.conjugate(phase)
     rng = np.random.default_rng(5)
@@ -780,9 +781,12 @@ def test_blocked_mode_recurrence_is_bit_identical(block, monkeypatch):
         assert np.all(ua[own][:off] == ub[own][:off]) and np.all(ua[own][off:] < ub[own][off:])
         qs._mode_sums(vals[own], phase[own], got[own])
     assert np.array_equal(got, want)
-    # and the whole quadrature does not depend on where the blocks fall
+    # and neither branch of the whole quadrature (the cut one projects by
+    # that recurrence, the uncut one by an FFT per block) depends on where
+    # the blocks fall; the uncut pairs end in a part block too
+    assert qs.DEFAULT_RADIAL * (qs.DEFAULT_RADIAL + 1) // 2 % qs._PAIR_BLOCK != 0
     amp = lambda x, zbar: 1 + 0.3 * x + 0.1 * zbar**2
-    runs = [(N, N + 1, amp, rho, qs.DEFAULT_RADIAL, n_angular) for rho in (qs.cutoff_rho(SPH), 0.0)]
+    runs = [(N, N + 1, amp, rho, qs.DEFAULT_RADIAL) for rho in (qs.cutoff_rho(SPH), 0.0)]
     blocked = [qs._sphere_diagonal_quadrature(*args) for args in runs]
     monkeypatch.setattr(qs, "_PAIR_BLOCK", 10**6)  # one block
     for args, want in zip(runs, blocked):
