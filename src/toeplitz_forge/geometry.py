@@ -316,7 +316,6 @@ def model_by_name(name: str) -> ModelGeometry:
 class MixedLogDerivative:
     """Exact vs series value of the mixed log-derivative diagnostic."""
 
-    mixed_derivative: float
     remark_value: float
     closed_form: float
     series_value: float
@@ -330,8 +329,10 @@ def mixed_log_derivative_check(t: float = 1.0, order: int = 4) -> MixedLogDeriva
     The quantity computed is d^2/(dy dwbar) log(-Phi1) at y = wbar = sqrt(t),
     evaluated two ways: closed form F'(t) + t F''(t) with
     F(t) = log log(1+t), and the (1,1) jet coefficient of the composed
-    series. The reported ``remark_value`` is -2 times the derivative, the
-    normalization used by the kernel-expansion cross-checks downstream.
+    series. The reported ``remark_value`` is -2 times the series value,
+    the normalization used by the kernel-expansion cross-checks
+    downstream, so a check of it against the closed form tests the series
+    route.
     """
     if t <= 0:
         raise ValueError("need t > 0")
@@ -349,10 +350,8 @@ def mixed_log_derivative_check(t: float = 1.0, order: int = 4) -> MixedLogDeriva
     g = _log(minus_phi1)
     series_val = float(np.real(g.coeff((1, 1))))
 
-    mixed = closed
     return MixedLogDerivative(
-        mixed_derivative=mixed,
-        remark_value=-2.0 * mixed,
+        remark_value=-2.0 * series_val,
         closed_form=closed,
         series_value=series_val,
         discrepancy=abs(series_val - closed),

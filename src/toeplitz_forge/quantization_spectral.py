@@ -436,7 +436,6 @@ def _mode_sums(vals: np.ndarray, phase: np.ndarray, out: np.ndarray) -> None:
 
 def _sphere_diagonal_quadrature(
     N: int,
-    dim: int,
     amplitude: Callable,
     rho: float,
     n_radial: int,
@@ -473,6 +472,7 @@ def _sphere_diagonal_quadrature(
     pass, gives the diagonal, so the result does not depend on the block
     size.
     """
+    dim = N + 1  # the level-N sphere basis z^0 .. z^N
     t, vol, moduli = _radial_grid(sphere(), N, dim, n_radial)
     r = np.sqrt(t)
     rr = r[:, None] * r[None, :]
@@ -590,7 +590,7 @@ def covariant_matrix(
             "general symbols are only stored along a meridian"
         )
     amp = _summed_amplitude(symbol, N, K_used)
-    diag = _sphere_diagonal_quadrature(N, dim, amp, rho, n_radial)
+    diag = _sphere_diagonal_quadrature(N, amp, rho, n_radial)
     return OperatorMatrix(np.diag(diag))
 
 
@@ -606,7 +606,7 @@ def bergman_gram_defect(geometry: ModelGeometry, N: int) -> float:
         def amplitude(x, zbar):
             return np.broadcast_to(N + 1.0, np.broadcast(x, zbar).shape)
 
-        diag = _sphere_diagonal_quadrature(N, N + 1, amplitude, 0.0, DEFAULT_RADIAL)
+        diag = _sphere_diagonal_quadrature(N, amplitude, 0.0, DEFAULT_RADIAL)
         return float(np.max(np.abs(diag - 1.0)))
     ent = _moment_entries(geometry, [{(0, 0): 1.0}], N, N + 1, kernel=True)
     return float(np.max(np.abs(ent - np.eye(N + 1))))

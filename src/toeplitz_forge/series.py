@@ -24,8 +24,8 @@ fixed total degree is a ring quotient, so ring identities hold exactly,
 not just approximately, for equal-order operands.
 
 ``TruncatedRing`` holds the ring algebra both truncated rings share:
-subtraction, division, integer powers and the exp/log/reciprocal Horner
-sums, derived from each ring's own sum, product and grading.
+subtraction, integer powers and the exp/log/reciprocal Horner sums,
+derived from each ring's own sum, product and grading.
 
 ``PowerSeries.substitute`` composes by powers: it builds the powers of
 the innermost argument once, then contracts the coefficient block
@@ -121,7 +121,7 @@ class TruncatedRing:
     ``valuation()`` (lowest degree of a nonzero term, -1 for zero),
     ``_constant(value)`` (an element of the same shape) and
     ``_top_degree()`` (the highest degree a term can have).  Subtraction,
-    division, integer powers, exp, log and reciprocal are derived here.
+    integer powers, exp, log and reciprocal are derived here.
     """
 
     __slots__ = ()
@@ -139,11 +139,6 @@ class TruncatedRing:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedRing):
-            return self * other.reciprocal()
-        return self * (self._one() / self._scalar(other))
 
     def __pow__(self, n: int):
         if n < 0 or n != int(n):

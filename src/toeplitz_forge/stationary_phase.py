@@ -54,7 +54,7 @@ NORMALIZATION = (
 )
 
 _CLEAN_TOL = 1e-12
-_SOLVE_TOL = 1e-9  # both online flattenings' divisibility guard, per degree error
+_SOLVE_TOL = 1e-9  # both online flattenings' divisibility guard and the family boundary guard
 
 
 @dataclass(frozen=True)
@@ -222,13 +222,26 @@ def gaussian_moment(quadratic, mu: Sequence[int]) -> complex:
 
 
 def _pad_to_order(ps: PowerSeries, order: int) -> PowerSeries:
-    if order < ps.order:
-        return ps.truncate(order)
+    """``ps`` zero-padded to ``order`` (never below ``ps.order``)."""
     if order == ps.order:
         return ps
     out = np.zeros((order + 1,) * ps.nvars, dtype=np.complex128)
     out[tuple(slice(0, n) for n in ps.coeffs.shape)] = ps.coeffs
     return PowerSeries(out, order)
+
+
+def _expansion_data(phase, amplitude: PowerSeries, K: int) -> PhaseData:
+    """The phase data of an expansion to order K, after the checks both routes share."""
+    data = _as_phase(phase)
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    if amplitude.order < 2 * K:
+        raise ValueError(
+            f"amplitude order {amplitude.order} insufficient; need >= {2 * K}")
+    if data.series.order < 2 * K + 2:
+        raise ValueError(
+            f"phase order {data.series.order} insufficient; need >= {2 * K + 2}")
+    return data
 
 
 def wick_expand(phase, amplitude: PowerSeries, K: int) -> ExpansionResult:
@@ -242,17 +255,9 @@ def wick_expand(phase, amplitude: PowerSeries, K: int) -> ExpansionResult:
     of the term is never visited.  The running product term * R walks the
     sparse remainder (``series._truncated_product``).
     """
-    data = _as_phase(phase)
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    data = _expansion_data(phase, amplitude, K)
     if amplitude.nvars != data.series.nvars:
         raise ValueError("amplitude and phase must share variables")
-    if amplitude.order < 2 * K:
-        raise ValueError(
-            f"amplitude order {amplitude.order} insufficient; need >= {2 * K}")
-    if data.series.order < 2 * K + 2:
-        raise ValueError(
-            f"phase order {data.series.order} insufficient; need >= {2 * K + 2}")
 
     amp = amplitude.to_complex() if amplitude.is_exact else amplitude
     work = max(6 * K, 2 * K + 2)
@@ -322,7 +327,7 @@ def _reach(rem: np.ndarray) -> list:
     return reach
 
 
-def _divide_by_u(err: np.ndarray, what: str, tol: float) -> np.ndarray:
+def _divide_by_u(err: np.ndarray, what: str) -> np.ndarray:
     """err / u for a degree-D error listed by u degree; guards the u^0 entry.
 
     The guard's scale is the largest entry of this degree's error (at
@@ -331,13 +336,12 @@ def _divide_by_u(err: np.ndarray, what: str, tol: float) -> np.ndarray:
     """
     scale = max(1.0, float(np.max(np.abs(err))))
     leak = float(np.max(np.abs(err[0])))
-    if leak > tol * scale:
+    if leak > _SOLVE_TOL * scale:
         raise ArithmeticError(f"{what} correction not divisible by u (residue {leak:.3e})")
     return err[1:]
 
 
-def _solve_online(rem: np.ndarray, tol: float, what: str,
-                  times: Callable, spread: Callable) -> np.ndarray:
+def _solve_online(rem: np.ndarray, what: str, times: Callable, spread: Callable) -> np.ndarray:
     """The online flattening both normalizers share; returns iota_vbar graded.
 
     ``rem`` holds the phase at (iota_v, ubar) less its pairing term -u
@@ -365,7 +369,7 @@ def _solve_online(rem: np.ndarray, tol: float, what: str,
     powers[(deg, 0, deg) + (0,) * (err.ndim - 2)] = 1.0  # w^b = ubar^b + ...
     w = powers[1]
     for D in range(3, top + 1):
-        w[:D, D - 1] = _divide_by_u(err[: D + 1, D], f"{what}-{D}", tol)
+        w[:D, D - 1] = _divide_by_u(err[: D + 1, D], f"{what}-{D}")
         for b in range(1, top + 1):
             d = D - 2 + b
             if d > reach[b]:
@@ -409,7 +413,7 @@ def _normalize_one_pair(ser: PowerSeries, A: complex, order: int):
         out[a + np.arange(part.size), a] = g[:, None] * part
         return out
 
-    w = _solve_online(rem, _SOLVE_TOL, "degree", times, spread)
+    w = _solve_online(rem, "degree", times, spread)
     iota_v = PowerSeries.variable(0, 2, order) * (1.0 / A)
     return iota_v, PowerSeries(_ungraded(w), order)
 
@@ -453,19 +457,10 @@ def morse_expand(phase, amplitude: PowerSeries, K: int) -> ExpansionResult:
 
     After the change of variables the weight is exactly e^{-N u ubar},
     whose moments sit on the diagonal: transporting b = (a o kappa) J
-    gives T_k = det(-H) k! b_{k,k}.
+    gives T_k = det(-H) k! b_{k,k}.  One variable pair only, as for
+    ``morse_normalize``.
     """
-    data = _as_phase(phase)
-    if data.dim != 1:
-        raise NotImplementedError("flattening is implemented for one pair only")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if amplitude.order < 2 * K:
-        raise ValueError(
-            f"amplitude order {amplitude.order} insufficient; need >= {2 * K}")
-    if data.series.order < 2 * K + 2:
-        raise ValueError(
-            f"phase order {data.series.order} insufficient; need >= {2 * K + 2}")
+    data = _expansion_data(phase, amplitude, K)
     kappa, jac = morse_normalize(data, 2 * K)
     amp = amplitude.to_complex() if amplitude.is_exact else amplitude
     comp = amp.substitute(list(kappa)) * jac
@@ -641,12 +636,12 @@ class PairFamily(TruncatedRing):
         return self._new(out)
 
 
-def _scrub_boundary(fam: PairFamily, tol: float) -> PairFamily:
+def _scrub_boundary(fam: PairFamily) -> PairFamily:
     """Zero the u-degree-0 and ubar-degree-0 slabs, guarding the residue."""
     scale = max(1.0, fam.max_abs())
     worst = max(float(np.max(np.abs(fam.coeffs[0, :]))),
                 float(np.max(np.abs(fam.coeffs[:, 0]))))
-    if worst > tol * scale:
+    if worst > _SOLVE_TOL * scale:
         raise ArithmeticError(
             f"family phase has a boundary term of size {worst:.3e}; every "
             "monomial must carry both u and ubar")
@@ -675,14 +670,6 @@ class MorseFamily:
     jacobian: PairFamily
     a_block: np.ndarray
     ainv_block: np.ndarray
-
-    @property
-    def pair_cap(self) -> int:
-        return self.iota_vbar.pair_cap
-
-    @property
-    def param_cap(self) -> int:
-        return self.iota_vbar.param_cap
 
 
 def _pair_powers(base: PairFamily, top: int) -> list:
@@ -714,7 +701,7 @@ def morse_normalize_family(phase: PairFamily) -> MorseFamily:
     P, M = phase.pair_cap, phase.param_cap
     if P < 2:
         raise ValueError("pair cap must be at least 2")
-    ser = _scrub_boundary(phase, _SOLVE_TOL)
+    ser = _scrub_boundary(phase)
 
     a_block = -ser.block(1, 1)
     if abs(a_block[0, 0]) <= 1e-12 * max(1.0, float(np.max(np.abs(a_block)))):
@@ -744,7 +731,7 @@ def morse_normalize_family(phase: PairFamily) -> MorseFamily:
         pd[np.arange(d + 1), d - np.arange(d + 1)] = part
         return _graded(_kernels.conv_pair(gb, pd, P, M))[:, d:]
 
-    w = _solve_online(rem, _SOLVE_TOL, "pair-degree", times, spread)
+    w = _solve_online(rem, "pair-degree", times, spread)
 
     u = PairFamily.variables(P, M)[0]
     iota_v = u.param_scale(ainv_block)

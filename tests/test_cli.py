@@ -267,6 +267,32 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args, code", [
+    (["symbols", "norm", "--domain", "disk:0.4"], 0),
+    (["symbols", "norm", "--coeffs", "1,0.5,0.25", "--K", "2"], 0),
+    (["decay", "--N-list", "8,8,12"], 2),
+    (["decay", "--N-list", ""], 2),
+    (["decay", "--N-list", "0,4"], 2),
+    (["decay", "--N-list", "a,b"], 2),
+    (["decay", "--f", "poly:0,0,1"], 2),
+    (["decay", "--f", "poly:"], 2),
+    (["decay", "--f", "bogus"], 2),
+    (["symbols", "norm", "--domain", "disk:-1"], 2),
+    (["symbols", "norm", "--domain", "ring:1"], 2),
+    (["symbols", "norm", "--coeffs", "1,x"], 2),
+    (["symbols", "norm", "--coeffs", "1,0.5", "--K", "2"], 2),
+    (["symbols", "product", "--m", "3"], 2),
+    (["lemmas", "verify", "--n", "0"], 2),
+], ids=lambda v: " ".join(a or "''" for a in v) if isinstance(v, list) else None)
+def test_argument_parsing_exit_codes(tmp_path, capsys, args, code):
+    assert run([*args, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     def boom(*a, **kw):
         raise ArithmeticError("quadrature degree insufficient")

@@ -254,7 +254,7 @@ def test_mixed_log_derivative_check():
     assert abs(res.remark_value - expect) < 1e-12
     assert abs(res.remark_value - 0.319337) < 1e-6
     assert res.discrepancy < 1e-10
-    assert abs(res.mixed_derivative + 0.5 * expect) < 1e-12
+    assert abs(res.closed_form + 0.5 * expect) < 1e-12
 
 
 def test_two_charts_consistency():

@@ -2,8 +2,8 @@
 
 Every public top-level function or class, and every public method, in
 ``src/toeplitz_forge`` must be referenced outside its own definition by the
-package itself, the scripts, the benchmarks or the perfbench harness, or
-be named in ``ORACLES``.  Tests alone do not keep a name alive: a helper
+package itself, the scripts or the perfbench harness, or be named in
+``ORACLES``.  Tests alone do not keep a name alive: a helper
 only a test needs lives in that test.  Neither does an ``__all__`` entry,
 nor, for a method, a same-named variable, string or standard-library
 function.
@@ -32,6 +32,8 @@ ORACLES = (
     "lem_easy_sum",  # the two-sided sum lemma against its frozen constant
     "estimate_h_norm",  # one-function H(m, r) norm through the symbol-norm sup
     "sharp_inverse",  # f sharp f^{sharp -1} = the Bergman symbol
+    "star_inverse",  # the Cauchy-product inverse of criterion 03
+    "contravariant_to_covariant",  # T_N(f)'s covariant symbol vs the exact x3 expansion
     "overlap_defect",  # jet agreement between neighbouring nodes
     "frame_to_chart",  # inverse of chart_to_frame; the frames of non-homogeneous models
     "schur_norm_bound",  # the Schur-test operator-norm bound C_N sup|amplitude|
@@ -40,8 +42,7 @@ ORACLES = (
 
 def _sources():
     users = sorted(PACKAGE.glob("*.py"))
-    for sub in ("scripts", "benchmarks"):
-        users += sorted((ROOT / sub).rglob("*.py"))
+    users += sorted((ROOT / "scripts").rglob("*.py"))
     return users + sorted((ROOT / "perfbench").glob("*.py"))
 
 

@@ -351,7 +351,7 @@ def test_covariant_over_power_above_level_stays_on_quadrature():
     x3_cubed = cc.symbol_from_poly(SPH, [{(0, 0, 3): 1.0}], order=4)
     got = qs.covariant_matrix(SPH, x3_cubed, N, eps=np.inf).entries
     amp = qs._summed_amplitude(x3_cubed, N, 0)
-    want = qs._sphere_diagonal_quadrature(N, N + 1, amp, 0.0, qs.DEFAULT_RADIAL)
+    want = qs._sphere_diagonal_quadrature(N, amp, 0.0, qs.DEFAULT_RADIAL)
     assert np.array_equal(got, np.diag(want))
     with pytest.raises(ValueError, match="rotation-invariant"):
         qs.covariant_matrix(SPH, cc.symbol_from_poly(SPH, [{(1, 0, 2): 1.0}], order=4), N,
@@ -500,7 +500,7 @@ def test_sphere_kernel_matches_uncut_quadrature(N):
         want = np.array([float(acc[j, j][0] * norms[j]) for j in range(N + 1)])
         assert np.array_equal(got, np.diag(want.astype(complex)))
         amp = qs._summed_amplitude(sym, N, 0)
-        quad = qs._sphere_diagonal_quadrature(N, N + 1, amp, 0.0, qs.DEFAULT_RADIAL)
+        quad = qs._sphere_diagonal_quadrature(N, amp, 0.0, qs.DEFAULT_RADIAL)
         assert np.max(np.abs(quad - want)) < 1e-13, polys
 
 
@@ -536,7 +536,7 @@ def test_cutoff_radius_must_be_positive(call, eps):
         call(eps)
 
 
-def _per_mode_diagonal(N, dim, amplitude, rho, n_radial, n_angular):
+def _per_mode_diagonal(N, amplitude, rho, n_radial, n_angular):
     """The per-mode loop that _sphere_diagonal_quadrature vectorizes.
 
     Each mode j is projected out separately with e^{-i j beta} over the
@@ -565,8 +565,8 @@ def _per_mode_diagonal(N, dim, amplitude, rho, n_radial, n_angular):
         - 0.5 * N * (l1p[:, None, None] + l1p[None, :, None])
     )
     vals = bweight * kern * amplitude(x, zbar)
-    diag = np.zeros(dim, dtype=complex)
-    for j in range(dim):
+    diag = np.zeros(N + 1, dtype=complex)
+    for j in range(N + 1):
         inner = np.sum(vals * np.exp(-1j * j * betas), axis=-1)
         lognj = math.log(math.factorial(N + 1) // (math.factorial(j) * math.factorial(N - j)))
         w = tw * np.exp(0.5 * j * logt - (0.5 * N + 2.0) * l1p + 0.5 * lognj)
@@ -587,7 +587,7 @@ def test_sphere_quadrature_matches_per_mode_loop(N):
     rho = qs.cutoff_rho(SPH)
     for name, amp in amplitudes.items():
         for cut, n_angular in ((rho, max(64, N + 40)), (0.0, max(64, 2 * N + 8))):
-            args = (N, N + 1, amp, cut, qs.DEFAULT_RADIAL)
+            args = (N, amp, cut, qs.DEFAULT_RADIAL)
             want = _per_mode_diagonal(*args, n_angular)
             got = qs._sphere_diagonal_quadrature(*args)
             assert np.max(np.abs(got - want)) < 1e-13, (name, cut)
@@ -626,7 +626,7 @@ def test_sphere_quadrature_skips_empty_arcs():
         seen.append(np.broadcast(x, zbar).size)
         return (N + 1.0) * np.ones(np.broadcast(x, zbar).shape)
 
-    qs._sphere_diagonal_quadrature(N, N + 1, amp, rho, qs.DEFAULT_RADIAL)
+    qs._sphere_diagonal_quadrature(N, amp, rho, qs.DEFAULT_RADIAL)
     # ordered radial pairs whose cutoff arc is non-empty
     t, _ = qs._radial_nodes(qs.DEFAULT_RADIAL)
     l1p = np.log1p(t)
@@ -643,7 +643,7 @@ def test_sphere_quadrature_peak_memory(cut):
     rho = qs.cutoff_rho(SPH) if cut else 0.0
     n_angular = N + 40 if cut else 2 * N + 8
     amp = lambda x, zbar: (N + 1.0) * np.ones(np.broadcast(x, zbar).shape)
-    args = (N, N + 1, amp, rho, qs.DEFAULT_RADIAL)
+    args = (N, amp, rho, qs.DEFAULT_RADIAL)
     qs._sphere_diagonal_quadrature(*args)  # fill the node caches
     tracemalloc.start()
     try:
@@ -786,11 +786,11 @@ def test_blocked_mode_recurrence_is_bit_identical(block, monkeypatch):
     # the blocks fall; the uncut pairs end in a part block too
     assert qs.DEFAULT_RADIAL * (qs.DEFAULT_RADIAL + 1) // 2 % qs._PAIR_BLOCK != 0
     amp = lambda x, zbar: 1 + 0.3 * x + 0.1 * zbar**2
-    runs = [(N, N + 1, amp, rho, qs.DEFAULT_RADIAL) for rho in (qs.cutoff_rho(SPH), 0.0)]
+    runs = [(N, amp, rho, qs.DEFAULT_RADIAL) for rho in (qs.cutoff_rho(SPH), 0.0)]
     blocked = [qs._sphere_diagonal_quadrature(*args) for args in runs]
     monkeypatch.setattr(qs, "_PAIR_BLOCK", 10**6)  # one block
     for args, want in zip(runs, blocked):
-        assert np.array_equal(qs._sphere_diagonal_quadrature(*args), want), args[3]
+        assert np.array_equal(qs._sphere_diagonal_quadrature(*args), want), args[2]
 
 
 def test_bergman_gram_defect():

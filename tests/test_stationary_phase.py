@@ -754,14 +754,14 @@ def _compose_grouped(fam, ainv_powers, vbar_powers):
     return acc
 
 
-def _recompose_family(phase, tol=1e-9):
+def _recompose_family(phase):
     """The per-degree loop the online family solve replaced.
 
     Every step rebuilds the powers of iota_vbar and recomposes the whole
     phase with them (``_compose_grouped``), then corrects degree D - 1.
     """
     P, M = phase.pair_cap, phase.param_cap
-    ser = sp._scrub_boundary(phase, tol)
+    ser = sp._scrub_boundary(phase)
     a_block = -ser.block(1, 1)
     ainv = PowerSeries(a_block, M).reciprocal()
     ainv_block = ainv.coeffs
@@ -782,7 +782,7 @@ def _recompose_family(phase, tol=1e-9):
             continue
         scale = max(1.0, err.max_abs())
         leak = float(np.max(np.abs(err_d.coeffs[0, :])))
-        if leak > tol * scale:
+        if leak > sp._SOLVE_TOL * scale:
             raise ArithmeticError(
                 f"pair-degree-{D} correction not divisible by u (residue {leak:.3e})")
         shifted = np.zeros_like(err_d.coeffs)
@@ -821,8 +821,8 @@ def test_family_flatten_recomposes_nothing(monkeypatch):
             return fn(*args)
         return call
 
-    def solve(rem, tol, what, times, spread):
-        return real_solve(rem, tol, what, counted(times), counted(spread))
+    def solve(rem, what, times, spread):
+        return real_solve(rem, what, counted(times), counted(spread))
 
     phase = _sphere_family(10, 8)
     monkeypatch.setattr(_kernels, "conv_pair", conv)
